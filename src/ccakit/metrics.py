@@ -5,13 +5,13 @@ PCC is its ratio to the oracle's TCC on the same evaluation split. Traces
 serialize to line-delimited text (see RunReport.to_lines for the field order).
 
 FLOP model used throughout the reports (documented so curves are comparable):
-a dense m-by-p times p-by-k product costs 2*m*p*k; one solver iteration over
-an m-row (mini)batch costs
-    8*m*(p1+p2)*k          gradient steps, both sides
-  + 2*m*(p1+p2)*k          re-projection for the k-by-k normalization Grams
-  + 4*m*k^2 + 24*k^3       small Gram products and eigendecompositions
+a product of an m-row view with a p-by-k matrix costs 2*m*p*k (2*nnz*k if the
+view is sparse). One solver iteration over an m-row (mini)batch costs
+    4 products per view    minibatch: the gradient's two projections, the
+                           gradient, and projecting the new tilde iterate
+    2 products per view    batch, when the state caches its projections
+  + 8*m*k^2 + 24*k^3       k-by-k Grams, re-projections, eigendecompositions
   + 2*(p1+p2)*k^2          applying the k-by-k whitener
-Sparse products are charged 2*nnz*k instead of 2*m*p*k when applicable.
 """
 
 from dataclasses import dataclass, field
@@ -22,13 +22,13 @@ from scipy.linalg import eigh, svd
 from .linalg import as_matrix, sym_inv_sqrt
 
 
-def step_flops(m, p1, p2, k, nnz1=None, nnz2=None):
-    """FLOPs of one solver iteration over an m-row batch (see module docstring)."""
+def step_flops(m, p1, p2, k, nnz1=None, nnz2=None, cached=False):
+    """FLOPs of one solver iteration over an m-row batch (see module docstring);
+    ``cached``: the state carries the projections of these rows."""
     c1 = 2 * nnz1 * k if nnz1 is not None else 2 * m * p1 * k
     c2 = 2 * nnz2 * k if nnz2 is not None else 2 * m * p2 * k
-    grads = 4 * (c1 + c2)
-    normalize = c1 + c2 + 4 * m * k * k + 24 * k**3 + 2 * (p1 + p2) * k * k
-    return grads + normalize
+    products = (2 if cached else 4) * (c1 + c2)
+    return products + 8 * m * k * k + 24 * k**3 + 2 * (p1 + p2) * k * k
 
 
 def projected_correlations(U, V, ridge_scale=1e-10):

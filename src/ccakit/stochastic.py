@@ -6,20 +6,19 @@ of that k-by-k matrix is what lets m stay on the order of k.
 """
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .appgrad import (
-    AppGradState,
+from .appgrad import (  # noqa: F401  normalize_columns is looked up here by perfbench
     StepSizes,
-    appgrad_step,
+    _step,
     default_step,
     extract_model,
     normalize_columns,
     random_init,
 )
-from .linalg import DegenerateIterateError, as_matrix
+from .linalg import DegenerateIterateError, as_matrix, is_sparse
 from .metrics import IterationRecord, RunReport, step_flops, tcc
 
 
@@ -113,26 +112,10 @@ class StepSchedule:
 
 
 def stochastic_appgrad_step(state, eta, X_I, Y_I, lam=0.0):
-    """One minibatch update: sampled gradient and sampled k-by-k whitening.
-
-    X_I, Y_I are the m-row restrictions to the sampled indices. With m = n
-    this is exactly the batch update.
-    """
-    X_I, Y_I = as_matrix(X_I), as_matrix(Y_I)
-    m = X_I.shape[0]
-    Xpt = np.asarray(X_I @ state.phi_tilde)
-    Ypsi = np.asarray(Y_I @ state.psi)
-    pt = state.phi_tilde - eta.eta1 * (
-        np.asarray(X_I.T @ (Xpt - Ypsi)) / m + lam * state.phi_tilde
-    )
-    Yqt = np.asarray(Y_I @ state.psi_tilde)
-    Xphi = np.asarray(X_I @ state.phi)
-    qt = state.psi_tilde - eta.eta2 * (
-        np.asarray(Y_I.T @ (Yqt - Xphi)) / m + lam * state.psi_tilde
-    )
-    phi = normalize_columns(X_I, pt, lam, denom=m)
-    psi = normalize_columns(Y_I, qt, lam, denom=m)
-    return AppGradState(phi, psi, pt, qt, t=state.t + 1)
+    """One minibatch update: the batch step on the m sampled rows X_I, Y_I,
+    so the gradient and the k-by-k whitening are averaged over m. With m = n
+    this is exactly the batch update."""
+    return _step(state, eta, X_I, Y_I, lam)
 
 
 def run_stochastic(
@@ -196,8 +179,10 @@ def run_stochastic(
             idx = sampler.next_batch(it)
             if streaming and idx.size == 0:
                 break
-            new = stochastic_appgrad_step(state, eta, X[idx], Y[idx], lam)
-        flops += step_flops(len(idx), p1, p2, k)
+            X_I, Y_I = X[idx], Y[idx]
+            new = stochastic_appgrad_step(state, eta, X_I, Y_I, lam)
+        nnz = [A.nnz if is_sparse(A) else None for A in (X_I, Y_I)]
+        flops += step_flops(len(idx), p1, p2, k, *nnz)
         state = new
         it += 1
         if state.t % record_every == 0 or it == max_iters:
@@ -214,7 +199,8 @@ def run_stochastic(
                 rec.pcc_train = t_in / oracle_tcc
             report.records.append(rec)
     model = extract_model(X, Y, state, lam)
-    report.final_state = state
+    # a copy without the cache, so the report does not keep the last batch alive
+    report.final_state = replace(state)
     return model, report
 
 

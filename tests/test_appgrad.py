@@ -1,8 +1,13 @@
 """Tests for the batch first-order solver: fixed points, gradient correctness,
 step-size formulas, error tracking, and the end-to-end runner."""
 
+import gc
+import weakref
+from dataclasses import replace
+
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from scipy.linalg import eigh
 
 from ccakit.appgrad import (
@@ -315,3 +320,105 @@ class TestConvergence:
         flops = [r.flops for r in report.records]
         assert all(b >= a for a, b in zip(flops, flops[1:]))
         assert all(np.isfinite(r.pcc_train) for r in report.records)
+
+
+class CountingCSR(sp.csr_matrix):
+    """CSR view that counts the n-sized products taken with it, either side."""
+
+    products = 0
+
+    def __matmul__(self, other):
+        CountingCSR.products += 1
+        return super().__matmul__(other)
+
+    def __rmatmul__(self, other):
+        CountingCSR.products += 1
+        return super().__rmatmul__(other)
+
+
+class TestProjectionCache:
+    def test_discarding_the_cache_changes_no_result(self, small_instance):
+        X, Y = small_instance.x, small_instance.y
+
+        def uncached_step(state, eta, X, Y, lam):
+            return replace(appgrad_step(state, eta, X, Y, lam))
+
+        runs = [run_appgrad(X, Y, 3, seed=1, max_iters=60, tol=0.0, record_every=3,
+                            oracle=small_instance.empirical, step_fn=step)
+                for step in (appgrad_step, uncached_step)]
+        (m_c, r_c), (m_u, r_u) = runs
+        assert [r.t for r in r_c.records] == [r.t for r in r_u.records]
+        for a, b in zip(r_c.records, r_u.records):
+            assert abs(a.tcc_train - b.tcc_train) < 1e-10
+            assert abs(a.pcc_train - b.pcc_train) < 1e-10
+            assert a.flops <= b.flops
+        # after the first step, the uncached run is charged its extra products
+        assert r_c.records[-1].flops < r_u.records[-1].flops
+        for A, B in ((m_c.phi, m_u.phi), (m_c.psi, m_u.psi), (m_c.lam, m_u.lam)):
+            assert np.abs(A - B).max() < 1e-10
+
+    def test_cache_is_ignored_on_other_rows(self, small_instance):
+        X, Y = small_instance.x, small_instance.y
+        eta = default_step(X, Y)
+        state = appgrad_step(random_init(X, Y, 3, seed=2), eta, X, Y)
+        assert state.cached_on(X, Y)
+        rng = np.random.default_rng(3)
+        others = [(X.copy(), Y.copy()),  # equal values, other objects
+                  (rng.standard_normal(X.shape), rng.standard_normal(Y.shape)),
+                  (X[:200], Y[:200])]
+        for X2, Y2 in others:
+            assert not state.cached_on(X2, Y2)
+            got = appgrad_step(state, eta, X2, Y2)
+            want = appgrad_step(replace(state), eta, X2, Y2)
+            for name in ("phi", "psi", "phi_tilde", "psi_tilde"):
+                assert np.array_equal(getattr(got, name), getattr(want, name))
+
+    def test_cached_projections_match_recomputed(self, small_instance):
+        X, Y = small_instance.x, small_instance.y
+        eta = default_step(X, Y)
+        state = random_init(X, Y, 3, seed=4)
+        for _ in range(5):
+            state = appgrad_step(state, eta, X, Y)
+        cached = state.projections(X, Y)
+        fresh = replace(state).projections(X, Y)
+        for a, b in zip(cached, fresh):
+            assert np.abs(a - b).max() < 1e-12 * np.abs(b).max()
+
+    def test_sparse_step_matches_dense_and_stays_sparse(self):
+        Xs = sp.random(300, 20, density=0.3, format="csr", random_state=1)
+        Ys = sp.random(300, 15, density=0.3, format="csr", random_state=2)
+        Xd, Yd = Xs.toarray(), Ys.toarray()
+        eta = StepSizes.constant(0.1)
+        dense = sparse = random_init(Xd, Yd, 2, seed=0)
+        for _ in range(3):  # the first step misses the cache, the rest hit it
+            dense = appgrad_step(dense, eta, Xd, Yd)
+            sparse = appgrad_step(sparse, eta, Xs, Ys)
+            for name in ("phi", "psi", "phi_tilde", "psi_tilde"):
+                assert np.abs(getattr(dense, name) - getattr(sparse, name)).max() < 1e-12
+            assert sparse.cache[0] is Xs and sp.issparse(sparse.cache[0])
+        _, dense_rep = run_appgrad(Xd, Yd, 2, seed=0, max_iters=3, tol=0.0)
+        _, sparse_rep = run_appgrad(Xs, Ys, 2, seed=0, max_iters=3, tol=0.0)
+        # sparse views are charged 2*nnz*k per product, not 2*n*p*k
+        assert sparse_rep.records[-1].flops < dense_rep.records[-1].flops
+
+    def test_batch_step_issues_two_products_per_view(self, small_instance):
+        X = CountingCSR(sp.csr_matrix(small_instance.x))
+        Y = CountingCSR(sp.csr_matrix(small_instance.y))
+        eta = default_step(small_instance.x, small_instance.y)
+        state = random_init(small_instance.x, small_instance.y, 3, seed=0)
+        counts = []
+        for _ in range(3):
+            CountingCSR.products = 0
+            state = appgrad_step(state, eta, X, Y)
+            counts.append(CountingCSR.products)
+        assert counts == [8, 4, 4]  # 4 per view without the cache, 2 with it
+
+    def test_final_state_does_not_pin_the_data(self, small_instance):
+        X, Y = small_instance.x.copy(), small_instance.y.copy()
+        refs = weakref.ref(X), weakref.ref(Y)
+        model, report = run_appgrad(X, Y, 3, seed=0, max_iters=20)
+        assert report.final_state.cache is None
+        assert report.final_state.t == 20
+        del X, Y
+        gc.collect()
+        assert refs[0]() is None and refs[1]() is None

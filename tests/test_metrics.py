@@ -131,6 +131,11 @@ class TestFlopModel:
         assert step_flops(200, 20, 30, 5) > base
         assert step_flops(100, 20, 30, 6) > base
 
+    def test_cached_iteration_saves_two_products_per_view(self):
+        m, p1, p2, k = 100, 20, 30, 5
+        saved = step_flops(m, p1, p2, k) - step_flops(m, p1, p2, k, cached=True)
+        assert saved == 2 * (2 * m * p1 * k + 2 * m * p2 * k)
+
     @given(
         m=st.integers(1, 10_000),
         p1=st.integers(1, 500),

@@ -246,6 +246,7 @@ class TestRunner:
             Xs, Ys, 3, plan, sched, max_iters=10_000, seed=1, oracle=inst.empirical
         )
         assert report.final_state.t == 40  # ceil(4000 / 100) batches, one pass
+        assert report.final_state.cache is None  # the last batch is not kept alive
         score = pcc(X, Y, (model.phi, model.psi),
                     (inst.empirical.phi, inst.empirical.psi))
         assert score >= 0.9
