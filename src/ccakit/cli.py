@@ -2,12 +2,12 @@
 
 import argparse
 import sys
+from dataclasses import fields
 
 import numpy as np
 
 from . import io
 from .harness import SOLVERS, SolverConfig, parse_config_file, run_experiment
-from .io import save_model_matrix
 from .kernels import KernelSpec
 from .planted import PlantedParams, generate_planted
 
@@ -51,11 +51,8 @@ def _parse_kernel(text):
     raise ValueError(f"unknown kernel {text!r}")
 
 
-_CONFIG_TYPES = {
-    "solver": str, "k": int, "oversample": int, "lam": float, "eta": float,
-    "schedule": str, "batch_size": int, "max_iters": int, "tol": float,
-    "seed": int, "holdout": float, "pca_m": int, "record_every": int,
-}
+# each SolverConfig field parses with its annotated type, except the kernel spec
+_CONFIG_TYPES = {f.name: f.type for f in fields(SolverConfig)} | {"kernel": _parse_kernel}
 
 
 def build_config(args):
@@ -63,18 +60,12 @@ def build_config(args):
     if getattr(args, "config", None):
         for key, raw in parse_config_file(args.config).items():
             key = key.replace("-", "_")
-            if key == "kernel":
-                cfg.kernel = _parse_kernel(raw)
-            elif key in _CONFIG_TYPES:
-                setattr(cfg, key, _CONFIG_TYPES[key](raw))
-            else:
+            if key not in _CONFIG_TYPES:
                 raise ValueError(f"unknown config key {key!r}")
+            setattr(cfg, key, _CONFIG_TYPES[key](raw))
     for key, typ in _CONFIG_TYPES.items():
-        val = getattr(args, key, None)
-        if val is not None:
-            setattr(cfg, key, val)
-    if getattr(args, "kernel", None):
-        cfg.kernel = _parse_kernel(args.kernel)
+        if getattr(args, key, None) is not None:  # flags override the file
+            setattr(cfg, key, typ(getattr(args, key)))
     return cfg
 
 
@@ -96,8 +87,8 @@ def cmd_generate(args):
     io.save_csv(args.x_out, inst.x)
     io.save_csv(args.y_out, inst.y)
     if args.truth_prefix:
-        save_model_matrix(f"{args.truth_prefix}.phi.txt", inst.model.phi)
-        save_model_matrix(f"{args.truth_prefix}.psi.txt", inst.model.psi)
+        io.save_model_matrix(f"{args.truth_prefix}.phi.txt", inst.model.phi)
+        io.save_model_matrix(f"{args.truth_prefix}.psi.txt", inst.model.psi)
     print(f"wrote {args.x_out} ({args.n}x{args.p1}) and {args.y_out} ({args.n}x{args.p2})")
     return 0
 

@@ -1,32 +1,87 @@
 """Experiment driver: configuration, solver dispatch, oversampling, holdout
 evaluation, and report/model emission."""
 
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, asdict
 
 import numpy as np
-from scipy.linalg import svd
 
 from . import io
-from .appgrad import default_step, random_init, run_appgrad
+from .appgrad import default_step, extract_model, random_init, run_appgrad
 from .baselines import dw_cca, nw_cca, pca_cca
-from .kernels import KernelSpec, kernel_cca, kernel_gram
-from .linalg import as_matrix
+from .kernels import KernelGram, KernelSpec, kernel_cca, kernel_gram
+from .linalg import SingularMatrixError, as_matrix
 from .metrics import IterationRecord, RunReport, pcc, tcc
-from .planted import PlantedParams, generate_planted
-from .reference import CcaModel, als_cca, fix_signs, qr_cca, spectral_cca
+from .planted import generate_planted
+from .reference import CcaModel, als_cca, qr_cca, spectral_cca
 from .stochastic import MinibatchPlan, StepSchedule, run_stochastic
 
-SOLVERS = (
-    "spectral",
-    "qr",
-    "als",
-    "appgrad",
-    "stochastic-appgrad",
-    "nw",
-    "dw",
-    "pca-cca",
-    "kernel-appgrad",
-)
+
+@dataclass(frozen=True)
+class Solver:
+    """How run_experiment runs one solver. ``run(config, X, Y, k_run, oracle,
+    holdout)`` returns a CcaModel, or (model, report) when ``traced``.
+    ``views(config, X, Y)``, if given, maps the data to the pair that the
+    solver and the metrics act on; the primal spectral oracle does not apply
+    to such views, so none is computed."""
+
+    run: object
+    traced: bool = False
+    views: object = None
+
+
+def _als(c, X, Y, k_run, **_):
+    if c.k != 1:
+        raise ValueError("als solves the leading pair only; set k=1")
+    init = random_init(X, Y, 1, c.seed, c.lam)
+    return als_cca(X, Y, (init.phi[:, 0], init.psi[:, 0]),
+                   max_iters=c.max_iters, tol=c.tol, lam=c.lam)
+
+
+def _appgrad(c, X, Y, k_run, oracle, **_):
+    return run_appgrad(X, Y, k_run, eta=c.eta, lam=c.lam, max_iters=c.max_iters,
+                       tol=c.tol, seed=c.seed, oracle=oracle,
+                       record_every=c.record_every or 1)
+
+
+def _stochastic(c, X, Y, k_run, oracle, holdout):
+    eta0 = c.eta if c.eta is not None else default_step(X, Y, c.lam, seed=c.seed).eta1
+    return run_stochastic(
+        X, Y, k_run, MinibatchPlan(m=min(c.batch_size, X.shape[0]), seed=c.seed),
+        StepSchedule(kind=c.schedule, eta0=eta0), lam=c.lam, max_iters=c.max_iters,
+        seed=c.seed, oracle=oracle, record_every=c.record_every, holdout=holdout,
+    )
+
+
+def _pca_cca(c, X, Y, k_run, **_):
+    m = c.pca_m if c.pca_m is not None else min(4 * c.k, *X.shape, Y.shape[1])
+    return pca_cca(X, Y, k_run, m=max(m, k_run), lam=c.lam, seed=c.seed)
+
+
+def _grams(c, X, Y):
+    spec = c.kernel or KernelSpec("linear")
+    return kernel_gram(X, spec).values, kernel_gram(Y, spec).values
+
+
+def _kernel_appgrad(c, Kx, Ky, k_run, **_):
+    spec = c.kernel or KernelSpec("linear")
+    Wx, Wy, lams = kernel_cca(
+        KernelGram(Kx, spec), KernelGram(Ky, spec), k_run, lam=c.lam or None,
+        eta=c.eta, max_iters=c.max_iters, tol=c.tol, seed=c.seed,
+    )
+    return CcaModel(Wx, Wy, lams)
+
+
+SOLVERS = {
+    "spectral": Solver(lambda c, X, Y, k_run, **_: spectral_cca(X, Y, k_run, lam=c.lam)),
+    "qr": Solver(lambda c, X, Y, k_run, **_: qr_cca(X, Y, k_run, lam=c.lam)),
+    "als": Solver(_als),
+    "appgrad": Solver(_appgrad, traced=True),
+    "stochastic-appgrad": Solver(_stochastic, traced=True),
+    "nw": Solver(lambda c, X, Y, k_run, **_: nw_cca(X, Y, k_run, seed=c.seed)),
+    "dw": Solver(lambda c, X, Y, k_run, **_: dw_cca(X, Y, k_run, lam=c.lam, seed=c.seed)),
+    "pca-cca": Solver(_pca_cca),
+    "kernel-appgrad": Solver(_kernel_appgrad, views=_grams),
+}
 
 
 @dataclass
@@ -50,13 +105,11 @@ class SolverConfig:
 
     def validate(self):
         if self.solver not in SOLVERS:
-            raise ValueError(f"unknown solver {self.solver!r}; choose from {SOLVERS}")
+            raise ValueError(f"unknown solver {self.solver!r}; choose from {', '.join(SOLVERS)}")
         if self.k < 1:
             raise ValueError("k must be >= 1")
         if self.oversample < 0 or self.lam < 0:
             raise ValueError("oversample and lam must be nonnegative")
-        if self.solver == "stochastic-appgrad" and self.batch_size < 1:
-            raise ValueError("batch size must be >= 1")
         if not (0.0 <= self.holdout <= 0.5):
             raise ValueError("holdout fraction must be in [0, 0.5]")
 
@@ -78,30 +131,8 @@ class ExperimentResult:
 
 
 def extract_best_k(X, Y, model, k):
-    """Keep the k directions capturing the most correlation from a (k+l)-rank
-    result: rotate whitened pairs to diagonalize the captured correlation
-    matrix, then truncate; unwhitened heuristics are truncated directly."""
-    if model.k <= k:
-        return model
-    if not model.whitened:
-        return CcaModel(model.phi[:, :k], model.psi[:, :k], model.lam[:k],
-                        whitened=False, converged=model.converged)
-    X, Y = as_matrix(X), as_matrix(Y)
-    n = X.shape[0]
-    C = np.asarray(X @ model.phi).T @ np.asarray(Y @ model.psi) / n
-    U, s, Vt = svd(C, full_matrices=False)
-    Phi = model.phi @ U[:, :k]
-    Psi = model.psi @ Vt[:k].T
-    Phi, Psi = fix_signs(Phi, Psi)
-    return CcaModel(Phi, Psi, s[:k].copy(), converged=model.converged)
-
-
-def _single_record_report(solver, config, X, Y, model):
-    report = RunReport(solver=solver, seed=config.seed, config=config.snapshot())
-    report.records.append(
-        IterationRecord(t=1, flops=0, tcc_train=tcc(X, Y, model.phi, model.psi))
-    )
-    return report
+    """The k directions of a (k+l)-rank model that capture the most correlation."""
+    return model if model.k <= k else extract_model(X, Y, model, k)
 
 
 def _split_holdout(X, Y, fraction, seed):
@@ -123,91 +154,42 @@ def run_experiment(config, x=None, y=None, planted=None,
     trace, and the canonical-vector matrices.
     """
     config.validate()
-    instance = None
     if planted is not None:
         instance = generate_planted(planted, seed=config.seed)
         x, y = instance.x, instance.y
     if x is None or y is None:
         raise ValueError("provide either (x, y) or planted parameters")
     X, Y = as_matrix(x), as_matrix(y)
-    n, p1 = X.shape
-    p2 = Y.shape[1]
 
     holdout_pair = None
     if config.holdout > 0:
         (X, Y), holdout_pair = _split_holdout(X, Y, config.holdout, config.seed)
 
     k = config.k
-    k_run = min(k + config.oversample, min(p1, p2))
+    k_run = min(k + config.oversample, X.shape[1], Y.shape[1])
+    if k_run < k:
+        raise ValueError(f"k={k} exceeds the view widths {X.shape[1]}, {Y.shape[1]}")
+    solver = SOLVERS[config.solver]
     oracle = None
-    if config.solver != "kernel-appgrad":
+    if solver.views:
+        X, Y = solver.views(config, X, Y)
+    else:
         # exact oracle for PCC is affordable at desk scale; recomputed on the
         # training split so holdout PCC follows the same convention
         try:
             oracle = spectral_cca(X, Y, k, lam=config.lam)
-        except Exception:
-            oracle = None
+        except SingularMatrixError:
+            pass  # a singular view with lam = 0 leaves PCC undefined
 
-    solver = config.solver
-    if solver == "spectral":
-        model = spectral_cca(X, Y, k_run, lam=config.lam)
-        report = _single_record_report(solver, config, X, Y, model)
-    elif solver == "qr":
-        model = qr_cca(X, Y, k_run, lam=config.lam)
-        report = _single_record_report(solver, config, X, Y, model)
-    elif solver == "als":
-        if k != 1:
-            raise ValueError("als solves the leading pair only; set k=1")
-        rng = np.random.default_rng(config.seed)
-        init = random_init(X, Y, 1, config.seed, config.lam)
-        model = als_cca(X, Y, (init.phi[:, 0], init.psi[:, 0]),
-                        max_iters=config.max_iters, tol=config.tol, lam=config.lam)
-        report = _single_record_report(solver, config, X, Y, model)
-        k_run = 1
-    elif solver == "appgrad":
-        model, report = run_appgrad(
-            X, Y, k_run, eta=config.eta, lam=config.lam,
-            max_iters=config.max_iters, tol=config.tol, seed=config.seed,
-            oracle=oracle, record_every=config.record_every or 1,
+    if solver.traced:
+        model, report = solver.run(config, X, Y, k_run, oracle=oracle, holdout=holdout_pair)
+    else:
+        model = solver.run(config, X, Y, k_run, oracle=oracle, holdout=holdout_pair)
+        report = RunReport(solver=config.solver, seed=config.seed)
+        report.records.append(
+            IterationRecord(t=1, flops=0, tcc_train=tcc(X, Y, model.phi, model.psi))
         )
-        report.config = config.snapshot()
-    elif solver == "stochastic-appgrad":
-        plan = MinibatchPlan(m=min(config.batch_size, n), seed=config.seed)
-        eta0 = config.eta
-        if eta0 is None:
-            eta0 = default_step(X, Y, config.lam, seed=config.seed).eta1
-        schedule = StepSchedule(kind=config.schedule, eta0=eta0)
-        model, report = run_stochastic(
-            X, Y, k_run, plan, schedule, lam=config.lam,
-            max_iters=config.max_iters, seed=config.seed, oracle=oracle,
-            record_every=config.record_every, holdout=holdout_pair,
-        )
-        report.config = config.snapshot()
-    elif solver == "nw":
-        model = nw_cca(X, Y, k_run, seed=config.seed)
-        report = _single_record_report(solver, config, X, Y, model)
-    elif solver == "dw":
-        model = dw_cca(X, Y, k_run, lam=config.lam, seed=config.seed)
-        report = _single_record_report(solver, config, X, Y, model)
-    elif solver == "pca-cca":
-        m = config.pca_m if config.pca_m is not None else min(4 * k, p1, p2, n)
-        model = pca_cca(X, Y, k_run, m=max(m, k_run), lam=config.lam, seed=config.seed)
-        report = _single_record_report(solver, config, X, Y, model)
-    elif solver == "kernel-appgrad":
-        spec = config.kernel or KernelSpec("linear")
-        Kx = kernel_gram(X, spec)
-        Ky = kernel_gram(Y, spec)
-        lam_arg = config.lam if config.lam > 0 else None
-        Wx, Wy, lams = kernel_cca(
-            Kx, Ky, k_run, lam=lam_arg, eta=config.eta,
-            max_iters=config.max_iters, tol=config.tol, seed=config.seed,
-        )
-        model = CcaModel(Wx, Wy, lams)
-        report = _single_record_report(solver, config, Kx.values, Ky.values, model)
-        X, Y = Kx.values, Ky.values  # metrics act on the Gram views
-        oracle = None
-    else:  # pragma: no cover
-        raise AssertionError(solver)
+    report.config = config.snapshot()
 
     model = extract_best_k(X, Y, model, k)
     result = ExperimentResult(model=model, report=report, oracle=oracle)

@@ -19,8 +19,10 @@ class DegenerateIterateError(RuntimeError):
     """An iterate collapsed below the normalization floor; restart with a new init."""
 
 
-def is_sparse(X):
-    return sp.issparse(X)
+def _check_finite(A):
+    """Raise ValueError if a dense or sparse matrix stores a non-finite entry."""
+    if not np.all(np.isfinite(A.data if sp.issparse(A) else A)):
+        raise ValueError("matrix contains non-finite entries")
 
 
 def as_matrix(X):
@@ -44,54 +46,23 @@ class DataMatrix:
     def __init__(self, values):
         if sp.issparse(values):
             values = values.tocsr()
-            if values.nnz and not np.all(np.isfinite(values.data)):
-                raise ValueError("data matrix contains non-finite entries")
         else:
             values = np.asarray(values, dtype=float)
             if values.ndim != 2:
                 raise ValueError("data matrix must be 2-d")
-            if not np.all(np.isfinite(values)):
-                raise ValueError("data matrix contains non-finite entries")
+        _check_finite(values)
         n, p = values.shape
         if n < 1 or p < 1:
             raise ValueError(f"data matrix must be nonempty, got shape {(n, p)}")
         self.values = values
 
     @property
-    def n(self):
-        return self.values.shape[0]
-
-    @property
-    def p(self):
-        return self.values.shape[1]
-
-    @property
-    def is_sparse(self):
-        return sp.issparse(self.values)
-
-    @property
     def shape(self):
         return self.values.shape
-
-    def toarray(self):
-        if self.is_sparse:
-            return self.values.toarray()
-        return np.array(self.values)
 
     def __matmul__(self, other):
         out = self.values @ other
         return np.asarray(out)
-
-    @property
-    def T(self):
-        return self.values.T
-
-
-def _check_finite_dense(A):
-    if not sp.issparse(A) and not np.all(np.isfinite(A)):
-        raise ValueError("matrix contains non-finite entries")
-    if sp.issparse(A) and A.nnz and not np.all(np.isfinite(A.data)):
-        raise ValueError("matrix contains non-finite entries")
 
 
 def gram(X, lam=0.0):
@@ -102,7 +73,7 @@ def gram(X, lam=0.0):
     if lam < 0:
         raise ValueError(f"regularization must be nonnegative, got {lam}")
     X = as_matrix(X)
-    _check_finite_dense(X)
+    _check_finite(X)
     n, p = X.shape
     if sp.issparse(X):
         S = np.asarray((X.T @ X).todense()) / n
@@ -117,8 +88,8 @@ def gram(X, lam=0.0):
 def cross_covariance(X, Y):
     """Cross second-moment matrix  X'Y/n."""
     X, Y = as_matrix(X), as_matrix(Y)
-    _check_finite_dense(X)
-    _check_finite_dense(Y)
+    _check_finite(X)
+    _check_finite(Y)
     if X.shape[0] != Y.shape[0]:
         raise ValueError(
             f"row-count mismatch: X has {X.shape[0]} rows, Y has {Y.shape[0]}"

@@ -6,19 +6,19 @@ of that k-by-k matrix is what lets m stay on the order of k.
 """
 
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
+import scipy.sparse as sp
 
 from .appgrad import (  # noqa: F401  normalize_columns is looked up here by perfbench
     StepSizes,
     _step,
-    default_step,
     extract_model,
     normalize_columns,
     random_init,
 )
-from .linalg import DegenerateIterateError, as_matrix, is_sparse
+from .linalg import DegenerateIterateError, as_matrix
 from .metrics import IterationRecord, RunReport, step_flops, tcc
 
 
@@ -54,7 +54,7 @@ class _Sampler:
         self._perm = None
         self._pos = 0
 
-    def next_batch(self, t=None):
+    def next_batch(self):
         m, mode = self.plan.m, self.plan.mode
         if mode == "with-replacement":
             return self.rng.integers(0, self.n, size=m)
@@ -138,7 +138,8 @@ def run_stochastic(
 
     ``record_every`` defaults to once per epoch-equivalent, ceil(n/m).
     ``holdout`` is an optional (X_h, Y_h) pair for out-of-sample TCC.
-    Returns (CcaModel, RunReport).
+    Returns (CcaModel, RunReport); the model's ``converged`` is False, since
+    the run has no stopping test.
     """
     X, Y = as_matrix(X), as_matrix(Y)
     n, p1 = X.shape
@@ -168,7 +169,7 @@ def run_stochastic(
     streaming = plan.mode == "sequential-stream"
     it = 0
     while it < max_iters:
-        idx = sampler.next_batch(it)
+        idx = sampler.next_batch()
         if streaming and idx.size == 0:
             break
         X_I, Y_I = X[idx], Y[idx]
@@ -176,12 +177,12 @@ def run_stochastic(
         try:
             new = stochastic_appgrad_step(state, eta, X_I, Y_I, lam)
         except DegenerateIterateError:
-            idx = sampler.next_batch(it)
+            idx = sampler.next_batch()
             if streaming and idx.size == 0:
                 break
             X_I, Y_I = X[idx], Y[idx]
             new = stochastic_appgrad_step(state, eta, X_I, Y_I, lam)
-        nnz = [A.nnz if is_sparse(A) else None for A in (X_I, Y_I)]
+        nnz = [A.nnz if sp.issparse(A) else None for A in (X_I, Y_I)]
         flops += step_flops(len(idx), p1, p2, k, *nnz)
         state = new
         it += 1
@@ -198,7 +199,8 @@ def run_stochastic(
             if oracle_tcc:
                 rec.pcc_train = t_in / oracle_tcc
             report.records.append(rec)
-    model = extract_model(X, Y, state, lam)
+    model = extract_model(X, Y, state)
+    model.converged = False
     # a copy without the cache, so the report does not keep the last batch alive
     report.final_state = replace(state)
     return model, report

@@ -10,6 +10,7 @@ import pytest
 import scipy.sparse as sp
 from scipy.linalg import eigh
 
+from ccakit import appgrad
 from ccakit.appgrad import (
     AppGradState,
     StepSizes,
@@ -24,7 +25,7 @@ from ccakit.appgrad import (
     run_appgrad,
     theoretical_step_size,
 )
-from ccakit.linalg import DegenerateIterateError, gram, induced_norm
+from ccakit.linalg import DegenerateIterateError, as_matrix, gram, induced_norm
 from ccakit.planted import PlantedParams, generate_planted
 from ccakit.reference import spectral_cca
 
@@ -336,6 +337,20 @@ class CountingCSR(sp.csr_matrix):
         return super().__rmatmul__(other)
 
 
+class CountingArray(np.ndarray):
+    """Dense view that counts the n-sized products taken with it, either side."""
+
+    products = 0
+
+    def __matmul__(self, other):
+        CountingArray.products += 1
+        return np.asarray(self) @ other
+
+    def __rmatmul__(self, other):
+        CountingArray.products += 1
+        return other @ np.asarray(self)
+
+
 class TestProjectionCache:
     def test_discarding_the_cache_changes_no_result(self, small_instance):
         X, Y = small_instance.x, small_instance.y
@@ -412,6 +427,26 @@ class TestProjectionCache:
             state = appgrad_step(state, eta, X, Y)
             counts.append(CountingCSR.products)
         assert counts == [8, 4, 4]  # 4 per view without the cache, 2 with it
+
+    def test_cache_is_keyed_to_the_callers_views(self, small_instance, monkeypatch):
+        # float32 views are converted on every call; the cache must still hit
+        X32 = small_instance.x.astype(np.float32)
+        Y32 = small_instance.y.astype(np.float32)
+        X64, Y64 = X32.astype(float), Y32.astype(float)
+        eta = default_step(X64, Y64)
+        init = random_init(X64, Y64, 3, seed=0)
+        monkeypatch.setattr(appgrad, "as_matrix",
+                            lambda A: as_matrix(A).view(CountingArray))
+        s32, s64, counts = init, init, []
+        for _ in range(3):
+            CountingArray.products = 0
+            s32 = appgrad_step(s32, eta, X32, Y32)
+            counts.append(CountingArray.products)
+            assert s32.cached_on(X32, Y32)
+            s64 = appgrad_step(s64, eta, X64, Y64)
+            for name in ("phi", "psi", "phi_tilde", "psi_tilde"):
+                assert np.abs(getattr(s32, name) - getattr(s64, name)).max() < 1e-10
+        assert counts == [8, 4, 4]
 
     def test_final_state_does_not_pin_the_data(self, small_instance):
         X, Y = small_instance.x.copy(), small_instance.y.copy()

@@ -1,13 +1,16 @@
 """Tests for the planted-instance generator, file I/O, the experiment driver,
 and the command-line interface."""
 
+from dataclasses import fields
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
 from ccakit import io
-from ccakit.cli import main
+from ccakit.cli import _CONFIG_TYPES, main
 from ccakit.harness import (
+    SOLVERS,
     SolverConfig,
     extract_best_k,
     parse_config_file,
@@ -229,6 +232,32 @@ class TestRunExperiment:
         with pytest.raises(ValueError, match="planted"):
             run_experiment(SolverConfig(solver="spectral", k=1))
 
+    @pytest.mark.parametrize("name", sorted(SOLVERS))
+    def test_every_solver_in_the_table_runs(self, name):
+        params = PlantedParams(n=200, p1=6, p2=7, correlations=(0.9, 0.6), noise=0.2)
+        k = 1 if name == "als" else 2
+        cfg = SolverConfig(solver=name, k=k, seed=1, max_iters=200, batch_size=50)
+        result = run_experiment(cfg, planted=params)
+        model = result.model
+        assert model.phi.shape[1] == model.psi.shape[1] == len(model.lam) == k
+        for A in (model.phi, model.psi, model.lam):
+            assert np.all(np.isfinite(A))
+        assert result.report.solver == name and result.report.records
+        result.report.validate()
+
+    def test_singular_view_leaves_pcc_undefined(self, small_instance):
+        X = np.hstack([small_instance.x, small_instance.x[:, :1]])
+        result = run_experiment(SolverConfig(solver="nw", k=2), x=X, y=small_instance.y)
+        assert result.oracle is None and np.isnan(result.pcc_train)
+        assert np.isfinite(result.tcc_train)
+
+    def test_rank_beyond_the_view_widths_rejected(self, small_instance):
+        # the narrower view has 12 columns; no solver may silently return fewer
+        for name in ("spectral", "kernel-appgrad"):
+            with pytest.raises(ValueError, match="k=13"):
+                run_experiment(SolverConfig(solver=name, k=13),
+                               x=small_instance.x, y=small_instance.y)
+
 
 class TestCli:
     def generate(self, tmp_path, extra=()):
@@ -278,6 +307,9 @@ class TestCli:
         assert code == 0
         out = capsys.readouterr().out
         assert "solver=spectral k=2 seed=7" in out
+
+    def test_config_keys_are_the_config_fields(self):
+        assert set(_CONFIG_TYPES) == {f.name for f in fields(SolverConfig)}
 
     def test_kernel_flag_parsing(self, tmp_path, capsys):
         self.generate(tmp_path)

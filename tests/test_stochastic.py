@@ -230,6 +230,14 @@ class TestRunner:
         _, report = run_stochastic(X, Y, 2, plan, sched, max_iters=12, seed=0)
         assert [r.t for r in report.records] == [4, 8, 12]
 
+    def test_model_is_never_marked_converged(self, small_instance):
+        # the runner stops on its iteration budget, never on a convergence test
+        X, Y = small_instance.x, small_instance.y
+        plan = MinibatchPlan(m=100, seed=0)
+        sched = StepSchedule("constant", eta0=0.3)
+        model, _ = run_stochastic(X, Y, 2, plan, sched, max_iters=8, seed=0)
+        assert model.converged is False
+
     def test_streaming_single_pass_recovers_subspace(self):
         params = PlantedParams(
             n=4000, p1=20, p2=20, correlations=(0.9, 0.7, 0.5)
