@@ -5,6 +5,8 @@ samples), Matrix Market coordinate for sparse data, models as dense numeric
 text with a one-line "rows cols" header.
 """
 
+import itertools
+
 import numpy as np
 import scipy.io
 import scipy.sparse as sp
@@ -12,40 +14,65 @@ import scipy.sparse as sp
 from .linalg import DataMatrix
 
 
+def _numeric(fields):
+    try:
+        for f in fields:
+            float(f)
+    except ValueError:
+        return False
+    return True
+
+
+def _data_lines(fh, linenos):
+    """Yield the data lines of an open CSV, appending each one's physical line
+    number to ``linenos``. Blank and whitespace-only lines are skipped, and so
+    is a non-numeric line 1, the header."""
+    for lineno, line in enumerate(fh, start=1):
+        if line.isspace() or (lineno == 1 and not _numeric(line.split(","))):
+            continue
+        linenos.append(lineno)
+        yield line
+
+
 def load_csv(path):
     """Dense CSV loader with line-numbered parse errors; a non-numeric first
-    row is treated as a header and skipped."""
-    rows = []
-    width = None
+    row is treated as a header and skipped.
+
+    Fields are separated by commas and may carry spaces or tabs around them;
+    ``#`` is not a comment. NaN and infinite fields are rejected."""
+    linenos = []
     with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            fields = line.split(",")
-            try:
-                values = [float(f) for f in fields]
-            except ValueError:
-                if lineno == 1:
-                    continue  # header row
-                raise ValueError(f"{path}:{lineno}: non-numeric field in row")
-            if width is None:
-                width = len(values)
-            elif len(values) != width:
+        lines = _data_lines(fh, linenos)
+        first = next(lines, None)
+        if first is None:
+            raise ValueError(f"{path}: no data rows")
+        try:
+            A = np.loadtxt(itertools.chain([first], lines), delimiter=",",
+                           dtype=float, ndmin=2, comments=None)
+        except ValueError as exc:
+            # loadtxt reads one line at a time, so the last line handed to it
+            # is the one it failed on.
+            lineno = linenos[-1]
+            fh.seek(0)
+            fields = next(itertools.islice(fh, lineno - 1, None)).split(",")
+            width = len(first.split(","))
+            if not _numeric(fields):
+                raise ValueError(f"{path}:{lineno}: non-numeric field in row") from exc
+            if len(fields) != width:
                 raise ValueError(
-                    f"{path}:{lineno}: row has {len(values)} fields, expected {width}"
-                )
-            rows.append(values)
-    if not rows:
-        raise ValueError(f"{path}: no data rows")
-    return DataMatrix(np.asarray(rows, dtype=float))
+                    f"{path}:{lineno}: row has {len(fields)} fields, expected {width}"
+                ) from exc
+            raise ValueError(f"{path}: {exc}") from exc
+    finite = np.isfinite(A).all(axis=1)
+    if not finite.all():
+        raise ValueError(f"{path}:{linenos[np.argmin(finite)]}: non-finite field in row")
+    return DataMatrix(A)
 
 
 def save_csv(path, X):
     A = X.toarray() if hasattr(X, "toarray") else np.asarray(X, dtype=float)
     with open(path, "w") as fh:
-        for row in A:
-            fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
+        np.savetxt(fh, A, fmt="%.17g", delimiter=",")
 
 
 def load_matrix_market(path):
@@ -74,9 +101,8 @@ def save_model_matrix(path, A):
     """Dense numeric text with a one-line header 'rows cols'."""
     A = np.asarray(A, dtype=float)
     with open(path, "w") as fh:
-        fh.write(f"{A.shape[0]} {A.shape[1]}\n")
-        for row in A:
-            fh.write(" ".join(f"{v:.17g}" for v in row) + "\n")
+        np.savetxt(fh, A, fmt="%.17g", delimiter=" ",
+                   header=f"{A.shape[0]} {A.shape[1]}", comments="")
 
 
 def load_model_matrix(path):
