@@ -40,7 +40,7 @@ def main():
         for name, m in (
             ("nw", nw_cca(X, Y, 5)),
             ("dw", dw_cca(X, Y, 5)),
-            ("pca-cca", pca_cca(X, Y, 5, m=4 * 5)),
+            ("pca-cca", pca_cca(X, Y, 5, m=min(4 * 5, args.p))),
         ):
             scores[name].append(pcc(X, Y, (m.phi, m.psi), oracle))
 

@@ -20,7 +20,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.linalg import eigh, svd
 
-from .linalg import DegenerateIterateError, as_matrix
+from .linalg import DegenerateIterateError, as_matrix, gram
 from .metrics import IterationRecord, RunReport, projected_correlations, step_flops, tcc
 from .reference import CcaModel, fix_signs
 
@@ -159,9 +159,13 @@ def appgrad_step_rank1(state, eta, X, Y, lam=0.0):
 
 
 def estimate_gram_norm(X, iters=50, seed=0):
-    """Power-iteration estimate of the largest eigenvalue of X'X/n."""
+    """Largest eigenvalue of X'X/n: exact from the Gram when X is dense and
+    p <= 4*iters (its n*p^2 FLOPs are then at most those of ``iters`` power
+    iterations, 4*n*p each), else an ``iters``-step power-iteration estimate."""
     X = as_matrix(X)
     n, p = X.shape
+    if not sp.issparse(X) and p <= 4 * iters:
+        return float(eigh(gram(X), eigvals_only=True)[-1])
     rng = np.random.default_rng(seed)
     v = rng.standard_normal(p)
     v /= np.linalg.norm(v)
@@ -177,7 +181,8 @@ def estimate_gram_norm(X, iters=50, seed=0):
 
 
 def default_step(X, Y, lam=0.0, seed=0):
-    """Practical default: eta = 1 / (2 * L1hat), L1hat the larger view Gram norm."""
+    """Practical default: eta = 1 / (2 * (L1 + lam)), L1 the larger view Gram
+    norm: exact for dense views up to 200 columns, else a 50-step power estimate."""
     L1 = max(estimate_gram_norm(X, seed=seed), estimate_gram_norm(Y, seed=seed)) + lam
     return StepSizes.constant(1.0 / (2.0 * L1))
 

@@ -2,6 +2,7 @@
 evaluation, and report/model emission."""
 
 from dataclasses import dataclass, asdict
+from functools import partial
 
 import numpy as np
 
@@ -10,9 +11,9 @@ from .appgrad import default_step, extract_model, random_init, run_appgrad
 from .baselines import dw_cca, nw_cca, pca_cca
 from .kernels import KernelGram, KernelSpec, kernel_cca, kernel_gram
 from .linalg import SingularMatrixError, as_matrix
-from .metrics import IterationRecord, RunReport, pcc, tcc
+from .metrics import IterationRecord, RunReport, moment_tcc, moments, pcc_of, tcc
 from .planted import generate_planted
-from .reference import CcaModel, als_cca, qr_cca, spectral_cca
+from .reference import CcaModel, als_cca, qr_cca, spectral_cca, spectral_from_moments
 from .stochastic import MinibatchPlan, StepSchedule, run_stochastic
 
 
@@ -137,11 +138,23 @@ def extract_best_k(X, Y, model, k):
 
 def _split_holdout(X, Y, fraction, seed):
     n = X.shape[0]
+    n_hold = int(round(fraction * n))
+    if n_hold == 0:
+        raise ValueError(f"holdout fraction {fraction} of n={n} rows leaves 0 held-out rows")
     rng = np.random.default_rng(seed)
     perm = rng.permutation(n)
-    n_hold = int(round(fraction * n))
     hold, train = perm[:n_hold], perm[n_hold:]
     return (X[train], Y[train]), (X[hold], Y[hold])
+
+
+def _moments_and_oracle(X, Y, k, lam):
+    """The moments of (X, Y) and the spectral oracle from them; the oracle is
+    None when a view is singular with lam = 0, which leaves PCC undefined."""
+    M = moments(X, Y)
+    try:
+        return M, spectral_from_moments(M, k, lam)
+    except SingularMatrixError:
+        return M, None
 
 
 def run_experiment(config, x=None, y=None, planted=None,
@@ -173,13 +186,12 @@ def run_experiment(config, x=None, y=None, planted=None,
     oracle = None
     if solver.views:
         X, Y = solver.views(config, X, Y)
+        evaluate = partial(tcc, X, Y)
     else:
-        # exact oracle for PCC is affordable at desk scale; recomputed on the
-        # training split so holdout PCC follows the same convention
-        try:
-            oracle = spectral_cca(X, Y, k, lam=config.lam)
-        except SingularMatrixError:
-            pass  # a singular view with lam = 0 leaves PCC undefined
+        # the exact oracle is affordable at desk scale; it and every TCC on
+        # the training split come from one set of moments
+        M, oracle = _moments_and_oracle(X, Y, k, config.lam)
+        evaluate = partial(moment_tcc, M)
 
     if solver.traced:
         model, report = solver.run(config, X, Y, k_run, oracle=oracle, holdout=holdout_pair)
@@ -187,21 +199,20 @@ def run_experiment(config, x=None, y=None, planted=None,
         model = solver.run(config, X, Y, k_run, oracle=oracle, holdout=holdout_pair)
         report = RunReport(solver=config.solver, seed=config.seed)
         report.records.append(
-            IterationRecord(t=1, flops=0, tcc_train=tcc(X, Y, model.phi, model.psi))
+            IterationRecord(t=1, flops=0, tcc_train=evaluate(model.phi, model.psi))
         )
     report.config = config.snapshot()
 
     model = extract_best_k(X, Y, model, k)
     result = ExperimentResult(model=model, report=report, oracle=oracle)
-    result.tcc_train = tcc(X, Y, model.phi, model.psi)
+    result.tcc_train = evaluate(model.phi, model.psi)
     if oracle is not None:
-        result.pcc_train = pcc(X, Y, (model.phi, model.psi), (oracle.phi, oracle.psi))
+        result.pcc_train = pcc_of(result.tcc_train, evaluate(oracle.phi, oracle.psi))
         if holdout_pair is not None:
-            Xh, Yh = holdout_pair
-            oracle_h = spectral_cca(Xh, Yh, k, lam=config.lam)
-            result.pcc_holdout = pcc(
-                Xh, Yh, (model.phi, model.psi), (oracle_h.phi, oracle_h.psi)
-            )
+            Mh, oracle_h = _moments_and_oracle(*holdout_pair, k, config.lam)
+            if oracle_h is not None:
+                result.pcc_holdout = pcc_of(moment_tcc(Mh, model.phi, model.psi),
+                                            moment_tcc(Mh, oracle_h.phi, oracle_h.psi))
     report.validate()
     if report_path:
         report.write(report_path)

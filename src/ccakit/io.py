@@ -23,50 +23,56 @@ def _numeric(fields):
     return True
 
 
-def _data_lines(fh, linenos):
-    """Yield the data lines of an open CSV, appending each one's physical line
-    number to ``linenos``. Blank and whitespace-only lines are skipped, and so
-    is a non-numeric line 1, the header."""
-    for lineno, line in enumerate(fh, start=1):
-        if line.isspace() or (lineno == 1 and not _numeric(line.split(","))):
+def _data_lines(fh, linenos, delimiter, start):
+    """Yield the data lines of an open text file whose next line is physical
+    line ``start``, appending each one's line number to ``linenos``. Blank
+    and whitespace-only lines are skipped, and so is a non-numeric line 1,
+    the header."""
+    for lineno, line in enumerate(fh, start=start):
+        if line.isspace() or (lineno == 1 and not _numeric(line.split(delimiter))):
             continue
         linenos.append(lineno)
         yield line
 
 
-def load_csv(path):
-    """Dense CSV loader with line-numbered parse errors; a non-numeric first
-    row is treated as a header and skipped.
-
-    Fields are separated by commas and may carry spaces or tabs around them;
-    ``#`` is not a comment. NaN and infinite fields are rejected."""
+def _load_rows(path, fh, delimiter=",", start=1):
+    """The rows of an open text file from physical line ``start`` on, by one
+    ``np.loadtxt`` call. Fields are separated by ``delimiter`` (None:
+    whitespace) and may carry spaces or tabs around them; ``#`` is not a
+    comment. Errors, NaN and infinite fields included, name the file and line."""
     linenos = []
-    with open(path) as fh:
-        lines = _data_lines(fh, linenos)
-        first = next(lines, None)
-        if first is None:
-            raise ValueError(f"{path}: no data rows")
-        try:
-            A = np.loadtxt(itertools.chain([first], lines), delimiter=",",
-                           dtype=float, ndmin=2, comments=None)
-        except ValueError as exc:
-            # loadtxt reads one line at a time, so the last line handed to it
-            # is the one it failed on.
-            lineno = linenos[-1]
-            fh.seek(0)
-            fields = next(itertools.islice(fh, lineno - 1, None)).split(",")
-            width = len(first.split(","))
-            if not _numeric(fields):
-                raise ValueError(f"{path}:{lineno}: non-numeric field in row") from exc
-            if len(fields) != width:
-                raise ValueError(
-                    f"{path}:{lineno}: row has {len(fields)} fields, expected {width}"
-                ) from exc
-            raise ValueError(f"{path}: {exc}") from exc
+    lines = _data_lines(fh, linenos, delimiter, start)
+    first = next(lines, None)
+    if first is None:
+        raise ValueError(f"{path}: no data rows")
+    try:
+        A = np.loadtxt(itertools.chain([first], lines), delimiter=delimiter,
+                       dtype=float, ndmin=2, comments=None)
+    except ValueError as exc:
+        # loadtxt reads one line at a time, so the last line handed to it
+        # is the one it failed on.
+        lineno = linenos[-1]
+        fh.seek(0)
+        fields = next(itertools.islice(fh, lineno - 1, None)).split(delimiter)
+        width = len(first.split(delimiter))
+        if not _numeric(fields):
+            raise ValueError(f"{path}:{lineno}: non-numeric field in row") from exc
+        if len(fields) != width:
+            raise ValueError(
+                f"{path}:{lineno}: row has {len(fields)} fields, expected {width}"
+            ) from exc
+        raise ValueError(f"{path}: {exc}") from exc
     finite = np.isfinite(A).all(axis=1)
     if not finite.all():
         raise ValueError(f"{path}:{linenos[np.argmin(finite)]}: non-finite field in row")
-    return DataMatrix(A)
+    return A
+
+
+def load_csv(path):
+    """Dense CSV loader by the rules of ``_load_rows``, with comma-separated
+    fields; a non-numeric first row is treated as a header and skipped."""
+    with open(path) as fh:
+        return DataMatrix(_load_rows(path, fh))
 
 
 def save_csv(path, X):
@@ -106,10 +112,12 @@ def save_model_matrix(path, A):
 
 
 def load_model_matrix(path):
+    """Read a ``save_model_matrix`` file: its 'rows cols' header, then
+    whitespace-separated rows by the rules of ``_load_rows``."""
     with open(path) as fh:
         header = fh.readline().split()
         rows, cols = int(header[0]), int(header[1])
-        A = np.loadtxt(fh, ndmin=2)
+        A = _load_rows(path, fh, delimiter=None, start=2)
     if A.shape != (rows, cols):
         raise ValueError(f"{path}: header says {(rows, cols)}, data is {A.shape}")
     return A

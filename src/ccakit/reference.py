@@ -19,6 +19,7 @@ from .linalg import (
     gram,
     induced_norm,
 )
+from .metrics import moments
 
 
 @dataclass
@@ -72,17 +73,19 @@ def spectral_cca(X, Y, k, lam=0.0):
     Returns the top-k canonical pairs. Quadratic in p1, p2 -- intended as the
     exact oracle at desk scale, not a scalable solver.
     """
-    X, Y = as_matrix(X), as_matrix(Y)
-    p1, p2 = X.shape[1], Y.shape[1]
-    if X.shape[0] != Y.shape[0]:
-        raise ValueError("X and Y must have the same number of rows")
+    return spectral_from_moments(moments(X, Y), k, lam)
+
+
+def spectral_from_moments(M, k, lam=0.0):
+    """``spectral_cca`` from the moments M = metrics.moments(X, Y)."""
+    Sx, Sy, Sxy = M
+    p1, p2 = Sxy.shape
     if k < 1 or k > min(p1, p2):
         raise ValueError(f"rank k={k} out of range for views of widths {p1}, {p2}")
-    Sx = gram(X, lam)
-    Sy = gram(Y, lam)
-    Sxy = cross_covariance(X, Y)
-    Rx = _inv_sqrt_full(Sx, lam, "x")
-    Ry = _inv_sqrt_full(Sy, lam, "y")
+    if lam < 0:
+        raise ValueError(f"regularization must be nonnegative, got {lam}")
+    Rx = _inv_sqrt_full(Sx + lam * np.eye(p1), lam, "x")
+    Ry = _inv_sqrt_full(Sy + lam * np.eye(p2), lam, "y")
     U, s, Vt = svd(Rx @ Sxy @ Ry, full_matrices=False)
     Phi = Rx @ U[:, :k]
     Psi = Ry @ Vt[:k].T

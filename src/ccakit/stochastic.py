@@ -19,7 +19,7 @@ from .appgrad import (  # noqa: F401  normalize_columns is looked up here by per
     random_init,
 )
 from .linalg import DegenerateIterateError, as_matrix
-from .metrics import IterationRecord, RunReport, step_flops, tcc
+from .metrics import IterationRecord, RunReport, step_flops, tcc, tcc_evaluator
 
 
 @dataclass
@@ -161,12 +161,15 @@ def run_stochastic(
             "max_iters": max_iters,
         },
     )
-    oracle_tcc = None
-    if oracle is not None:
-        oracle_tcc = tcc(X, Y, oracle.phi, oracle.psi)
+    streaming = plan.mode == "sequential-stream"
+    # TCC evaluations known up front: one per record, plus the oracle's
+    records = (min(max_iters, -(-n // plan.m)) if streaming else max_iters) // record_every + 1
+    evaluate = tcc_evaluator(X, Y, records + (oracle is not None), k)
+    if holdout is not None:
+        evaluate_holdout = tcc_evaluator(*holdout, records, k)
+    oracle_tcc = evaluate(oracle.phi, oracle.psi) if oracle is not None else None
     flops = 0
     t0 = time.perf_counter()
-    streaming = plan.mode == "sequential-stream"
     it = 0
     while it < max_iters:
         idx = sampler.next_batch()
@@ -187,7 +190,7 @@ def run_stochastic(
         state = new
         it += 1
         if state.t % record_every == 0 or it == max_iters:
-            t_in = tcc(X, Y, state.phi, state.psi)
+            t_in = evaluate(state.phi, state.psi)
             rec = IterationRecord(
                 t=state.t,
                 flops=flops,
@@ -195,7 +198,7 @@ def run_stochastic(
                 tcc_train=t_in,
             )
             if holdout is not None:
-                rec.tcc_holdout = tcc(holdout[0], holdout[1], state.phi, state.psi)
+                rec.tcc_holdout = evaluate_holdout(state.phi, state.psi)
             if oracle_tcc:
                 rec.pcc_train = t_in / oracle_tcc
             report.records.append(rec)

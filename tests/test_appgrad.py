@@ -192,6 +192,44 @@ class TestTheoreticalStepSize:
             theoretical_step_size(0.9, 0.5, 0.5, 0.01)
 
 
+class TestDefaultStep:
+    @staticmethod
+    def view(n, p, seed):
+        # the top two Gram eigenvalues differ by 1%, which slows power iteration
+        rng = np.random.default_rng(seed)
+        s = np.concatenate([[3.0, 2.97], np.linspace(2.0, 0.5, p - 2)])
+        U = np.linalg.qr(rng.standard_normal((n, p)))[0] * np.sqrt(n)
+        return U * s @ np.linalg.qr(rng.standard_normal((p, p)))[0]
+
+    @pytest.mark.parametrize("p", [12, 200])
+    def test_exact_up_to_200_columns(self, p):
+        X, Y = self.view(400, p, seed=1), self.view(400, p // 2, seed=2)
+        lam = 0.05
+        top = max(eigh(gram(X), eigvals_only=True)[-1], eigh(gram(Y), eigvals_only=True)[-1])
+        eta = default_step(X, Y, lam)
+        want = 1.0 / (2.0 * (top + lam))
+        assert abs(eta.eta1 - want) <= 1e-12 * want and eta.eta1 == eta.eta2
+
+    def test_wider_views_keep_the_power_iteration(self, monkeypatch):
+        X = self.view(300, 250, seed=3)
+
+        def power_iteration(X, iters=50, seed=0):
+            v = np.random.default_rng(seed).standard_normal(X.shape[1])
+            v /= np.linalg.norm(v)
+            for _ in range(iters):
+                w = (X.T @ (X @ v)) / X.shape[0]
+                ev = float(v @ w)
+                v = w / np.linalg.norm(w)
+            return ev
+
+        def no_gram(*_):
+            raise AssertionError("a 250-column Gram was formed")
+
+        monkeypatch.setattr(appgrad, "gram", no_gram)
+        eta = default_step(X, X, seed=4)
+        assert eta.eta1 == 1.0 / (2.0 * power_iteration(X, seed=4))
+
+
 class TestErrorMetric:
     def test_zero_at_fixed_point(self, rank1_instance):
         truth = spectral_cca(rank1_instance.x, rank1_instance.y, 1)

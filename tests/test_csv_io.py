@@ -134,6 +134,42 @@ class TestExactWrites:
         assert io.load_model_matrix(path).view(np.uint64).tolist() == A.view(np.uint64).tolist()
 
 
+class TestModelFiles:
+    """load_model_matrix follows load_csv's rules, with whitespace-separated fields."""
+
+    def load(self, tmp_path, text):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            return io.load_model_matrix(write(tmp_path, text, name="phi.txt"))
+
+    @pytest.mark.parametrize("token", ["nan", "inf", "-inf"])
+    def test_non_finite_field_names_its_line(self, tmp_path, token):
+        with pytest.raises(ValueError, match=r"phi\.txt:2: non-finite field in row"):
+            self.load(tmp_path, f"2 2\n1 {token}\n3 4\n")
+
+    def test_non_numeric_field_names_its_physical_line(self, tmp_path):
+        with pytest.raises(ValueError, match=r"phi\.txt:3: non-numeric field in row"):
+            self.load(tmp_path, "2 2\n1 2\noops 4\n")
+
+    @pytest.mark.parametrize("text, lineno", [("2 2\n# note\n1 2\n3 4\n", 2),
+                                               ("2 2\n1 2\n3 4 # note\n", 3)])
+    def test_hash_is_not_a_comment(self, tmp_path, text, lineno):
+        with pytest.raises(ValueError, match=rf"phi\.txt:{lineno}: non-numeric field in row"):
+            self.load(tmp_path, text)
+
+    def test_ragged_row_names_its_line(self, tmp_path):
+        with pytest.raises(ValueError, match=r"phi\.txt:4: row has 3 fields, expected 2"):
+            self.load(tmp_path, "3 2\n1 2\n\n3 4 5\n6 7\n")
+
+    def test_extreme_values_round_trip_bit_for_bit(self, tmp_path):
+        A = np.array([[-0.0, 5e-324], [1.7976931348623157e308, -2.2250738585072014e-308],
+                      [0.1 + 0.2, -1.7976931348623157e308]])
+        path = tmp_path / "phi.txt"
+        io.save_model_matrix(path, A)
+        back = self.load(tmp_path, path.read_text())
+        assert back.view(np.uint64).tolist() == A.view(np.uint64).tolist()
+
+
 def test_load_peak_memory_is_at_most_twice_the_array(tmp_path):
     A = np.random.default_rng(8).standard_normal((2000, 50))
     path = tmp_path / "x.csv"

@@ -258,6 +258,34 @@ class TestRunExperiment:
                 run_experiment(SolverConfig(solver=name, k=13),
                                x=small_instance.x, y=small_instance.y)
 
+    def test_oracle_is_the_spectral_solution(self, small_instance):
+        X, Y = small_instance.x, small_instance.y
+        for lam in (0.0, 0.01):
+            result = run_experiment(SolverConfig(solver="nw", k=2, lam=lam), x=X, y=Y)
+            want = spectral_cca(X, Y, 2, lam)
+            for name in ("phi", "psi", "lam"):
+                assert np.array_equal(getattr(result.oracle, name), getattr(want, name))
+
+    @staticmethod
+    def noisy_instance():
+        params = PlantedParams(n=400, p1=12, p2=15, correlations=(0.9, 0.6, 0.3), noise=0.3)
+        return generate_planted(params, seed=0)
+
+    def test_holdout_without_rows_rejected(self):
+        inst = self.noisy_instance()
+        cfg = SolverConfig(solver="spectral", k=2, holdout=0.001)
+        with pytest.raises(ValueError, match=r"0\.001 of n=400 rows leaves 0 held-out rows"):
+            run_experiment(cfg, x=inst.x, y=inst.y)
+
+    def test_singular_holdout_leaves_holdout_pcc_undefined(self):
+        # one held-out row: its Grams are singular, so with lam = 0 the
+        # holdout oracle is undefined, as the training one is for a singular view
+        inst = self.noisy_instance()
+        result = run_experiment(SolverConfig(solver="spectral", k=2, holdout=0.002),
+                                x=inst.x, y=inst.y)
+        assert np.isnan(result.pcc_holdout)
+        assert abs(result.pcc_train - 1.0) < 1e-8
+
 
 class TestCli:
     def generate(self, tmp_path, extra=()):

@@ -5,16 +5,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ccakit.appgrad import normalize_columns
 from ccakit.linalg import gram
 from ccakit.metrics import (
     IterationRecord,
     RunReport,
+    moment_tcc,
+    moments,
     pcc,
     principal_angles,
     projected_correlations,
     step_flops,
     tcc,
 )
+from ccakit.planted import PlantedParams, generate_planted
 from ccakit.reference import spectral_cca
 
 from conftest import random_orthogonal
@@ -54,6 +58,32 @@ class TestTcc:
     def test_row_count_mismatch(self):
         with pytest.raises(ValueError):
             projected_correlations(np.ones((4, 2)), np.ones((5, 2)))
+
+    @given(k=st.integers(1, 5), log_scale=st.floats(-6, 6), log_cond=st.floats(0, 3),
+           duplicate=st.booleans(), seed=st.integers(0, 2**16))
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    def test_moment_tcc_matches_projected_tcc(self, k, log_scale, log_cond, duplicate, seed):
+        # directions near the canonical ones, whitened as the solvers' are; the
+        # moments square the view's condition number, so the agreement is of
+        # order eps * cond^2 relative, about 1e-10 at cond = 1e3
+        cond = 10.0**log_cond
+        params = PlantedParams(n=200, p1=8, p2=7, correlations=tuple(np.linspace(0.9, 0.3, k)),
+                               cond_x=cond, cond_y=cond, latent_rotate=True)
+        inst = generate_planted(params, seed=seed)
+        rng = np.random.default_rng(seed)
+        X, Y = 10.0**log_scale * inst.x, 10.0**log_scale * inst.y
+        A = normalize_columns(X, inst.model.phi) + 0.3 * normalize_columns(X, rng.standard_normal((8, k)))
+        B = normalize_columns(Y, inst.model.psi) + 0.3 * normalize_columns(Y, rng.standard_normal((7, k)))
+        if duplicate:
+            # a duplicated column makes Sx singular (no oracle at lam = 0); A
+            # splits column 0's weight over both copies and repeats its first
+            # direction, so A'SxA is singular and only the ridge inverts it
+            X = np.hstack([X, X[:, :1]])
+            A = np.vstack([A, A[:1] / 2])
+            A[0] /= 2
+            A[:, -1] = A[:, 0]
+        want = tcc(X, Y, A, B)
+        assert abs(moment_tcc(moments(X, Y), A, B) - want) <= 1e-10 * want
 
 
 class TestPcc:

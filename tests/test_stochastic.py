@@ -1,11 +1,14 @@
 """Tests for minibatch sampling, step schedules, the sampled update, and the
 stochastic runner."""
 
+from functools import partial
 from itertools import combinations
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
+from ccakit import appgrad, linalg, metrics, stochastic
 from ccakit.appgrad import (
     AppGradState,
     StepSizes,
@@ -17,6 +20,7 @@ from ccakit.appgrad import (
 from ccakit.linalg import DegenerateIterateError, gram
 from ccakit.metrics import pcc, tcc
 from ccakit.planted import PlantedParams, generate_planted
+from ccakit.reference import spectral_cca
 from ccakit.stochastic import (
     MinibatchPlan,
     StepSchedule,
@@ -258,6 +262,98 @@ class TestRunner:
         score = pcc(X, Y, (model.phi, model.psi),
                     (inst.empirical.phi, inst.empirical.psi))
         assert score >= 0.9
+
+
+class SizedArray(np.ndarray):
+    """Dense view that records the larger dimension of every product taken
+    with it, either side; full-data products record n."""
+
+    sizes = []
+
+    def __matmul__(self, other):
+        SizedArray.sizes.append(max(self.shape))
+        return np.asarray(self) @ np.asarray(other)
+
+    def __rmatmul__(self, other):
+        SizedArray.sizes.append(max(self.shape))
+        return np.asarray(other) @ np.asarray(self)
+
+
+class SizedCSR(sp.csr_matrix):
+    """CSR view that records its row count for every product taken with it,
+    and fails if it is ever densified."""
+
+    sizes = []
+
+    def __matmul__(self, other):
+        SizedCSR.sizes.append(self.shape[0])
+        return super().__matmul__(other)
+
+    def __rmatmul__(self, other):
+        SizedCSR.sizes.append(self.shape[0])
+        return super().__rmatmul__(other)
+
+    def toarray(self, *args, **kwargs):
+        raise AssertionError("a sparse view was densified")
+
+    todense = toarray
+
+
+class TestEvaluation:
+    def test_dense_records_take_no_n_sized_product(self, small_instance, monkeypatch):
+        X, Y = small_instance.x, small_instance.y
+        n = X.shape[0]
+        plan = MinibatchPlan(m=50, seed=0)
+        sched = StepSchedule("constant", eta0=default_step(X, Y).eta1)
+        original = linalg.as_matrix
+        for module in (appgrad, linalg, metrics, stochastic):
+            monkeypatch.setattr(module, "as_matrix", lambda A: original(A).view(SizedArray))
+        SizedArray.sizes = []
+        _, report = run_stochastic(X, Y, 3, plan, sched, max_iters=600, seed=0,
+                                   oracle=small_instance.empirical, record_every=10)
+        assert len(report.records) == 60
+        # 2 whitening the initial iterate, 3 forming X'X, Y'Y and X'Y, 2
+        # rotating the final model; the 60 records and the oracle add none
+        assert SizedArray.sizes.count(n) == 7
+
+    def test_moment_records_match_projected_records(self, small_instance, monkeypatch):
+        X, Y = small_instance.x, small_instance.y
+        plan = MinibatchPlan(m=50, seed=0)
+        sched = StepSchedule("constant", eta0=default_step(X, Y).eta1)
+        hold = small_instance.x[:100], small_instance.y[:100]
+
+        def run():
+            return run_stochastic(X, Y, 3, plan, sched, max_iters=200, seed=0,
+                                  oracle=small_instance.empirical, record_every=10,
+                                  holdout=hold)[1].records
+
+        by_moments = run()
+        monkeypatch.setattr(stochastic, "tcc_evaluator", lambda X, Y, evals, k: partial(tcc, X, Y))
+        projected = run()
+        for a, b in zip(by_moments, projected, strict=True):
+            for name in ("tcc_train", "tcc_holdout", "pcc_train"):
+                assert abs(getattr(a, name) - getattr(b, name)) <= 1e-12 * getattr(b, name)
+
+    def test_sparse_views_are_projected_and_stay_sparse(self, monkeypatch):
+        Xs = sp.random(300, 20, density=0.3, format="csr", random_state=1)
+        Ys = sp.random(300, 15, density=0.3, format="csr", random_state=2)
+        Ys = Ys + sp.csr_matrix(Xs[:, :15] * 2.0)
+        oracle = spectral_cca(Xs, Ys, 2)
+        X, Y = SizedCSR(Xs), SizedCSR(Ys)
+
+        def no_moments(*_):
+            raise AssertionError("moments formed for sparse views")
+
+        monkeypatch.setattr(metrics, "moments", no_moments)
+        SizedCSR.sizes = []
+        _, report = run_stochastic(X, Y, 2, MinibatchPlan(m=30, seed=0),
+                                   StepSchedule("constant", eta0=0.1), max_iters=40,
+                                   seed=0, oracle=oracle, record_every=10)
+        assert len(report.records) == 4
+        # 2 whitening the initial iterate, 2 for the oracle's TCC, 2 per
+        # record, 2 rotating the final model
+        assert SizedCSR.sizes.count(300) == 2 + 2 + 2 * 4 + 2
+        assert all(np.isfinite(r.pcc_train) for r in report.records)
 
 
 class TestCrossValidation:
