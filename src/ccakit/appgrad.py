@@ -159,9 +159,8 @@ def appgrad_step_rank1(state, eta, X, Y, lam=0.0):
 
 
 def estimate_gram_norm(X, iters=50, seed=0):
-    """Largest eigenvalue of X'X/n: exact from the Gram when X is dense and
-    p <= 4*iters (its n*p^2 FLOPs are then at most those of ``iters`` power
-    iterations, 4*n*p each), else an ``iters``-step power-iteration estimate."""
+    """Largest eigenvalue of X'X/n: exact from the Gram for dense X with p <= 4*iters (200),
+    where its n*p^2 FLOPs are at most the power loop's; else an ``iters``-step power estimate."""
     X = as_matrix(X)
     n, p = X.shape
     if not sp.issparse(X) and p <= 4 * iters:
@@ -181,8 +180,7 @@ def estimate_gram_norm(X, iters=50, seed=0):
 
 
 def default_step(X, Y, lam=0.0, seed=0):
-    """Practical default: eta = 1 / (2 * (L1 + lam)), L1 the larger view Gram
-    norm: exact for dense views up to 200 columns, else a 50-step power estimate."""
+    """eta = 1/(2*(L1 + lam)), L1 the larger view Gram norm: exact to p = 200, else estimated."""
     L1 = max(estimate_gram_norm(X, seed=seed), estimate_gram_norm(Y, seed=seed)) + lam
     return StepSizes.constant(1.0 / (2.0 * L1))
 
@@ -295,9 +293,7 @@ def run_appgrad(
             "tol": tol,
         },
     )
-    oracle_tcc = None
-    if oracle is not None:
-        oracle_tcc = tcc(X, Y, oracle.phi, oracle.psi)
+    oracle_tcc = tcc(X, Y, oracle.phi, oracle.psi) if oracle is not None else None
     nnz = [A.nnz if sp.issparse(A) else None for A in (X, Y)]
     flops = 0
     t0 = time.perf_counter()

@@ -141,20 +141,18 @@ def _split_holdout(X, Y, fraction, seed):
     n_hold = int(round(fraction * n))
     if n_hold == 0:
         raise ValueError(f"holdout fraction {fraction} of n={n} rows leaves 0 held-out rows")
-    rng = np.random.default_rng(seed)
-    perm = rng.permutation(n)
+    perm = np.random.default_rng(seed).permutation(n)
     hold, train = perm[:n_hold], perm[n_hold:]
     return (X[train], Y[train]), (X[hold], Y[hold])
 
 
-def _moments_and_oracle(X, Y, k, lam):
-    """The moments of (X, Y) and the spectral oracle from them; the oracle is
-    None when a view is singular with lam = 0, which leaves PCC undefined."""
+def _evaluator_and_oracle(X, Y, k, lam):
+    """Moment TCCs and the spectral oracle of (X, Y); no oracle if a view is singular."""
     M = moments(X, Y)
     try:
-        return M, spectral_from_moments(M, k, lam)
+        return partial(moment_tcc, M), spectral_from_moments(M, k, lam)
     except SingularMatrixError:
-        return M, None
+        return partial(tcc, X, Y), None  # projected: the moments lend null directions noise
 
 
 def run_experiment(config, x=None, y=None, planted=None,
@@ -183,15 +181,12 @@ def run_experiment(config, x=None, y=None, planted=None,
     if k_run < k:
         raise ValueError(f"k={k} exceeds the view widths {X.shape[1]}, {Y.shape[1]}")
     solver = SOLVERS[config.solver]
-    oracle = None
     if solver.views:
         X, Y = solver.views(config, X, Y)
-        evaluate = partial(tcc, X, Y)
+        evaluate, oracle = partial(tcc, X, Y), None
     else:
-        # the exact oracle is affordable at desk scale; it and every TCC on
-        # the training split come from one set of moments
-        M, oracle = _moments_and_oracle(X, Y, k, config.lam)
-        evaluate = partial(moment_tcc, M)
+        # the exact oracle is affordable at desk scale
+        evaluate, oracle = _evaluator_and_oracle(X, Y, k, config.lam)
 
     if solver.traced:
         model, report = solver.run(config, X, Y, k_run, oracle=oracle, holdout=holdout_pair)
@@ -209,10 +204,10 @@ def run_experiment(config, x=None, y=None, planted=None,
     if oracle is not None:
         result.pcc_train = pcc_of(result.tcc_train, evaluate(oracle.phi, oracle.psi))
         if holdout_pair is not None:
-            Mh, oracle_h = _moments_and_oracle(*holdout_pair, k, config.lam)
+            evaluate_h, oracle_h = _evaluator_and_oracle(*holdout_pair, k, config.lam)
             if oracle_h is not None:
-                result.pcc_holdout = pcc_of(moment_tcc(Mh, model.phi, model.psi),
-                                            moment_tcc(Mh, oracle_h.phi, oracle_h.psi))
+                result.pcc_holdout = pcc_of(evaluate_h(model.phi, model.psi),
+                                            evaluate_h(oracle_h.phi, oracle_h.psi))
     report.validate()
     if report_path:
         report.write(report_path)

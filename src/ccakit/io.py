@@ -24,10 +24,8 @@ def _numeric(fields):
 
 
 def _data_lines(fh, linenos, delimiter, start):
-    """Yield the data lines of an open text file whose next line is physical
-    line ``start``, appending each one's line number to ``linenos``. Blank
-    and whitespace-only lines are skipped, and so is a non-numeric line 1,
-    the header."""
+    """Yield the data lines of an open file from physical line ``start`` on, appending
+    their line numbers to ``linenos``; blank lines and a non-numeric line 1 are skipped."""
     for lineno, line in enumerate(fh, start=start):
         if line.isspace() or (lineno == 1 and not _numeric(line.split(delimiter))):
             continue
@@ -36,10 +34,9 @@ def _data_lines(fh, linenos, delimiter, start):
 
 
 def _load_rows(path, fh, delimiter=",", start=1):
-    """The rows of an open text file from physical line ``start`` on, by one
-    ``np.loadtxt`` call. Fields are separated by ``delimiter`` (None:
-    whitespace) and may carry spaces or tabs around them; ``#`` is not a
-    comment. Errors, NaN and infinite fields included, name the file and line."""
+    """The rows of an open file from physical line ``start`` on, by one ``np.loadtxt``
+    call. Fields are split at ``delimiter`` (None: whitespace) and may carry spaces or
+    tabs; ``#`` is not a comment. Errors, NaN and inf fields included, name the line."""
     linenos = []
     lines = _data_lines(fh, linenos, delimiter, start)
     first = next(lines, None)
@@ -69,8 +66,7 @@ def _load_rows(path, fh, delimiter=",", start=1):
 
 
 def load_csv(path):
-    """Dense CSV loader by the rules of ``_load_rows``, with comma-separated
-    fields; a non-numeric first row is treated as a header and skipped."""
+    """Dense CSV loader by the rules of ``_load_rows``; a non-numeric row 1 is a header."""
     with open(path) as fh:
         return DataMatrix(_load_rows(path, fh))
 
@@ -112,8 +108,7 @@ def save_model_matrix(path, A):
 
 
 def load_model_matrix(path):
-    """Read a ``save_model_matrix`` file: its 'rows cols' header, then
-    whitespace-separated rows by the rules of ``_load_rows``."""
+    """Read a ``save_model_matrix`` file by the rules of ``_load_rows``."""
     with open(path) as fh:
         header = fh.readline().split()
         rows, cols = int(header[0]), int(header[1])

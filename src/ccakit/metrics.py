@@ -13,12 +13,9 @@ view is sparse). One solver iteration over an m-row (mini)batch costs
   + 8*m*k^2 + 24*k^3       k-by-k Grams, re-projections, eigendecompositions
   + 2*(p1+p2)*k^2          applying the k-by-k whitener
 
-Evaluation cost: a rank-k TCC on n rows costs 2*n*(p1+p2)*k to project, or
-O((p1+p2)^2*k) from the moments X'X/n, Y'Y/n and X'Y/n, which cost
-n*(p1+p2)^2 once. For E TCCs on the same dense views the moments cost no more
-when p1 + p2 <= 2*E*k (n cancels). Sparse views are always projected. The
-moments square the condition number: on whitened directions the two TCCs
-agree to about eps*cond(X)^2 relative.
+Evaluation: a rank-k TCC on n rows costs 2*n*(p1+p2)*k projected, or O((p1+p2)^2*k)
+from the moments X'X/n, Y'Y/n, X'Y/n (n*(p1+p2)^2 once). Dense views are evaluated
+from the moments, sparse ones projected; they agree to ~eps*cond(X)^2 relative.
 """
 
 from dataclasses import dataclass, field
@@ -41,8 +38,7 @@ def step_flops(m, p1, p2, k, nnz1=None, nnz2=None, cached=False):
 
 
 def _correlations(Su, Sv, Suv, ridge_scale=1e-10):
-    """Canonical correlations from the k-by-k moments of two projections, with
-    a trace-scaled ridge so ill-conditioned (unwhitened) ones stay computable."""
+    """Canonical correlations from k-by-k moments, trace-scaled ridge for unwhitened ones."""
     lam_u = ridge_scale * max(np.trace(Su) / max(Su.shape[0], 1), 1e-300)
     lam_v = ridge_scale * max(np.trace(Sv) / max(Sv.shape[0], 1), 1e-300)
     Ru = sym_inv_sqrt(Su + lam_u * np.eye(Su.shape[0]), floor=lam_u * 1e-6)
@@ -53,8 +49,7 @@ def _correlations(Su, Sv, Suv, ridge_scale=1e-10):
 
 def projected_correlations(U, V, ridge_scale=1e-10):
     """Canonical correlations of two n-by-k matrices (see ``_correlations``)."""
-    U = np.asarray(U, dtype=float)
-    V = np.asarray(V, dtype=float)
+    U, V = np.asarray(U, dtype=float), np.asarray(V, dtype=float)
     if U.shape[0] != V.shape[0]:
         raise ValueError("projected views must have the same number of rows")
     n = U.shape[0]
@@ -71,23 +66,20 @@ def tcc(X, Y, A, B):
     return float(projected_correlations(U, V).sum())
 
 
-def moments(X, Y):
-    """The second moments (X'X/n, Y'Y/n, X'Y/n) of a pair of views."""
-    return gram(X), gram(Y), cross_covariance(X, Y)
+def moments(X, Y, lam=0.0):
+    """The second moments (X'X/n + lam*I, Y'Y/n + lam*I, X'Y/n) of a pair of views."""
+    return gram(X, lam), gram(Y, lam), cross_covariance(X, Y)
 
 
 def moment_tcc(M, A, B):
-    """``tcc`` from the moments M = moments(X, Y): the canonical correlations
-    of (XA, YB) from A'SxA, B'SyB and A'SxyB, at no n-sized cost."""
+    """``tcc`` from M = moments(X, Y), through A'SxA, B'SyB and A'SxyB: no n-sized cost."""
     Sx, Sy, Sxy = M
     return float(_correlations(A.T @ Sx @ A, B.T @ Sy @ B, A.T @ Sxy @ B).sum())
 
 
-def tcc_evaluator(X, Y, evals, k):
-    """A function (A, B) -> TCC on (X, Y) for up to ``evals`` rank-k TCCs:
-    ``moment_tcc`` by the rule in the module docstring, else ``tcc``."""
-    X, Y = as_matrix(X), as_matrix(Y)
-    if sp.issparse(X) or sp.issparse(Y) or X.shape[1] + Y.shape[1] > 2 * evals * k:
+def tcc_evaluator(X, Y):
+    """(A, B) -> TCC on (X, Y): ``moment_tcc`` for dense views, ``tcc`` for sparse."""
+    if sp.issparse(as_matrix(X)) or sp.issparse(as_matrix(Y)):
         return partial(tcc, X, Y)
     return partial(moment_tcc, moments(X, Y))
 

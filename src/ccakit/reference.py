@@ -12,13 +12,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.linalg import cho_factor, cho_solve, eigh, qr, solve_triangular, svd
 
-from .linalg import (
-    SingularMatrixError,
-    as_matrix,
-    cross_covariance,
-    gram,
-    induced_norm,
-)
+from .linalg import SingularMatrixError, as_matrix, gram, induced_norm
 from .metrics import moments
 
 
@@ -136,10 +130,7 @@ def als_cca(X, Y, init, max_iters=1000, tol=1e-8, lam=0.0):
     partner's previous iterate and renormalizes in the induced norms. Stops
     when both iterates move by less than ``tol`` in induced norm.
     """
-    X, Y = as_matrix(X), as_matrix(Y)
-    Sx = gram(X, lam)
-    Sy = gram(Y, lam)
-    Sxy = cross_covariance(X, Y)
+    Sx, Sy, Sxy = moments(X, Y, lam)
     try:
         cx = cho_factor(Sx)
         cy = cho_factor(Sy)

@@ -161,15 +161,12 @@ def run_stochastic(
             "max_iters": max_iters,
         },
     )
-    streaming = plan.mode == "sequential-stream"
-    # TCC evaluations known up front: one per record, plus the oracle's
-    records = (min(max_iters, -(-n // plan.m)) if streaming else max_iters) // record_every + 1
-    evaluate = tcc_evaluator(X, Y, records + (oracle is not None), k)
-    if holdout is not None:
-        evaluate_holdout = tcc_evaluator(*holdout, records, k)
+    evaluate = tcc_evaluator(X, Y)
+    evaluate_holdout = tcc_evaluator(*holdout) if holdout is not None else None
     oracle_tcc = evaluate(oracle.phi, oracle.psi) if oracle is not None else None
     flops = 0
     t0 = time.perf_counter()
+    streaming = plan.mode == "sequential-stream"
     it = 0
     while it < max_iters:
         idx = sampler.next_batch()

@@ -251,6 +251,15 @@ class TestRunExperiment:
         assert result.oracle is None and np.isnan(result.pcc_train)
         assert np.isfinite(result.tcc_train)
 
+    def test_singular_view_tcc_is_projected(self, small_instance):
+        # without an oracle the moments buy nothing, and on a singular view
+        # they would lend null directions a spurious correlation
+        X = np.hstack([small_instance.x, small_instance.x[:, :1]])
+        for name in ("nw", "dw"):
+            result = run_experiment(SolverConfig(solver=name, k=2), x=X, y=small_instance.y)
+            want = tcc(X, small_instance.y, result.model.phi, result.model.psi)
+            assert result.tcc_train == want
+
     def test_rank_beyond_the_view_widths_rejected(self, small_instance):
         # the narrower view has 12 columns; no solver may silently return fewer
         for name in ("spectral", "kernel-appgrad"):

@@ -328,7 +328,7 @@ class TestEvaluation:
                                   holdout=hold)[1].records
 
         by_moments = run()
-        monkeypatch.setattr(stochastic, "tcc_evaluator", lambda X, Y, evals, k: partial(tcc, X, Y))
+        monkeypatch.setattr(stochastic, "tcc_evaluator", lambda X, Y: partial(tcc, X, Y))
         projected = run()
         for a, b in zip(by_moments, projected, strict=True):
             for name in ("tcc_train", "tcc_holdout", "pcc_train"):
