@@ -5,12 +5,12 @@ matrices take plain gradient steps on the coupled least-squares objective
 || X*PhiTilde - Y*Psi ||_F^2 / 2n, and the normalized matrices are produced
 by whitening with a small k-by-k Gram matrix. No p-by-p object is formed.
 
-The data enter only through n-by-p times p-by-k products: 2 per view per
-batch iteration, 4 per view per minibatch iteration. A stepped state caches
-its projections X PhiTilde, X Phi, Y PsiTilde, Y Psi, keyed to the identity
-of the X and Y objects it was stepped on; stepping on any other object (a
-minibatch, new data) recomputes them. Mutating X, Y or a state's arrays in
-place between steps is unsupported.
+The data enter only through n-by-p times p-by-k products. A dense batch step reads
+X and Y once, in row blocks: with Z = [X PhiTilde, Y PsiTilde] it caches Z'Z/n,
+C_x = X'Z/n and C_y = Y'Z/n (1 narrow, 1 2k-wide product per view), whence the
+whiteners and the next gradient X'(X PhiTilde - Y Psi)/n = C_x[:, :k] - C_x[:, k:] R_y.
+A sparse step caches its n-by-k projections (2 products per view); a minibatch step
+issues 4. A cache is keyed to the X and Y objects it was made on; mutating them is unsupported.
 """
 
 import time
@@ -18,13 +18,16 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg import eigh, svd
+from scipy.linalg import block_diag, eigh, svd
 
 from .linalg import DegenerateIterateError, as_matrix, gram
-from .metrics import IterationRecord, RunReport, projected_correlations, step_flops, tcc
+from .metrics import IterationRecord, RunReport, moment_tcc, projected_correlations, step_flops, tcc
 from .reference import CcaModel, fix_signs
 
 EIG_FLOOR_REL = 1e-10
+# Bytes per row block of the dense pass, both views. On batch-rank5 (p1=p2=100, k=5; 2 vCPUs,
+# 1 BLAS thread) 256-655-row blocks took 13.3-15.3 ms per iteration, 1024 rows or more 17-21 ms.
+ROW_BLOCK_BYTES = 2**20
 
 
 @dataclass
@@ -46,8 +49,8 @@ class StepSizes:
 @dataclass
 class AppGradState:
     """Solver state: normalized (phi, psi) and unnormalized (phi_tilde, psi_tilde).
-    ``cache`` is None or (X, Y, X phi_tilde, X phi, Y psi_tilde, Y psi); not
-    being an init argument, it is dropped by ``dataclasses.replace``."""
+    ``cache`` is None or (X, Y, (X phi_tilde, X phi, Y psi_tilde, Y psi), None) or, from
+    the dense pass, (X, Y, None, (C_x', C_y', Z'Z/n, R_x, R_y)); it is dropped by ``replace``."""
 
     phi: np.ndarray
     psi: np.ndarray
@@ -61,50 +64,80 @@ class AppGradState:
         return self.phi.shape[1]
 
     def cached_on(self, X, Y):
-        """Whether the cache holds projections of these very X and Y objects."""
+        """Whether the cache was made on these very X and Y objects."""
         return self.cache is not None and self.cache[0] is X and self.cache[1] is Y
 
     def projections(self, X, Y):
         """(X phi_tilde, X phi, Y psi_tilde, Y psi), from the cache when it
-        was made on X and Y, else computed (four n-sized products)."""
-        if self.cached_on(X, Y):
-            return self.cache[2:]
+        holds them for X and Y, else computed (four n-sized products)."""
+        if self.cached_on(X, Y) and self.cache[2] is not None:
+            return self.cache[2]
         return (np.asarray(X @ self.phi_tilde), np.asarray(X @ self.phi),
                 np.asarray(Y @ self.psi_tilde), np.asarray(Y @ self.psi))
 
+    def tcc(self, X, Y):
+        """TCC of (X phi, Y psi): k-by-k work from a dense pass made on X and Y, else projected."""
+        if self.cached_on(X, Y) and self.cache[3] is not None:
+            (*_, ZZ, Rx, Ry), k = self.cache[3], self.k
+            return moment_tcc((ZZ[:k, :k], ZZ[k:, k:], ZZ[:k, k:]), Rx, Ry)
+        return float(projected_correlations(*self.projections(X, Y)[1::2]).sum())
 
-def _whiten(X, W, lam, denom):
-    """Whiten W against the view Gram S = X'X/denom + lam I: returns
-    (W R, X W, X W R) with R = (W' S W)^(-1/2), at the cost of one n-sized
-    product and one k-by-k eigendecomposition. Raises DegenerateIterateError on collapse."""
-    # overflow here just means a diverged iterate; the check below reports it
-    with np.errstate(over="ignore", invalid="ignore"):
+
+def _whiteners(products, k):
+    """``products()``'s outputs, the first a Gram G (lam terms included) of k-column
+    iterates, and the whitener G_ii^(-1/2) of each diagonal k-by-k block. Raises
+    DegenerateIterateError when G overflowed or a block is rank-deficient."""
+    with np.errstate(over="ignore", invalid="ignore"):  # a diverged iterate; checked below
+        out = products()
+    if not np.all(np.isfinite(out[0])):
+        raise DegenerateIterateError(
+            "iterate overflowed (non-finite Gram); the step size is too large")
+    Rs = []
+    for i in range(0, out[0].shape[0], k):
+        w, V = eigh(out[0][i:i + k, i:i + k])
+        if w[-1] <= 0.0 or w[0] < max(EIG_FLOOR_REL * w[-1], 1e-300):
+            raise DegenerateIterateError(
+                f"iterate Gram is numerically rank-deficient (eigs in [{w[0]:.3e}, "
+                f"{w[-1]:.3e}]); restart from a new initialization")
+        R = (V / np.sqrt(w)) @ V.T  # every eigenvalue passed the floor, so none is clamped
+        Rs.append(0.5 * (R + R.T))
+    return out, Rs
+
+
+def _whiten(X, W, lam):
+    """(W R, X W, X W R) with R = (W' S W)^(-1/2), S = X'X/n + lam I: one n-sized
+    product and one k-by-k eigendecomposition."""
+    def products():
         XW = np.asarray(X @ W)
-        G = XW.T @ XW / denom
-        if lam:
-            G = G + lam * (W.T @ W)
-        G = 0.5 * (G + G.T)
-    if not np.all(np.isfinite(G)):
-        raise DegenerateIterateError(
-            "iterate overflowed (non-finite Gram); the step size is too large"
-        )
-    w, V = eigh(G)
-    if w[-1] <= 0.0 or w[0] < max(EIG_FLOOR_REL * w[-1], 1e-300):
-        raise DegenerateIterateError(
-            f"iterate Gram is numerically rank-deficient (eigs in [{w[0]:.3e}, "
-            f"{w[-1]:.3e}]); restart from a new initialization"
-        )
-    # every eigenvalue passed the floor above, so none needs clamping
-    R = (V / np.sqrt(w)) @ V.T
-    R = 0.5 * (R + R.T)
+        return XW.T @ XW / X.shape[0] + (lam * (W.T @ W) if lam else 0), XW
+    (_, XW), (R,) = _whiteners(products, W.shape[1])
     return W @ R, XW, XW @ R
+
+
+def _dense_pass(X, Y, pt, qt, lam):
+    """One read of dense X and Y in row blocks of about ROW_BLOCK_BYTES: with
+    Z = [X pt, Y qt], returns (C_x' = Z'X/n, C_y' = Z'Y/n, Z'Z/n, R_x, R_y)."""
+    (n, p1), p2, k = X.shape, Y.shape[1], pt.shape[1]
+    rows = max(1, ROW_BLOCK_BYTES // (X.itemsize * (p1 + p2)))
+
+    def products():
+        ZZ, Cx, Cy = np.zeros((2 * k, 2 * k)), np.zeros((2 * k, p1)), np.zeros((2 * k, p2))
+        for i in range(0, n, rows):
+            Xb, Yb = X[i:i + rows], Y[i:i + rows]
+            Z = np.hstack((np.asarray(Xb @ pt), np.asarray(Yb @ qt)))
+            ZZ += Z.T @ Z
+            Cx += Z.T @ Xb
+            Cy += Z.T @ Yb
+        ZZ /= n
+        return ZZ + (lam * block_diag(pt.T @ pt, qt.T @ qt) if lam else 0), Cx / n, Cy / n, ZZ
+    (_, Cx, Cy, ZZ), (Rx, Ry) = _whiteners(products, k)
+    return Cx, Cy, ZZ, Rx, Ry
 
 
 def normalize_columns(X, W, lam=0.0):
     """Whiten W against the (possibly regularized) view Gram: returns W R with
     R = (W' S W)^(-1/2). Raises DegenerateIterateError on collapse."""
-    X = as_matrix(X)
-    return _whiten(X, W, lam, X.shape[0])[0]
+    return _whiten(as_matrix(X), W, lam)[0]
 
 
 def random_init(X, Y, k, seed, lam=0.0):
@@ -118,23 +151,34 @@ def random_init(X, Y, k, seed, lam=0.0):
     return AppGradState(phi, psi, phi.copy(), psi.copy(), t=0)
 
 
-def _step(state, eta, X, Y, lam):
+def _step(state, eta, X, Y, lam, batch=True):
     """The update behind the batch, minibatch and rank-1 steps: gradient
     steps on both tilde matrices (each against the partner's incoming
     normalized state), then k-by-k whitening, averaged over the rows given.
+    ``batch``: the next step runs on these rows, so dense views take the pass.
     The public steps wrap this rather than each other, so timing one by name
     (as perfbench's tracer does) does not count calls made through another."""
     key = X, Y  # the cache is keyed to the caller's objects, not to converted copies
     X, Y = as_matrix(X), as_matrix(Y)
-    n = X.shape[0]
-    Xpt, Xphi, Yqt, Ypsi = state.cache[2:] if state.cached_on(*key) else state.projections(X, Y)
-    # (r' X)' rather than X' r: BLAS runs it about 1.5x faster on row-major X
-    pt = state.phi_tilde - eta.eta1 * (np.asarray((Xpt - Ypsi).T @ X).T / n + lam * state.phi_tilde)
-    qt = state.psi_tilde - eta.eta2 * (np.asarray((Yqt - Xphi).T @ Y).T / n + lam * state.psi_tilde)
-    phi, Xpt, Xphi = _whiten(X, pt, lam, n)
-    psi, Yqt, Ypsi = _whiten(Y, qt, lam, n)
+    n, k = X.shape[0], state.k
+    projections, dense = state.cache[2:] if state.cached_on(*key) else (None, None)
+    if dense is not None:
+        Cx, Cy, _, Rx, Ry = dense
+        gx, gy = (Cx[:k] - Ry @ Cx[k:]).T, (Cy[k:] - Rx @ Cy[:k]).T
+    else:
+        Xpt, Xphi, Yqt, Ypsi = projections or state.projections(X, Y)
+        # (r' X)' rather than X' r: BLAS runs it about 1.5x faster on row-major X
+        gx, gy = np.asarray((Xpt - Ypsi).T @ X).T / n, np.asarray((Yqt - Xphi).T @ Y).T / n
+    pt = state.phi_tilde - eta.eta1 * (gx + lam * state.phi_tilde)
+    qt = state.psi_tilde - eta.eta2 * (gy + lam * state.psi_tilde)
+    if batch and not (sp.issparse(X) or sp.issparse(Y)):
+        projections, dense = None, _dense_pass(X, Y, pt, qt, lam)
+        phi, psi = pt @ dense[3], qt @ dense[4]
+    else:
+        (phi, Xpt, Xphi), (psi, Yqt, Ypsi) = _whiten(X, pt, lam), _whiten(Y, qt, lam)
+        projections, dense = (Xpt, Xphi, Yqt, Ypsi), None
     new = AppGradState(phi, psi, pt, qt, t=state.t + 1)
-    new.cache = (*key, Xpt, Xphi, Yqt, Ypsi)
+    new.cache = (*key, projections, dense)
     return new
 
 
@@ -269,7 +313,7 @@ def run_appgrad(
 
     Returns (CcaModel, RunReport). The report records in-sample total
     correlation and, when an oracle model is given, its captured-correlation
-    ratio, at every ``record_every`` iterations.
+    ratio, at the first, every ``record_every``-th and the last iteration.
     """
     X, Y = as_matrix(X), as_matrix(Y)
     n, p1 = X.shape
@@ -301,26 +345,19 @@ def run_appgrad(
     for it in range(max_iters):
         cached = state.cached_on(X, Y)
         new = step_fn(state, eta, X, Y, lam)
-        flops += step_flops(n, p1, p2, k, *nnz, cached=cached)
-        if record_every and (new.t % record_every == 0 or new.t == 1):
-            _, Xphi, _, Ypsi = new.projections(X, Y)
-            t_in = float(projected_correlations(Xphi, Ypsi).sum())
-            rec = IterationRecord(
-                t=new.t,
-                flops=flops,
-                wall_time=time.perf_counter() - t0,
-                tcc_train=t_in,
-            )
+        flops += step_flops(n, p1, p2, k, *nnz, cached=cached, batch=True)
+        converged = max(procrustes_distance(new.phi, state.phi),
+                        procrustes_distance(new.psi, state.psi)) < tol
+        state = new
+        if record_every and (state.t % record_every == 0 or state.t == 1
+                             or converged or it == max_iters - 1):
+            t_in = state.tcc(X, Y)
+            rec = IterationRecord(t=state.t, flops=flops, tcc_train=t_in,
+                                  wall_time=time.perf_counter() - t0)
             if oracle_tcc:
                 rec.pcc_train = t_in / oracle_tcc
             report.records.append(rec)
-        moved = max(
-            procrustes_distance(new.phi, state.phi),
-            procrustes_distance(new.psi, state.psi),
-        )
-        state = new
-        if moved < tol:
-            converged = True
+        if converged:
             break
     model = extract_model(X, Y, state)
     model.converged = converged

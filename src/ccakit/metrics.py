@@ -6,10 +6,11 @@ serialize to line-delimited text (see RunReport.to_lines for the field order).
 
 FLOP model used throughout the reports (documented so curves are comparable):
 a product of an m-row view with a p-by-k matrix costs 2*m*p*k (2*nnz*k if the
-view is sparse). One solver iteration over an m-row (mini)batch costs
-    4 products per view    minibatch: the gradient's two projections, the
-                           gradient, and projecting the new tilde iterate
-    2 products per view    batch, when the state caches its projections
+view is sparse), a 2k-wide one twice that. One iteration over an m-row (mini)batch
+costs, in such products per view, uncached / with the state's cache:
+    4 / -   minibatch: two projections, the gradient, projecting the new iterate
+    4 / 2   sparse batch: the cache holds the projections
+    6 / 3   dense batch: a row-blocked pass of 1 narrow and 1 2k-wide product
   + 8*m*k^2 + 24*k^3       k-by-k Grams, re-projections, eigendecompositions
   + 2*(p1+p2)*k^2          applying the k-by-k whitener
 
@@ -28,13 +29,13 @@ from scipy.linalg import eigh, svd
 from .linalg import as_matrix, cross_covariance, gram, sym_inv_sqrt
 
 
-def step_flops(m, p1, p2, k, nnz1=None, nnz2=None, cached=False):
-    """FLOPs of one solver iteration over an m-row batch (see module docstring);
-    ``cached``: the state carries the projections of these rows."""
+def step_flops(m, p1, p2, k, nnz1=None, nnz2=None, cached=False, batch=False):
+    """FLOPs of one solver iteration over an m-row batch (see module docstring); ``batch``:
+    over all rows; ``cached``: the state carries what its last step left on these rows."""
     c1 = 2 * nnz1 * k if nnz1 is not None else 2 * m * p1 * k
     c2 = 2 * nnz2 * k if nnz2 is not None else 2 * m * p2 * k
-    products = (2 if cached else 4) * (c1 + c2)
-    return products + 8 * m * k * k + 24 * k**3 + 2 * (p1 + p2) * k * k
+    per_view = (6 if batch and nnz1 is None and nnz2 is None else 4) // (2 if cached else 1)
+    return per_view * (c1 + c2) + 8 * m * k * k + 24 * k**3 + 2 * (p1 + p2) * k * k
 
 
 def _correlations(Su, Sv, Suv, ridge_scale=1e-10):

@@ -114,8 +114,8 @@ class StepSchedule:
 def stochastic_appgrad_step(state, eta, X_I, Y_I, lam=0.0):
     """One minibatch update: the batch step on the m sampled rows X_I, Y_I,
     so the gradient and the k-by-k whitening are averaged over m. With m = n
-    this is exactly the batch update."""
-    return _step(state, eta, X_I, Y_I, lam)
+    this is the batch update, taken without the dense pass."""
+    return _step(state, eta, X_I, Y_I, lam, batch=False)
 
 
 def run_stochastic(
@@ -166,6 +166,16 @@ def run_stochastic(
     oracle_tcc = evaluate(oracle.phi, oracle.psi) if oracle is not None else None
     flops = 0
     t0 = time.perf_counter()
+
+    def record():
+        t_in = evaluate(state.phi, state.psi)
+        rec = IterationRecord(t=state.t, flops=flops, tcc_train=t_in,
+                              wall_time=time.perf_counter() - t0)
+        if holdout is not None:
+            rec.tcc_holdout = evaluate_holdout(state.phi, state.psi)
+        if oracle_tcc:
+            rec.pcc_train = t_in / oracle_tcc
+        report.records.append(rec)
     streaming = plan.mode == "sequential-stream"
     it = 0
     while it < max_iters:
@@ -186,19 +196,10 @@ def run_stochastic(
         flops += step_flops(len(idx), p1, p2, k, *nnz)
         state = new
         it += 1
-        if state.t % record_every == 0 or it == max_iters:
-            t_in = evaluate(state.phi, state.psi)
-            rec = IterationRecord(
-                t=state.t,
-                flops=flops,
-                wall_time=time.perf_counter() - t0,
-                tcc_train=t_in,
-            )
-            if holdout is not None:
-                rec.tcc_holdout = evaluate_holdout(state.phi, state.psi)
-            if oracle_tcc:
-                rec.pcc_train = t_in / oracle_tcc
-            report.records.append(rec)
+        if state.t % record_every == 0:
+            record()
+    if it and state.t % record_every:  # the last iterate, off the cadence
+        record()
     model = extract_model(X, Y, state)
     model.converged = False
     # a copy without the cache, so the report does not keep the last batch alive

@@ -27,7 +27,9 @@ from ccakit.appgrad import (
 )
 from ccakit.linalg import DegenerateIterateError, as_matrix, gram, induced_norm
 from ccakit.planted import PlantedParams, generate_planted
+from ccakit.metrics import step_flops, tcc
 from ccakit.reference import spectral_cca
+from ccakit.stochastic import MinibatchPlan, StepSchedule, run_stochastic, stochastic_appgrad_step
 
 from conftest import random_orthogonal
 
@@ -360,6 +362,15 @@ class TestConvergence:
         assert all(b >= a for a, b in zip(flops, flops[1:]))
         assert all(np.isfinite(r.pcc_train) for r in report.records)
 
+    def test_last_record_is_the_final_iterate(self, small_instance):
+        X, Y = small_instance.x, small_instance.y
+        _, report = run_appgrad(X, Y, 3, seed=0, record_every=5, max_iters=7, tol=0.0)
+        assert [r.t for r in report.records] == [1, 5, 7]
+        final = report.final_state
+        assert final.t == 7
+        assert report.records[-1].tcc_train == pytest.approx(
+            tcc(X, Y, final.phi, final.psi), rel=1e-12)
+
 
 class CountingCSR(sp.csr_matrix):
     """CSR view that counts the n-sized products taken with it, either side."""
@@ -484,7 +495,8 @@ class TestProjectionCache:
             s64 = appgrad_step(s64, eta, X64, Y64)
             for name in ("phi", "psi", "phi_tilde", "psi_tilde"):
                 assert np.abs(getattr(s32, name) - getattr(s64, name)).max() < 1e-10
-        assert counts == [8, 4, 4]
+        # uncached: 4 projections, 2 gradient products and the pass's 2 per view
+        assert counts == [10, 4, 4]
 
     def test_final_state_does_not_pin_the_data(self, small_instance):
         X, Y = small_instance.x.copy(), small_instance.y.copy()
@@ -495,3 +507,140 @@ class TestProjectionCache:
         del X, Y
         gc.collect()
         assert refs[0]() is None and refs[1]() is None
+
+
+@pytest.fixture(scope="module")
+def blocked_instance():
+    """Dense views that the pass reads in 4 full row blocks and a 4-row tail."""
+    params = PlantedParams(n=2500, p1=120, p2=90, correlations=(0.9, 0.6, 0.3))
+    inst = generate_planted(params, seed=5)
+    rows = appgrad.ROW_BLOCK_BYTES // (8 * (120 + 90))
+    assert 2500 // rows == 4 and 0 < 2500 % rows < rows
+    return inst
+
+
+class TestDensePass:
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("lam", [0.0, 0.1])
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_cache_matches_direct_products(self, blocked_instance, k, lam, dtype):
+        X, Y = blocked_instance.x.astype(dtype), blocked_instance.y.astype(dtype)
+        X64, Y64 = X.astype(float), Y.astype(float)
+        step = appgrad_step_rank1 if k == 1 else appgrad_step
+        eta = default_step(X64, Y64, lam)
+        state = random_init(X64, Y64, k, seed=0, lam=lam)
+        for _ in range(3):
+            state = step(state, eta, X, Y, lam)
+            Cx, Cy, ZZ, Rx, Ry = state.cache[3]
+            Z = np.hstack((X64 @ state.phi_tilde, Y64 @ state.psi_tilde))
+            for got, want in ((Cx, Z.T @ X64 / 2500), (Cy, Z.T @ Y64 / 2500),
+                              (ZZ, Z.T @ Z / 2500)):
+                assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+            assert np.array_equal(state.phi, state.phi_tilde @ Rx)
+            assert np.array_equal(state.psi, state.psi_tilde @ Ry)
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("lam", [0.0, 0.1])
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_trajectory_matches_uncached_steps(self, blocked_instance, k, lam, dtype):
+        X, Y = blocked_instance.x.astype(dtype), blocked_instance.y.astype(dtype)
+        step = appgrad_step_rank1 if k == 1 else appgrad_step
+        eta = default_step(X, Y, lam)
+        cached = uncached = random_init(X, Y, k, seed=1, lam=lam)
+        for _ in range(50):
+            cached = step(cached, eta, X, Y, lam)
+            uncached = replace(step(uncached, eta, X, Y, lam))
+        for name in ("phi", "psi", "phi_tilde", "psi_tilde"):
+            a, b = getattr(cached, name), getattr(uncached, name)
+            assert np.abs(a - b).max() <= 1e-12 * np.abs(b).max()
+        assert cached.tcc(X, Y) == pytest.approx(uncached.tcc(X, Y), rel=1e-12)
+
+
+class TestOverflow:
+    """A diverging step raises a typed error and no floating-point warning."""
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("eta", [10.0, 1e8, 1e200])
+    @pytest.mark.parametrize("case", ["blocked", "single-block", "sparse", "minibatch"])
+    def test_diverging_run_raises_overflow(self, small_instance, blocked_instance, case, eta):
+        inst = blocked_instance if case == "blocked" else small_instance
+        X, Y = inst.x, inst.y
+        if case == "sparse":
+            X, Y = sp.csr_matrix(X), sp.csr_matrix(Y)
+        with pytest.raises(DegenerateIterateError, match="iterate overflowed"):
+            if case == "minibatch":
+                run_stochastic(X, Y, 3, MinibatchPlan(m=50, seed=0),
+                               StepSchedule("constant", eta0=eta), max_iters=2000, seed=0)
+            else:
+                run_appgrad(X, Y, 3, eta=eta, max_iters=2000, tol=0.0, seed=0)
+
+
+class FlopArray(np.ndarray):
+    """Dense view that charges 2*rows*cols*width for every product taken with it."""
+
+    flops = 0
+
+    def __matmul__(self, other):
+        FlopArray.flops += 2 * self.size * other.shape[1]
+        return np.asarray(self) @ other
+
+    def __rmatmul__(self, other):
+        FlopArray.flops += 2 * self.size * other.shape[0]
+        return other @ np.asarray(self)
+
+
+class FlopCSR(sp.csr_matrix):
+    """CSR view that charges 2*nnz*width for every product taken with it."""
+
+    flops = 0
+
+    def __matmul__(self, other):
+        FlopCSR.flops += 2 * self.nnz * other.shape[1]
+        return super().__matmul__(other)
+
+    def __rmatmul__(self, other):
+        FlopCSR.flops += 2 * self.nnz * other.shape[0]
+        return super().__rmatmul__(other)
+
+
+def product_flops(m, p1, p2, k, *nnz, **kw):
+    """The product term of ``step_flops``: its charge less that of empty views."""
+    return step_flops(m, p1, p2, k, *nnz, **kw) - step_flops(m, p1, p2, k, 0, 0)
+
+
+class TestFlopCharge:
+    """``step_flops`` charges exactly the products each step issues."""
+
+    def test_dense_batch_steps(self, blocked_instance, monkeypatch):
+        X, Y = blocked_instance.x, blocked_instance.y
+        (n, p1), p2 = X.shape, Y.shape[1]
+        eta = default_step(X, Y)
+        state = random_init(X, Y, 3, seed=0)
+        monkeypatch.setattr(appgrad, "as_matrix", lambda A: as_matrix(A).view(FlopArray))
+        for cached in (False, True, True):
+            FlopArray.flops = 0
+            state = appgrad_step(state, eta, X, Y)
+            assert FlopArray.flops == product_flops(n, p1, p2, 3, cached=cached, batch=True)
+        assert FlopArray.flops == 3 * 2 * n * (p1 + p2) * 3  # 3 products per view
+
+    def test_sparse_batch_steps(self, small_instance):
+        X, Y = FlopCSR(sp.csr_matrix(small_instance.x)), FlopCSR(sp.csr_matrix(small_instance.y))
+        (n, p1), p2 = X.shape, Y.shape[1]
+        eta = default_step(small_instance.x, small_instance.y)
+        state = random_init(small_instance.x, small_instance.y, 3, seed=0)
+        for cached in (False, True, True):
+            FlopCSR.flops = 0
+            state = appgrad_step(state, eta, X, Y)
+            assert FlopCSR.flops == product_flops(n, p1, p2, 3, X.nnz, Y.nnz,
+                                                  cached=cached, batch=True)
+
+    def test_minibatch_step(self, small_instance, monkeypatch):
+        X, Y = small_instance.x, small_instance.y
+        p1, p2 = X.shape[1], Y.shape[1]
+        eta = default_step(X, Y)
+        state = random_init(X, Y, 3, seed=0)
+        monkeypatch.setattr(appgrad, "as_matrix", lambda A: as_matrix(A).view(FlopArray))
+        for start in (0, 50, 100):
+            FlopArray.flops = 0
+            state = stochastic_appgrad_step(state, eta, X[start:start + 50], Y[start:start + 50])
+            assert FlopArray.flops == product_flops(50, p1, p2, 3)

@@ -175,6 +175,14 @@ class TestRunExperiment:
         phi = io.load_model_matrix(tmp_path / "model.phi.txt")
         assert phi.shape == (10, 2)
 
+    def test_converged_run_records_its_last_iterate(self, small_instance):
+        cfg = SolverConfig(solver="appgrad", k=3, record_every=10)
+        result = run_experiment(cfg, x=small_instance.x, y=small_instance.y)
+        assert result.model.converged
+        final_t = result.report.final_state.t
+        assert final_t % 10 != 0  # the run stops off the record cadence
+        assert [r.t for r in result.report.records][-2:] == [final_t // 10 * 10, final_t]
+
     def test_reports_are_byte_identical(self, tmp_path):
         params = PlantedParams(n=200, p1=8, p2=8, correlations=(0.8, 0.4))
         paths = []

@@ -234,6 +234,18 @@ class TestRunner:
         _, report = run_stochastic(X, Y, 2, plan, sched, max_iters=12, seed=0)
         assert [r.t for r in report.records] == [4, 8, 12]
 
+    def test_stream_ending_off_the_cadence_records_its_last_iterate(self, small_instance):
+        X, Y = small_instance.x, small_instance.y  # n=400: 14 batches of up to 30
+        plan = MinibatchPlan(m=30, mode="sequential-stream", seed=0)
+        sched = StepSchedule("constant", eta0=default_step(X, Y).eta1)
+        _, report = run_stochastic(X, Y, 2, plan, sched, max_iters=100, seed=0,
+                                   record_every=5)
+        assert report.final_state.t == 14
+        assert [r.t for r in report.records] == [5, 10, 14]
+        final = report.final_state
+        assert report.records[-1].tcc_train == pytest.approx(
+            tcc(X, Y, final.phi, final.psi), rel=1e-9)
+
     def test_model_is_never_marked_converged(self, small_instance):
         # the runner stops on its iteration budget, never on a convergence test
         X, Y = small_instance.x, small_instance.y
