@@ -9,8 +9,8 @@ The data enter only through n-by-p times p-by-k products. A dense batch step rea
 X and Y once, in row blocks: with Z = [X PhiTilde, Y PsiTilde] it caches Z'Z/n,
 C_x = X'Z/n and C_y = Y'Z/n (1 narrow, 1 2k-wide product per view), whence the
 whiteners and the next gradient X'(X PhiTilde - Y Psi)/n = C_x[:, :k] - C_x[:, k:] R_y.
-A sparse step caches its n-by-k projections (2 products per view); a minibatch step
-issues 4. A cache is keyed to the X and Y objects it was made on; mutating them is unsupported.
+A sparse step caches its n-by-k projections (2 products per view); a minibatch step issues 3,
+as X phi = (X PhiTilde) R. A cache is keyed to its X and Y objects; mutating them is unsupported.
 """
 
 import time
@@ -50,7 +50,8 @@ class StepSizes:
 class AppGradState:
     """Solver state: normalized (phi, psi) and unnormalized (phi_tilde, psi_tilde).
     ``cache`` is None or (X, Y, (X phi_tilde, X phi, Y psi_tilde, Y psi), None) or, from
-    the dense pass, (X, Y, None, (C_x', C_y', Z'Z/n, R_x, R_y)); it is dropped by ``replace``."""
+    the dense pass, (X, Y, None, (C_x', C_y', Z'Z/n, R_x, R_y)). ``whiteners`` is None or
+    (R_x, R_y) with phi = phi_tilde R_x, psi = psi_tilde R_y. ``replace`` drops both."""
 
     phi: np.ndarray
     psi: np.ndarray
@@ -58,6 +59,7 @@ class AppGradState:
     psi_tilde: np.ndarray
     t: int = 0
     cache: tuple = field(default=None, init=False, repr=False, compare=False)
+    whiteners: tuple = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def k(self):
@@ -67,13 +69,15 @@ class AppGradState:
         """Whether the cache was made on these very X and Y objects."""
         return self.cache is not None and self.cache[0] is X and self.cache[1] is Y
 
-    def projections(self, X, Y):
-        """(X phi_tilde, X phi, Y psi_tilde, Y psi), from the cache when it
-        holds them for X and Y, else computed (four n-sized products)."""
+    def projections(self, X, Y, whitened=False):
+        """(X phi_tilde, X phi, Y psi_tilde, Y psi), from the cache when it holds them for X and Y,
+        else computed: four n-sized products, two if ``whitened`` from the carried whiteners."""
         if self.cached_on(X, Y) and self.cache[2] is not None:
             return self.cache[2]
-        return (np.asarray(X @ self.phi_tilde), np.asarray(X @ self.phi),
-                np.asarray(Y @ self.psi_tilde), np.asarray(Y @ self.psi))
+        Xpt, Yqt = np.asarray(X @ self.phi_tilde), np.asarray(Y @ self.psi_tilde)
+        if whitened and self.whiteners is not None:
+            return Xpt, Xpt @ self.whiteners[0], Yqt, Yqt @ self.whiteners[1]
+        return Xpt, np.asarray(X @ self.phi), Yqt, np.asarray(Y @ self.psi)
 
     def tcc(self, X, Y):
         """TCC of (X phi, Y psi): k-by-k work from a dense pass made on X and Y, else projected."""
@@ -94,24 +98,24 @@ def _whiteners(products, k):
             "iterate overflowed (non-finite Gram); the step size is too large")
     Rs = []
     for i in range(0, out[0].shape[0], k):
-        w, V = eigh(out[0][i:i + k, i:i + k])
+        w, V = np.linalg.eigh(out[0][i:i + k, i:i + k])
         if w[-1] <= 0.0 or w[0] < max(EIG_FLOOR_REL * w[-1], 1e-300):
             raise DegenerateIterateError(
                 f"iterate Gram is numerically rank-deficient (eigs in [{w[0]:.3e}, "
                 f"{w[-1]:.3e}]); restart from a new initialization")
-        R = (V / np.sqrt(w)) @ V.T  # every eigenvalue passed the floor, so none is clamped
+        R = (V * w**-0.5) @ V.T  # every eigenvalue passed the floor, so none is clamped
         Rs.append(0.5 * (R + R.T))
     return out, Rs
 
 
 def _whiten(X, W, lam):
-    """(W R, X W, X W R) with R = (W' S W)^(-1/2), S = X'X/n + lam I: one n-sized
+    """(X W, X W R, R) with R = (W' S W)^(-1/2), S = X'X/n + lam I: one n-sized
     product and one k-by-k eigendecomposition."""
     def products():
         XW = np.asarray(X @ W)
         return XW.T @ XW / X.shape[0] + (lam * (W.T @ W) if lam else 0), XW
     (_, XW), (R,) = _whiteners(products, W.shape[1])
-    return W @ R, XW, XW @ R
+    return XW, XW @ R, R
 
 
 def _dense_pass(X, Y, pt, qt, lam):
@@ -137,7 +141,7 @@ def _dense_pass(X, Y, pt, qt, lam):
 def normalize_columns(X, W, lam=0.0):
     """Whiten W against the (possibly regularized) view Gram: returns W R with
     R = (W' S W)^(-1/2). Raises DegenerateIterateError on collapse."""
-    return _whiten(as_matrix(X), W, lam)[0]
+    return W @ _whiten(as_matrix(X), W, lam)[2]
 
 
 def random_init(X, Y, k, seed, lam=0.0):
@@ -148,37 +152,39 @@ def random_init(X, Y, k, seed, lam=0.0):
     Qt = rng.standard_normal((Y.shape[1], k))
     phi = normalize_columns(X, Pt, lam)
     psi = normalize_columns(Y, Qt, lam)
-    return AppGradState(phi, psi, phi.copy(), psi.copy(), t=0)
+    state = AppGradState(phi, psi, phi.copy(), psi.copy(), t=0)
+    state.whiteners = (np.eye(k), np.eye(k))
+    return state
 
 
 def _step(state, eta, X, Y, lam, batch=True):
     """The update behind the batch, minibatch and rank-1 steps: gradient
     steps on both tilde matrices (each against the partner's incoming
     normalized state), then k-by-k whitening, averaged over the rows given.
-    ``batch``: the next step runs on these rows, so dense views take the pass.
+    ``batch``: the next step runs on these rows (else no cache is read): dense views take the pass.
     The public steps wrap this rather than each other, so timing one by name
     (as perfbench's tracer does) does not count calls made through another."""
     key = X, Y  # the cache is keyed to the caller's objects, not to converted copies
     X, Y = as_matrix(X), as_matrix(Y)
     n, k = X.shape[0], state.k
-    projections, dense = state.cache[2:] if state.cached_on(*key) else (None, None)
+    projections, dense = state.cache[2:] if batch and state.cached_on(*key) else (None, None)
     if dense is not None:
         Cx, Cy, _, Rx, Ry = dense
         gx, gy = (Cx[:k] - Ry @ Cx[k:]).T, (Cy[k:] - Rx @ Cy[:k]).T
     else:
-        Xpt, Xphi, Yqt, Ypsi = projections or state.projections(X, Y)
+        Xpt, Xphi, Yqt, Ypsi = projections or state.projections(X, Y, whitened=not batch)
         # (r' X)' rather than X' r: BLAS runs it about 1.5x faster on row-major X
         gx, gy = np.asarray((Xpt - Ypsi).T @ X).T / n, np.asarray((Yqt - Xphi).T @ Y).T / n
     pt = state.phi_tilde - eta.eta1 * (gx + lam * state.phi_tilde)
     qt = state.psi_tilde - eta.eta2 * (gy + lam * state.psi_tilde)
     if batch and not (sp.issparse(X) or sp.issparse(Y)):
         projections, dense = None, _dense_pass(X, Y, pt, qt, lam)
-        phi, psi = pt @ dense[3], qt @ dense[4]
+        Rx, Ry = dense[3:]
     else:
-        (phi, Xpt, Xphi), (psi, Yqt, Ypsi) = _whiten(X, pt, lam), _whiten(Y, qt, lam)
+        (Xpt, Xphi, Rx), (Yqt, Ypsi, Ry) = _whiten(X, pt, lam), _whiten(Y, qt, lam)
         projections, dense = (Xpt, Xphi, Yqt, Ypsi), None
-    new = AppGradState(phi, psi, pt, qt, t=state.t + 1)
-    new.cache = (*key, projections, dense)
+    new = AppGradState(pt @ Rx, qt @ Ry, pt, qt, t=state.t + 1)
+    new.cache, new.whiteners = (*key, projections, dense), (Rx, Ry)
     return new
 
 
@@ -193,9 +199,8 @@ def appgrad_step_rank1(state, eta, X, Y, lam=0.0):
     if state.k != 1:
         raise ValueError("appgrad_step_rank1 requires a rank-1 state")
     new = _step(state, eta, X, Y, lam)
-    # phi = pt / ||pt||_S, so the induced norm of pt is |pt| / |phi|
-    norm = np.linalg.norm
-    if min(norm(new.phi_tilde) / norm(new.phi), norm(new.psi_tilde) / norm(new.psi)) < 1e-14:
+    # the whitener of a rank-1 iterate pt is 1 / ||pt||_S
+    if max(R.item() for R in new.whiteners) > 1e14:
         raise DegenerateIterateError(
             "iterate collapsed below 1e-14 induced norm; restart from a new init"
         )

@@ -7,7 +7,7 @@ DW whitens only the diagonal, PCA-CCA whitens inside a principal subspace.
 import numpy as np
 from scipy.linalg import qr
 
-from .linalg import as_matrix, cross_covariance, gram, randomized_svd
+from .linalg import as_matrix, cross_covariance, gram_diagonal, randomized_svd
 from .reference import CcaModel, fix_signs, spectral_cca
 
 
@@ -29,8 +29,7 @@ def dw_cca(X, Y, k, lam=0.0, oversample=10, power_iters=2, seed=0):
     """Diagonal whitening: scale each column by its inverse root variance,
     run nw_cca on the scaled pair, and map the directions back."""
     X, Y = as_matrix(X), as_matrix(Y)
-    dx = np.diag(gram(X, lam))
-    dy = np.diag(gram(Y, lam))
+    dx, dy = gram_diagonal(X, lam), gram_diagonal(Y, lam)
     if dx.min() <= 0 or dy.min() <= 0:
         raise ValueError("zero-variance column; set lam > 0")
     sx = 1.0 / np.sqrt(dx)

@@ -176,17 +176,16 @@ def run_experiment(config, x=None, y=None, planted=None,
     if config.holdout > 0:
         (X, Y), holdout_pair = _split_holdout(X, Y, config.holdout, config.seed)
 
+    solver = SOLVERS[config.solver]
+    if solver.views:
+        X, Y = solver.views(config, X, Y)
     k = config.k
     k_run = min(k + config.oversample, X.shape[1], Y.shape[1])
     if k_run < k:
         raise ValueError(f"k={k} exceeds the view widths {X.shape[1]}, {Y.shape[1]}")
-    solver = SOLVERS[config.solver]
-    if solver.views:
-        X, Y = solver.views(config, X, Y)
-        evaluate, oracle = partial(tcc, X, Y), None
-    else:
-        # the exact oracle is affordable at desk scale
-        evaluate, oracle = _evaluator_and_oracle(X, Y, k, config.lam)
+    # the exact oracle is affordable at desk scale
+    evaluate, oracle = ((partial(tcc, X, Y), None) if solver.views
+                        else _evaluator_and_oracle(X, Y, k, config.lam))
 
     if solver.traced:
         model, report = solver.run(config, X, Y, k_run, oracle=oracle, holdout=holdout_pair)

@@ -8,7 +8,7 @@ explicitly requested.
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg import eigh, qr, svd
+from scipy.linalg import qr, svd
 
 
 class SingularMatrixError(RuntimeError):
@@ -20,9 +20,10 @@ class DegenerateIterateError(RuntimeError):
 
 
 def _check_finite(A):
-    """Raise ValueError if a dense or sparse matrix stores a non-finite entry."""
+    """A, after raising ValueError if the dense or sparse matrix stores a non-finite entry."""
     if not np.all(np.isfinite(A.data if sp.issparse(A) else A)):
         raise ValueError("matrix contains non-finite entries")
+    return A
 
 
 def as_matrix(X):
@@ -72,8 +73,7 @@ def gram(X, lam=0.0):
     """
     if lam < 0:
         raise ValueError(f"regularization must be nonnegative, got {lam}")
-    X = as_matrix(X)
-    _check_finite(X)
+    X = _check_finite(as_matrix(X))
     n, p = X.shape
     if sp.issparse(X):
         S = np.asarray((X.T @ X).todense()) / n
@@ -83,6 +83,15 @@ def gram(X, lam=0.0):
     if lam:
         S = S + lam * np.eye(p)
     return S
+
+
+def gram_diagonal(X, lam=0.0):
+    """The diagonal of ``gram(X, lam)``, the column second moments, in O(nnz) without the Gram."""
+    if lam < 0:
+        raise ValueError(f"regularization must be nonnegative, got {lam}")
+    X = _check_finite(as_matrix(X))
+    sq = X.multiply(X).sum(axis=0) if sp.issparse(X) else np.einsum("ij,ij->j", X, X)
+    return np.asarray(sq).ravel() / X.shape[0] + lam
 
 
 def cross_covariance(X, Y):
@@ -112,6 +121,11 @@ def induced_norm(S, u):
     return np.sqrt(max(q, 0.0))
 
 
+def singular_floor(w):
+    """1e-12 * max(w[-1], 1): a Gram with ascending eigenvalues w is singular if w[0] is below."""
+    return 1e-12 * max(w[-1], 1.0)
+
+
 def sym_inv_sqrt(M, floor=1e-12):
     """Inverse square root  U max(D, floor)^(-1/2) U'  of a small symmetric PSD matrix.
 
@@ -121,10 +135,11 @@ def sym_inv_sqrt(M, floor=1e-12):
     M = np.asarray(M, dtype=float)
     if floor <= 0:
         raise ValueError("floor must be positive")
+    _check_finite(M)
     scale = max(1.0, float(np.abs(M).max()))
     if np.abs(M - M.T).max() > 1e-10 * scale:
         raise ValueError("matrix is not symmetric within tolerance")
-    w, V = eigh(0.5 * (M + M.T))
+    w, V = np.linalg.eigh(0.5 * (M + M.T))
     w = np.maximum(w, floor)
     R = (V / np.sqrt(w)) @ V.T
     return 0.5 * (R + R.T)

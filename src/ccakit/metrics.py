@@ -8,15 +8,16 @@ FLOP model used throughout the reports (documented so curves are comparable):
 a product of an m-row view with a p-by-k matrix costs 2*m*p*k (2*nnz*k if the
 view is sparse), a 2k-wide one twice that. One iteration over an m-row (mini)batch
 costs, in such products per view, uncached / with the state's cache:
-    4 / -   minibatch: two projections, the gradient, projecting the new iterate
     4 / 2   sparse batch: the cache holds the projections
     6 / 3   dense batch: a row-blocked pass of 1 narrow and 1 2k-wide product
+    3 / -   minibatch: X phi_tilde, the gradient, the new iterate's projection; X phi is
+            (X phi_tilde) R from the carried whitener R (4 products from a hand-built state)
   + 8*m*k^2 + 24*k^3       k-by-k Grams, re-projections, eigendecompositions
   + 2*(p1+p2)*k^2          applying the k-by-k whitener
 
 Evaluation: a rank-k TCC on n rows costs 2*n*(p1+p2)*k projected, or O((p1+p2)^2*k)
 from the moments X'X/n, Y'Y/n, X'Y/n (n*(p1+p2)^2 once). Dense views are evaluated
-from the moments, sparse ones projected; they agree to ~eps*cond(X)^2 relative.
+from the moments, sparse and singular ones projected; they agree to ~eps*cond(X)^2 relative.
 """
 
 from dataclasses import dataclass, field
@@ -26,15 +27,17 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.linalg import eigh, svd
 
-from .linalg import as_matrix, cross_covariance, gram, sym_inv_sqrt
+from .linalg import as_matrix, cross_covariance, gram, singular_floor, sym_inv_sqrt
 
 
-def step_flops(m, p1, p2, k, nnz1=None, nnz2=None, cached=False, batch=False):
+def step_flops(m, p1, p2, k, nnz1=None, nnz2=None, cached=False, batch=False, whitened=True):
     """FLOPs of one solver iteration over an m-row batch (see module docstring); ``batch``:
-    over all rows; ``cached``: the state carries what its last step left on these rows."""
+    over all rows; ``cached``: the state carries what its last step left on these rows;
+    ``whitened``: a minibatch step's state carries its whiteners."""
     c1 = 2 * nnz1 * k if nnz1 is not None else 2 * m * p1 * k
     c2 = 2 * nnz2 * k if nnz2 is not None else 2 * m * p2 * k
-    per_view = (6 if batch and nnz1 is None and nnz2 is None else 4) // (2 if cached else 1)
+    dense = nnz1 is None and nnz2 is None
+    per_view = ((6 if dense else 4) if batch else 3 if whitened else 4) // (2 if cached else 1)
     return per_view * (c1 + c2) + 8 * m * k * k + 24 * k**3 + 2 * (p1 + p2) * k * k
 
 
@@ -79,10 +82,12 @@ def moment_tcc(M, A, B):
 
 
 def tcc_evaluator(X, Y):
-    """(A, B) -> TCC on (X, Y): ``moment_tcc`` for dense views, ``tcc`` for sparse."""
-    if sp.issparse(as_matrix(X)) or sp.issparse(as_matrix(Y)):
-        return partial(tcc, X, Y)
-    return partial(moment_tcc, moments(X, Y))
+    """(A, B) -> TCC on (X, Y): ``moment_tcc`` for dense nonsingular views, else ``tcc``."""
+    if not (sp.issparse(as_matrix(X)) or sp.issparse(as_matrix(Y))):
+        M = moments(X, Y)
+        if all(w[0] >= singular_floor(w) for w in map(np.linalg.eigvalsh, M[:2])):
+            return partial(moment_tcc, M)
+    return partial(tcc, X, Y)
 
 
 def pcc_of(tcc_est, tcc_oracle):
@@ -115,7 +120,7 @@ def principal_angles(A, B, S=None):
     Gb = B.T @ S @ B
     for G, name in ((Ga, "A"), (Gb, "B")):
         w = eigh(0.5 * (G + G.T), eigvals_only=True)
-        if w[0] < 1e-12 * max(w[-1], 1.0):
+        if w[0] < singular_floor(w):
             raise ValueError(f"columns of {name} are rank-deficient under S")
     Qa = A @ sym_inv_sqrt(Ga, floor=1e-300)
     Qb = B @ sym_inv_sqrt(Gb, floor=1e-300)

@@ -12,7 +12,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.linalg import cho_factor, cho_solve, eigh, qr, solve_triangular, svd
 
-from .linalg import SingularMatrixError, as_matrix, gram, induced_norm
+from .linalg import SingularMatrixError, as_matrix, gram, induced_norm, singular_floor
 from .metrics import moments
 
 
@@ -50,8 +50,7 @@ def fix_signs(Phi, Psi):
 def _inv_sqrt_full(S, lam, side):
     """Full symmetric inverse square root of a Gram matrix, with a singularity check."""
     w, V = eigh(S)
-    tol = 1e-12 * max(w[-1], 1.0)
-    if w[0] < tol:
+    if w[0] < (tol := singular_floor(w)):
         if lam == 0.0:
             raise SingularMatrixError(
                 f"S_{side} is numerically singular (min eig {w[0]:.3e}); "

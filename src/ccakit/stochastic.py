@@ -177,12 +177,15 @@ def run_stochastic(
             rec.pcc_train = t_in / oracle_tcc
         report.records.append(rec)
     streaming = plan.mode == "sequential-stream"
+
+    def rows(idx):  # np.take gathers dense rows faster than X[idx]
+        return [A[idx] if sp.issparse(A) else np.take(A, idx, axis=0) for A in (X, Y)]
     it = 0
     while it < max_iters:
         idx = sampler.next_batch()
         if streaming and idx.size == 0:
             break
-        X_I, Y_I = X[idx], Y[idx]
+        X_I, Y_I = rows(idx)
         eta = schedule.at(it)
         try:
             new = stochastic_appgrad_step(state, eta, X_I, Y_I, lam)
@@ -190,10 +193,10 @@ def run_stochastic(
             idx = sampler.next_batch()
             if streaming and idx.size == 0:
                 break
-            X_I, Y_I = X[idx], Y[idx]
+            X_I, Y_I = rows(idx)
             new = stochastic_appgrad_step(state, eta, X_I, Y_I, lam)
         nnz = [A.nnz if sp.issparse(A) else None for A in (X_I, Y_I)]
-        flops += step_flops(len(idx), p1, p2, k, *nnz)
+        flops += step_flops(len(idx), p1, p2, k, *nnz, whitened=state.whiteners is not None)
         state = new
         it += 1
         if state.t % record_every == 0:

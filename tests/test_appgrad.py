@@ -10,7 +10,7 @@ import pytest
 import scipy.sparse as sp
 from scipy.linalg import eigh
 
-from ccakit import appgrad
+from ccakit import appgrad, stochastic
 from ccakit.appgrad import (
     AppGradState,
     StepSizes,
@@ -159,6 +159,17 @@ class TestStepMechanics:
             appgrad_step_rank1(
                 state, StepSizes.constant(0.1), small_instance.x, small_instance.y
             )
+
+    def test_rank1_step_rejects_a_collapsed_iterate(self, small_instance):
+        X, Y = small_instance.x, small_instance.y
+        s = random_init(X, Y, 1, seed=1)
+        for scale, collapsed in ((1e-13, False), (1e-15, True)):
+            state = AppGradState(s.phi, s.psi, scale * s.phi, s.psi)  # ||phi_tilde||_S = scale
+            if collapsed:
+                with pytest.raises(DegenerateIterateError, match="1e-14 induced norm"):
+                    appgrad_step_rank1(state, StepSizes(0.0, 0.0), X, Y)
+            else:
+                appgrad_step_rank1(state, StepSizes(0.0, 0.0), X, Y)
 
     def test_negative_step_rejected(self):
         with pytest.raises(ValueError):
@@ -644,3 +655,36 @@ class TestFlopCharge:
             FlopArray.flops = 0
             state = stochastic_appgrad_step(state, eta, X[start:start + 50], Y[start:start + 50])
             assert FlopArray.flops == product_flops(50, p1, p2, 3)
+
+    def test_hand_built_state_pays_a_fourth_product_once(self, small_instance, monkeypatch):
+        X, Y = small_instance.x, small_instance.y
+        p1, p2 = X.shape[1], Y.shape[1]
+        eta = default_step(X, Y)
+        init = random_init(X, Y, 3, seed=0)
+        state = AppGradState(init.phi, init.psi, init.phi_tilde, init.psi_tilde)
+        monkeypatch.setattr(appgrad, "as_matrix", lambda A: as_matrix(A).view(FlopArray))
+        for products in (4, 3, 3):
+            FlopArray.flops = 0
+            whitened = state.whiteners is not None
+            state = stochastic_appgrad_step(state, eta, X[:50], Y[:50])
+            assert FlopArray.flops == products * 2 * 50 * (p1 + p2) * 3
+            assert FlopArray.flops == product_flops(50, p1, p2, 3, whitened=whitened)
+
+    def test_run_stochastic_charges_the_products_it_issues(self, small_instance, monkeypatch):
+        X, Y = small_instance.x, small_instance.y
+        p1, p2 = X.shape[1], Y.shape[1]
+        step = stochastic.stochastic_appgrad_step
+
+        def counted_step(*args):
+            with monkeypatch.context() as m:
+                m.setattr(appgrad, "as_matrix", lambda A: as_matrix(A).view(FlopArray))
+                return step(*args)
+
+        monkeypatch.setattr(stochastic, "stochastic_appgrad_step", counted_step)
+        FlopArray.flops = 0
+        _, report = run_stochastic(X, Y, 3, MinibatchPlan(m=60, seed=0),
+                                   StepSchedule("constant", eta0=default_step(X, Y).eta1),
+                                   max_iters=95, seed=0, record_every=10)
+        t = report.records[-1].t
+        assert t == 95 and FlopArray.flops > 0
+        assert report.records[-1].flops == FlopArray.flops + t * step_flops(60, p1, p2, 3, 0, 0)

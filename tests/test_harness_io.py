@@ -270,10 +270,15 @@ class TestRunExperiment:
 
     def test_rank_beyond_the_view_widths_rejected(self, small_instance):
         # the narrower view has 12 columns; no solver may silently return fewer
-        for name in ("spectral", "kernel-appgrad"):
-            with pytest.raises(ValueError, match="k=13"):
-                run_experiment(SolverConfig(solver=name, k=13),
-                               x=small_instance.x, y=small_instance.y)
+        X, Y = small_instance.x, small_instance.y
+        with pytest.raises(ValueError, match="k=13"):
+            run_experiment(SolverConfig(solver="spectral", k=13), x=X, y=Y)
+        # kernel-appgrad solves on the n-by-n Grams, so its bound is n = 400
+        result = run_experiment(SolverConfig(solver="kernel-appgrad", k=13, max_iters=50),
+                                x=X, y=Y)
+        assert result.model.k == 13
+        with pytest.raises(ValueError, match="k=401"):
+            run_experiment(SolverConfig(solver="kernel-appgrad", k=401), x=X, y=Y)
 
     def test_oracle_is_the_spectral_solution(self, small_instance):
         X, Y = small_instance.x, small_instance.y

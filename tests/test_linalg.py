@@ -9,6 +9,7 @@ from ccakit.linalg import (
     DataMatrix,
     cross_covariance,
     gram,
+    gram_diagonal,
     induced_norm,
     randomized_svd,
     sym_inv_sqrt,
@@ -61,6 +62,26 @@ class TestGram:
         X = rng.standard_normal((rng.integers(1, 12), rng.integers(1, 6)))
         w = eigh(gram(X, 0.0), eigvals_only=True)
         assert w[0] >= -1e-10
+
+
+class TestGramDiagonal:
+    def test_matches_the_gram_diagonal(self):
+        rng = np.random.default_rng(3)
+        X = rng.standard_normal((300, 8)) * np.logspace(-3, 3, 8)
+        X[rng.random(X.shape) < 0.6] = 0.0
+        for A in (X, sp.csr_matrix(X)):
+            for lam in (0.0, 0.1):
+                want = np.diag(gram(A, lam))
+                assert np.all(np.abs(gram_diagonal(A, lam) - want) <= 1e-12 * want)
+
+    def test_rejects_bad_input(self):
+        X = np.ones((3, 2))
+        with pytest.raises(ValueError):
+            gram_diagonal(X, -1e-3)
+        X[1, 1] = np.inf
+        for A in (X, sp.csr_matrix(X)):
+            with pytest.raises(ValueError, match="finite"):
+                gram_diagonal(A)
 
 
 class TestCrossCovariance:
@@ -142,6 +163,11 @@ class TestSymInvSqrt:
         M = np.array([[1.0, 0.5], [0.0, 1.0]])
         with pytest.raises(ValueError, match="symmetric"):
             sym_inv_sqrt(M)
+
+    def test_rejects_non_finite(self):
+        for bad in (np.nan, np.inf):
+            with pytest.raises(ValueError, match="finite"):
+                sym_inv_sqrt(np.array([[1.0, bad], [bad, 1.0]]))
 
     def test_symmetric_and_commutes(self):
         rng = np.random.default_rng(7)

@@ -1,6 +1,7 @@
 """Tests for minibatch sampling, step schedules, the sampled update, and the
 stochastic runner."""
 
+from dataclasses import replace
 from functools import partial
 from itertools import combinations
 
@@ -366,6 +367,61 @@ class TestEvaluation:
         # record, 2 rotating the final model
         assert SizedCSR.sizes.count(300) == 2 + 2 + 2 * 4 + 2
         assert all(np.isfinite(r.pcc_train) for r in report.records)
+
+
+class TestCarriedWhiteners:
+    """A minibatch step projects the carried iterate as (X_I phi_tilde) R."""
+
+    def test_carried_run_matches_one_that_recomputes_the_projections(self, small_instance,
+                                                                     monkeypatch):
+        X, Y = small_instance.x, small_instance.y
+        p1, p2 = X.shape[1], Y.shape[1]
+        sched = StepSchedule("constant", eta0=default_step(X, Y).eta1)
+
+        def run():
+            return run_stochastic(X, Y, 3, MinibatchPlan(m=50, seed=0), sched, max_iters=200,
+                                  seed=0, oracle=small_instance.empirical, record_every=10)[1]
+
+        carried = run()
+        step = stochastic.stochastic_appgrad_step
+        monkeypatch.setattr(stochastic, "stochastic_appgrad_step", lambda *a: replace(step(*a)))
+        recomputed = run()
+        for name in ("phi", "psi", "phi_tilde", "psi_tilde"):
+            a, b = getattr(carried.final_state, name), getattr(recomputed.final_state, name)
+            assert np.linalg.norm(a - b) <= 1e-12 * np.linalg.norm(b)
+        for a, b in zip(carried.records, recomputed.records, strict=True):
+            assert abs(a.pcc_train - b.pcc_train) <= 1e-12
+        # every step after the first starts from a state without whiteners: 4 products per view
+        extra = recomputed.records[-1].flops - carried.records[-1].flops
+        assert extra == 199 * 2 * 50 * (p1 + p2) * 3
+
+    def test_csr_run_matches_the_dense_run_and_stays_sparse(self, small_instance):
+        X, Y = small_instance.x, small_instance.y
+        sched = StepSchedule("constant", eta0=default_step(X, Y).eta1)
+
+        def run(X, Y):
+            return run_stochastic(X, Y, 3, MinibatchPlan(m=50, seed=0), sched, max_iters=100,
+                                  seed=0, oracle=small_instance.empirical, record_every=10)[1]
+
+        dense = run(X, Y)
+        sparse = run(SizedCSR(sp.csr_matrix(X)), SizedCSR(sp.csr_matrix(Y)))
+        for name in ("phi", "psi"):
+            a, b = getattr(sparse.final_state, name), getattr(dense.final_state, name)
+            assert np.linalg.norm(a - b) <= 1e-10 * np.linalg.norm(b)
+        for a, b in zip(sparse.records, dense.records, strict=True):
+            assert abs(a.pcc_train - b.pcc_train) <= 1e-10
+
+    def test_singular_dense_view_is_projected(self, small_instance):
+        # a duplicated column leaves X'X/n singular at lam = 0, as the oracle's rule finds it
+        X = np.hstack((small_instance.x, small_instance.x[:, :1]))
+        Y = small_instance.y
+        sched = StepSchedule("constant", eta0=default_step(X, Y).eta1)
+        for t in (10, 40):
+            _, report = run_stochastic(X, Y, 3, MinibatchPlan(m=50, seed=0), sched,
+                                       max_iters=t, seed=0, record_every=10)
+            state = report.final_state
+            assert report.records[-1].t == t
+            assert report.records[-1].tcc_train == tcc(X, Y, state.phi, state.psi)
 
 
 class TestCrossValidation:
