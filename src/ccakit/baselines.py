@@ -11,36 +11,36 @@ from .linalg import as_matrix, cross_covariance, gram_diagonal, randomized_svd
 from .reference import CcaModel, fix_signs, spectral_cca
 
 
+def _top_pairs(S, k, oversample, power_iters, seed):
+    """(Phi, Psi, lam): the rank-k truncated SVD of the cross-moment S, signs fixed."""
+    p1, p2 = S.shape
+    if k < 1 or k > min(p1, p2):
+        raise ValueError(f"rank k={k} out of range")
+    U, s, V = randomized_svd(S, k, oversample=oversample, power_iters=power_iters, seed=seed)
+    return *fix_signs(U, V), s.copy()
+
+
 def nw_cca(X, Y, k, oversample=10, power_iters=2, seed=0):
     """No whitening: truncated SVD of the raw cross-covariance X'Y/n.
 
     Returned directions are not S-orthonormal (``whitened`` is False)."""
-    X, Y = as_matrix(X), as_matrix(Y)
-    p1, p2 = X.shape[1], Y.shape[1]
-    if k < 1 or k > min(p1, p2):
-        raise ValueError(f"rank k={k} out of range")
     Sxy = cross_covariance(X, Y)
-    U, s, V = randomized_svd(Sxy, k, oversample=oversample, power_iters=power_iters, seed=seed)
-    Phi, Psi = fix_signs(U, V)
-    return CcaModel(Phi, Psi, s.copy(), whitened=False)
+    return CcaModel(*_top_pairs(Sxy, k, oversample, power_iters, seed), whitened=False)
 
 
 def dw_cca(X, Y, k, lam=0.0, oversample=10, power_iters=2, seed=0):
-    """Diagonal whitening: scale each column by its inverse root variance,
-    run nw_cca on the scaled pair, and map the directions back."""
+    """Diagonal whitening: truncated SVD of diag(sx) X'Y/n diag(sy), sx and sy the
+    inverse root column variances, with the directions mapped back by the same scales."""
     X, Y = as_matrix(X), as_matrix(Y)
     dx, dy = gram_diagonal(X, lam), gram_diagonal(Y, lam)
     if dx.min() <= 0 or dy.min() <= 0:
         raise ValueError("zero-variance column; set lam > 0")
     sx = 1.0 / np.sqrt(dx)
     sy = 1.0 / np.sqrt(dy)
-    Xs = X.multiply(sx) if hasattr(X, "multiply") else X * sx
-    Ys = Y.multiply(sy) if hasattr(Y, "multiply") else Y * sy
-    inner = nw_cca(Xs, Ys, k, oversample=oversample, power_iters=power_iters, seed=seed)
-    Phi = inner.phi * sx[:, None]
-    Psi = inner.psi * sy[:, None]
-    Phi, Psi = fix_signs(Phi, Psi)
-    return CcaModel(Phi, Psi, inner.lam, whitened=False)
+    U, V, s = _top_pairs(sx[:, None] * cross_covariance(X, Y) * sy, k, oversample,
+                         power_iters, seed)
+    Phi, Psi = fix_signs(U * sx[:, None], V * sy[:, None])
+    return CcaModel(Phi, Psi, s, whitened=False)
 
 
 def pca_cca(X, Y, k, m, lam=0.0, oversample=10, power_iters=2, seed=0):

@@ -11,7 +11,7 @@ import numpy as np
 import scipy.io
 import scipy.sparse as sp
 
-from .linalg import DataMatrix
+from .linalg import DataMatrix, as_matrix
 
 
 def _numeric(fields):
@@ -72,9 +72,9 @@ def load_csv(path):
 
 
 def save_csv(path, X):
-    A = X.toarray() if hasattr(X, "toarray") else np.asarray(X, dtype=float)
+    A = as_matrix(X)
     with open(path, "w") as fh:
-        np.savetxt(fh, A, fmt="%.17g", delimiter=",")
+        np.savetxt(fh, A.toarray() if sp.issparse(A) else A, fmt="%.17g", delimiter=",")
 
 
 def load_matrix_market(path):
@@ -101,7 +101,7 @@ def load_dataset(path, fmt="csv"):
 
 def save_model_matrix(path, A):
     """Dense numeric text with a one-line header 'rows cols'."""
-    A = np.asarray(A, dtype=float)
+    A = as_matrix(A)
     with open(path, "w") as fh:
         np.savetxt(fh, A, fmt="%.17g", delimiter=" ",
                    header=f"{A.shape[0]} {A.shape[1]}", comments="")
@@ -110,8 +110,10 @@ def save_model_matrix(path, A):
 def load_model_matrix(path):
     """Read a ``save_model_matrix`` file by the rules of ``_load_rows``."""
     with open(path) as fh:
-        header = fh.readline().split()
-        rows, cols = int(header[0]), int(header[1])
+        try:
+            rows, cols = map(int, fh.readline().split())
+        except ValueError as exc:
+            raise ValueError(f'{path}:1: header must be "rows cols"') from exc
         A = _load_rows(path, fh, delimiter=None, start=2)
     if A.shape != (rows, cols):
         raise ValueError(f"{path}: header says {(rows, cols)}, data is {A.shape}")

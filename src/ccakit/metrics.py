@@ -33,7 +33,9 @@ from .linalg import as_matrix, cross_covariance, gram, singular_floor, sym_inv_s
 def step_flops(m, p1, p2, k, nnz1=None, nnz2=None, cached=False, batch=False, whitened=True):
     """FLOPs of one solver iteration over an m-row batch (see module docstring); ``batch``:
     over all rows; ``cached``: the state carries what its last step left on these rows;
-    ``whitened``: a minibatch step's state carries its whiteners."""
+    ``whitened``: a minibatch step's state carries its whiteners. Only batch steps cache."""
+    if cached and not batch:
+        raise ValueError("cached applies to batch steps only")
     c1 = 2 * nnz1 * k if nnz1 is not None else 2 * m * p1 * k
     c2 = 2 * nnz2 * k if nnz2 is not None else 2 * m * p2 * k
     dense = nnz1 is None and nnz2 is None

@@ -93,29 +93,32 @@ def _mixing(p, cond, rng, rotate, canonical_scale="low", latent_rotate=False):
 
 
 def generate_planted(params, seed=0):
-    """Build a PlantedInstance; reproducible from (params, seed)."""
+    """Build a PlantedInstance; reproducible from (params, seed).
+
+    Working memory beyond the returned views is two latent-sized n-by-(p1+p2)
+    buffers: the Gaussian draw and its Fortran copy, which becomes Q in place."""
     params.validate()
     rng = np.random.default_rng(seed)
     n, p1, p2, k = params.n, params.p1, params.p2, params.k
     rho = np.asarray(params.correlations, dtype=float)
 
-    Q = qr(rng.standard_normal((n, p1 + p2)), mode="economic")[0] * np.sqrt(n)
-    Zx = Q[:, :p1]                     # x latents: k canonical + fillers
-    shared = Q[:, :k]
-    fresh = Q[:, p1 : p1 + k]
-    Zy = np.empty((n, p2))
-    Zy[:, :k] = shared * rho + fresh * np.sqrt(1.0 - rho**2)
-    Zy[:, k:] = Q[:, p1 + k :]
+    # One latent buffer: the C-ordered draw is freed once its Fortran copy exists, which
+    # LAPACK factors in place; the y latents Q[:, p1:] get their canonical columns in place.
+    Q = qr(np.asfortranarray(rng.standard_normal((n, p1 + p2))), mode="economic",
+           overwrite_a=True)[0]
+    Q *= np.sqrt(n)
+    Q[:, p1 : p1 + k] = Q[:, :k] * rho + Q[:, p1 : p1 + k] * np.sqrt(1.0 - rho**2)
 
     Cx = _mixing(p1, params.cond_x, rng, params.rotate, params.canonical_scale,
                  params.latent_rotate)
     Cy = _mixing(p2, params.cond_y, rng, params.rotate, params.canonical_scale,
                  params.latent_rotate)
-    X = Zx @ Cx.T
-    Y = Zy @ Cy.T
+    X = Q[:, :p1] @ Cx.T               # x latents: k canonical + fillers
+    Y = Q[:, p1:] @ Cy.T
+    del Q
     if params.noise > 0:
-        X = X + params.noise * rng.standard_normal((n, p1))
-        Y = Y + params.noise * rng.standard_normal((n, p2))
+        X += params.noise * rng.standard_normal((n, p1))
+        Y += params.noise * rng.standard_normal((n, p2))
 
     Phi = np.linalg.solve(Cx, np.eye(p1)).T[:, :k]
     Psi = np.linalg.solve(Cy, np.eye(p2)).T[:, :k]

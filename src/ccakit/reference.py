@@ -91,7 +91,8 @@ def qr_cca(X, Y, k, lam=0.0):
 
     Dense inputs only (QR cannot exploit sparsity). Regularization is applied
     by augmenting each view with sqrt(n*lam) * I rows, which reproduces the
-    lam-regularized Gram matrices exactly.
+    lam-regularized Gram matrices exactly. At lam = 0 the working memory is one
+    copy per view, which LAPACK overwrites with that view's Q in place.
     """
     X, Y = as_matrix(X), as_matrix(Y)
     if sp.issparse(X) or sp.issparse(Y):
@@ -107,8 +108,9 @@ def qr_cca(X, Y, k, lam=0.0):
         # cross-covariance untouched (zero blocks keep the row spaces aligned)
         X = np.vstack([X, np.sqrt(n * lam) * np.eye(p1), np.zeros((p2, p1))])
         Y = np.vstack([Y, np.zeros((p1, p2)), np.sqrt(n * lam) * np.eye(p2)])
-    Qx, Rx_ = qr(X, mode="economic")
-    Qy, Ry_ = qr(Y, mode="economic")
+    # np.array always copies, so a caller's Fortran-ordered view is never overwritten
+    Qx, Rx_ = qr(np.array(X, order="F"), mode="economic", overwrite_a=True)
+    Qy, Ry_ = qr(np.array(Y, order="F"), mode="economic", overwrite_a=True)
     for R, side in ((Rx_, "x"), (Ry_, "y")):
         d = np.abs(np.diag(R))
         if d.min() < 1e-12 * max(d.max(), 1.0):

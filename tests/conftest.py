@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -22,3 +24,16 @@ def random_orthogonal(k, rng):
     from scipy.linalg import qr
 
     return qr(rng.standard_normal((k, k)))[0]
+
+
+def peak_bytes(fn):
+    """(fn(), the peak bytes traced during the call above what was held before it)."""
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before, _ = tracemalloc.get_traced_memory()
+        out = fn()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return out, peak - before

@@ -9,6 +9,7 @@ from ccakit.baselines import dw_cca, nw_cca, pca_cca
 from ccakit.metrics import pcc, principal_angles, tcc
 from ccakit.planted import PlantedParams, generate_planted
 from ccakit.reference import spectral_cca
+from conftest import peak_bytes
 
 
 class TestNwCca:
@@ -81,6 +82,11 @@ class TestDwCca:
         # regularized diagonals make it well defined again
         est = dw_cca(X, Y, 2, lam=0.1)
         assert np.all(np.isfinite(est.phi))
+
+    def test_peak_memory_makes_no_scaled_copy(self):
+        X, Y = np.random.default_rng(4).standard_normal((2, 4000, 20))
+        _, peak = peak_bytes(lambda: dw_cca(X, Y, 2))
+        assert peak <= 0.5 * X.nbytes, f"peak {peak / X.nbytes:.2f}x one view"
 
 
 class TestPcaCca:

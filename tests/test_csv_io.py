@@ -1,13 +1,14 @@
 """CSV and model-file I/O: the accepted dialect, line-numbered errors,
 bit-exact round trips, byte-exact writes and the loader's peak memory."""
 
-import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
 from ccakit import io
+from ccakit.linalg import DataMatrix
+from conftest import peak_bytes
 
 
 def load(path):
@@ -133,6 +134,16 @@ class TestExactWrites:
         assert path.read_text() == golden
         assert io.load_model_matrix(path).view(np.uint64).tolist() == A.view(np.uint64).tolist()
 
+    def test_writers_accept_a_data_matrix(self, tmp_path):
+        A = np.random.default_rng(9).standard_normal((30, 4))
+        A[0, :2] = (-0.0, 5e-324)
+        io.save_csv(tmp_path / "a.csv", A)
+        io.save_csv(tmp_path / "b.csv", io.load_csv(tmp_path / "a.csv"))
+        back = load(tmp_path / "b.csv")
+        assert back.view(np.uint64).tolist() == A.view(np.uint64).tolist()
+        io.save_model_matrix(tmp_path / "phi.txt", DataMatrix(A))
+        assert np.array_equal(io.load_model_matrix(tmp_path / "phi.txt"), A)
+
 
 class TestModelFiles:
     """load_model_matrix follows load_csv's rules, with whitespace-separated fields."""
@@ -161,6 +172,11 @@ class TestModelFiles:
         with pytest.raises(ValueError, match=r"phi\.txt:4: row has 3 fields, expected 2"):
             self.load(tmp_path, "3 2\n1 2\n\n3 4 5\n6 7\n")
 
+    @pytest.mark.parametrize("text", ["", "3\n1 2 3\n"])
+    def test_malformed_header_names_line_one(self, tmp_path, text):
+        with pytest.raises(ValueError, match=r'phi\.txt:1: header must be "rows cols"'):
+            self.load(tmp_path, text)
+
     def test_extreme_values_round_trip_bit_for_bit(self, tmp_path):
         A = np.array([[-0.0, 5e-324], [1.7976931348623157e308, -2.2250738585072014e-308],
                       [0.1 + 0.2, -1.7976931348623157e308]])
@@ -174,12 +190,6 @@ def test_load_peak_memory_is_at_most_twice_the_array(tmp_path):
     A = np.random.default_rng(8).standard_normal((2000, 50))
     path = tmp_path / "x.csv"
     io.save_csv(path, A)
-    tracemalloc.start()
-    try:
-        tracemalloc.reset_peak()
-        back = io.load_csv(path).values
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    back, peak = peak_bytes(lambda: io.load_csv(path).values)
     assert np.array_equal(back, A)
     assert peak <= 2 * back.nbytes, f"peak {peak / back.nbytes:.2f}x the array"

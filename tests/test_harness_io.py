@@ -6,6 +6,7 @@ from dataclasses import fields
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from scipy.linalg import qr
 
 from ccakit import io
 from ccakit.cli import _CONFIG_TYPES, main
@@ -18,11 +19,53 @@ from ccakit.harness import (
 )
 from ccakit.kernels import KernelSpec
 from ccakit.metrics import RunReport, tcc
-from ccakit.planted import PlantedParams, generate_planted
+from ccakit.planted import PlantedParams, _mixing, generate_planted
 from ccakit.reference import spectral_cca
+from conftest import peak_bytes
+
+
+def planted_views(params, seed):
+    """The planted construction with plain copies: x, y and the two mixings."""
+    rng = np.random.default_rng(seed)
+    n, p1, p2, k = params.n, params.p1, params.p2, params.k
+    rho = np.asarray(params.correlations, dtype=float)
+    Q = qr(rng.standard_normal((n, p1 + p2)), mode="economic")[0] * np.sqrt(n)
+    Zy = np.empty((n, p2))
+    Zy[:, :k] = Q[:, :k] * rho + Q[:, p1 : p1 + k] * np.sqrt(1.0 - rho**2)
+    Zy[:, k:] = Q[:, p1 + k :]
+    Cx, Cy = (_mixing(p, cond, rng, params.rotate, params.canonical_scale, params.latent_rotate)
+              for p, cond in ((p1, params.cond_x), (p2, params.cond_y)))
+    X, Y = Q[:, :p1] @ Cx.T, Zy @ Cy.T
+    if params.noise > 0:
+        X = X + params.noise * rng.standard_normal((n, p1))
+        Y = Y + params.noise * rng.standard_normal((n, p2))
+    return X, Y, Cx, Cy
 
 
 class TestPlanted:
+    @pytest.mark.parametrize("extra", [
+        dict(noise=0.3, cond_x=5.0, cond_y=2.0),
+        dict(rotate=False, cond_x=4.0),
+        dict(canonical_scale="high", cond_x=4.0, noise=0.1),
+        dict(latent_rotate=True, cond_x=3.0, cond_y=3.0),
+    ])
+    def test_matches_the_plain_construction_bit_for_bit(self, extra):
+        params = PlantedParams(n=300, p1=9, p2=7, correlations=(0.9, 0.6, 0.3), **extra)
+        inst = generate_planted(params, seed=5)
+        X, Y, Cx, Cy = planted_views(params, seed=5)
+        for got, want in ((inst.x, X), (inst.y, Y), (inst.mixing_x, Cx), (inst.mixing_y, Cy)):
+            assert np.array_equal(got, want)
+        oracle = spectral_cca(X, Y, 3)
+        assert np.array_equal(inst.empirical.phi, oracle.phi)
+        assert np.array_equal(inst.empirical.lam, oracle.lam)
+
+    def test_peak_memory_is_two_latent_buffers(self):
+        params = PlantedParams(n=4000, p1=20, p2=20, correlations=(0.9, 0.5), noise=0.1)
+        inst, peak = peak_bytes(lambda: generate_planted(params, seed=1))
+        latent = 4000 * 40 * 8
+        assert inst.x.nbytes + inst.y.nbytes == latent
+        assert peak <= 2.5 * latent, f"peak {peak / latent:.2f}x one latent buffer"
+
     def test_same_seed_is_bitwise_identical(self):
         params = PlantedParams(n=100, p1=6, p2=7, correlations=(0.8, 0.4))
         a = generate_planted(params, seed=3)

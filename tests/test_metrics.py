@@ -162,9 +162,16 @@ class TestFlopModel:
         assert step_flops(100, 20, 30, 6) > base
 
     def test_cached_iteration_saves_two_products_per_view(self):
+        """Only batch steps cache: dense 6 -> 3 products per view, sparse 4 -> 2."""
         m, p1, p2, k = 100, 20, 30, 5
-        saved = step_flops(m, p1, p2, k) - step_flops(m, p1, p2, k, cached=True)
-        assert saved == 2 * (2 * m * p1 * k + 2 * m * p2 * k)
+        product = 2 * m * p1 * k + 2 * m * p2 * k
+        base = step_flops(m, p1, p2, k, 0, 0, batch=True)  # the k-by-k terms alone
+        for nnz, per_view in (((), (6, 3)), ((m * p1, m * p2), (4, 2))):
+            for cached, products in zip((False, True), per_view):
+                flops = step_flops(m, p1, p2, k, *nnz, cached=cached, batch=True)
+                assert flops - base == products * product
+        with pytest.raises(ValueError, match="batch"):
+            step_flops(m, p1, p2, k, cached=True)
 
     @given(
         m=st.integers(1, 10_000),

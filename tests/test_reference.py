@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from scipy.linalg import qr
+from scipy.linalg import qr, solve_triangular, svd
 
 from ccakit.linalg import SingularMatrixError, cross_covariance, gram, induced_norm
 from ccakit.metrics import principal_angles
 from ccakit.planted import PlantedParams, generate_planted
-from ccakit.reference import als_cca, naive_gradient_step, qr_cca, spectral_cca
+from ccakit.reference import als_cca, fix_signs, naive_gradient_step, qr_cca, spectral_cca
+from conftest import peak_bytes
 
 
 def orthogonal_views(n=30, p1=3, p2=4, seed=0):
@@ -88,6 +89,25 @@ class TestQrCca:
         X = sp.eye(5, format="csr")
         with pytest.raises(ValueError, match="dense"):
             qr_cca(X, np.eye(5), 1)
+
+    def test_matches_plain_qr_and_leaves_fortran_views_untouched(self):
+        A = np.asfortranarray(np.random.default_rng(6).standard_normal((200, 9)))
+        X, Y = A[:, :4], A[:, 4:]  # Fortran-ordered views sharing one buffer
+        before = A.copy()
+        got = qr_cca(X, Y, 3)
+        assert np.array_equal(A, before)
+        Qx, Rx = qr(before[:, :4], mode="economic")
+        Qy, Ry = qr(before[:, 4:], mode="economic")
+        U, s, Vt = svd(Qx.T @ Qy, full_matrices=False)
+        Phi, Psi = fix_signs(np.sqrt(200) * solve_triangular(Rx, U[:, :3]),
+                             np.sqrt(200) * solve_triangular(Ry, Vt[:3].T))
+        assert np.array_equal(got.phi, Phi) and np.array_equal(got.psi, Psi)
+        assert np.array_equal(got.lam, s[:3])
+
+    def test_peak_memory_is_one_copy_per_view(self):
+        X, Y = np.random.default_rng(7).standard_normal((2, 4000, 20))
+        _, peak = peak_bytes(lambda: qr_cca(X, Y, 2))
+        assert peak <= 2.5 * X.nbytes, f"peak {peak / X.nbytes:.2f}x one view"
 
 
 class TestAlsCca:
