@@ -3,14 +3,17 @@
 The solver evolves a quadruple (Phi, Psi, PhiTilde, PsiTilde): the tilde
 matrices take plain gradient steps on the coupled least-squares objective
 || X*PhiTilde - Y*Psi ||_F^2 / 2n, and the normalized matrices are produced
-by whitening with a small k-by-k Gram matrix. No p-by-p object is formed.
+by whitening with a small k-by-k Gram matrix. A step forms no p-by-p object.
 
-The data enter only through n-by-p times p-by-k products. A dense batch step reads
+A step reads the data only through n-by-p times p-by-k products. A dense batch step reads
 X and Y once, in row blocks: with Z = [X PhiTilde, Y PsiTilde] it caches Z'Z/n,
 C_x = X'Z/n and C_y = Y'Z/n (1 narrow, 1 2k-wide product per view), whence the
 whiteners and the next gradient X'(X PhiTilde - Y Psi)/n = C_x[:, :k] - C_x[:, k:] R_y.
 A sparse step caches its n-by-k projections (2 products per view); a minibatch step issues 3,
 as X phi = (X PhiTilde) R. A cache is keyed to its X and Y objects; mutating them is unsupported.
+The iterates depend on the data only through X'X/n, Y'Y/n and X'Y/n, so ``run_appgrad`` runs on
+``moment_pair``'s (p1 + p2)-row pair, no larger than the data, when both views are dense,
+p1 + p2 <= n and forming those moments costs at most ``max_iters`` cached steps.
 """
 
 import time
@@ -21,7 +24,8 @@ import scipy.sparse as sp
 from scipy.linalg import block_diag, eigh, svd
 
 from .linalg import DegenerateIterateError, as_matrix, gram
-from .metrics import IterationRecord, RunReport, moment_tcc, projected_correlations, step_flops, tcc
+from .metrics import (IterationRecord, RunReport, moment_pair_flops, moment_tcc, moments,
+                      projected_correlations, step_flops, tcc)
 from .reference import CcaModel, fix_signs
 
 EIG_FLOOR_REL = 1e-10
@@ -299,6 +303,14 @@ def extract_model(X, Y, fit, k=None):
     return CcaModel(Phi, Psi, s[:k].copy(), converged=converged)
 
 
+def moment_pair(X, Y):
+    """[X^ Y^] = diag(sqrt(max(w, 0) (p1+p2))) V' from V diag(w) V', the joint moment of (X, Y)."""
+    Sx, Sy, Sxy = moments(X, Y)
+    w, V = np.linalg.eigh(np.block([[Sx, Sxy], [Sxy.T, Sy]]))
+    C = np.sqrt(np.maximum(w, 0.0) * w.size)[:, None] * V.T
+    return C[:, :Sx.shape[0]], C[:, Sx.shape[0]:]
+
+
 def run_appgrad(
     X,
     Y,
@@ -313,8 +325,8 @@ def run_appgrad(
     record_every=1,
     step_fn=appgrad_step,
 ):
-    """Iterate rank-k updates until the Procrustes-aligned movement of both
-    normalized iterates falls below ``tol`` or ``max_iters`` is exhausted.
+    """Iterate rank-k updates (on ``moment_pair(X, Y)`` by the module docstring's rule) until the
+    Procrustes-aligned movement of both normalized iterates is below ``tol``, or ``max_iters``.
 
     Returns (CcaModel, RunReport). The report records in-sample total
     correlation and, when an oracle model is given, its captured-correlation
@@ -325,6 +337,11 @@ def run_appgrad(
     p2 = Y.shape[1]
     if k < 1 or k > min(p1, p2):
         raise ValueError(f"rank k={k} out of range")
+    flops, step = moment_pair_flops(n, p1, p2), step_flops(n, p1, p2, k, cached=True, batch=True)
+    if sp.issparse(X) or sp.issparse(Y) or p1 + p2 > n or flops > max_iters * step:
+        flops = 0
+    else:  # the first record is charged the pair
+        (X, Y), n = moment_pair(X, Y), p1 + p2
     if eta is None:
         eta = default_step(X, Y, lam, seed=seed)
     if isinstance(eta, (int, float)):
@@ -344,7 +361,6 @@ def run_appgrad(
     )
     oracle_tcc = tcc(X, Y, oracle.phi, oracle.psi) if oracle is not None else None
     nnz = [A.nnz if sp.issparse(A) else None for A in (X, Y)]
-    flops = 0
     t0 = time.perf_counter()
     converged = False
     for it in range(max_iters):

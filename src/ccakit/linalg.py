@@ -86,12 +86,14 @@ def gram(X, lam=0.0):
 
 
 def gram_diagonal(X, lam=0.0):
-    """The diagonal of ``gram(X, lam)``, the column second moments, in O(nnz) without the Gram."""
+    """diag(gram(X, lam)) in O(nnz); X is scanned for non-finite entries only if the result is."""
     if lam < 0:
         raise ValueError(f"regularization must be nonnegative, got {lam}")
-    X = _check_finite(as_matrix(X))
-    sq = X.multiply(X).sum(axis=0) if sp.issparse(X) else np.einsum("ij,ij->j", X, X)
-    return np.asarray(sq).ravel() / X.shape[0] + lam
+    X = as_matrix(X)
+    sq = np.asarray(X.multiply(X).sum(axis=0) if sp.issparse(X) else np.einsum("ij,ij->j", X, X))
+    if not np.all(np.isfinite(sq)):
+        _check_finite(X)
+    return sq.ravel() / X.shape[0] + lam
 
 
 def cross_covariance(X, Y):

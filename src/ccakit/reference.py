@@ -91,7 +91,7 @@ def qr_cca(X, Y, k, lam=0.0):
 
     Dense inputs only (QR cannot exploit sparsity). Regularization is applied
     by augmenting each view with sqrt(n*lam) * I rows, which reproduces the
-    lam-regularized Gram matrices exactly. At lam = 0 the working memory is one
+    lam-regularized Gram matrices exactly. The working memory is one (augmented)
     copy per view, which LAPACK overwrites with that view's Q in place.
     """
     X, Y = as_matrix(X), as_matrix(Y)
@@ -103,14 +103,15 @@ def qr_cca(X, Y, k, lam=0.0):
     p2 = Y.shape[1]
     if k < 1 or k > min(p1, p2):
         raise ValueError(f"rank k={k} out of range for views of widths {p1}, {p2}")
-    if lam > 0:
-        # augmented rows reproduce the lam-regularized Grams while keeping the
-        # cross-covariance untouched (zero blocks keep the row spaces aligned)
-        X = np.vstack([X, np.sqrt(n * lam) * np.eye(p1), np.zeros((p2, p1))])
-        Y = np.vstack([Y, np.zeros((p1, p2)), np.sqrt(n * lam) * np.eye(p2)])
-    # np.array always copies, so a caller's Fortran-ordered view is never overwritten
-    Qx, Rx_ = qr(np.array(X, order="F"), mode="economic", overwrite_a=True)
-    Qy, Ry_ = qr(np.array(Y, order="F"), mode="economic", overwrite_a=True)
+    factors = []
+    for A, top in ((X, 0), (Y, p1)):
+        # a private Fortran copy; lam > 0 adds sqrt(n*lam)*I rows, zero blocks keep X'Y untouched
+        B = np.zeros((n + (p1 + p2 if lam > 0 else 0), A.shape[1]), order="F")
+        B[:n] = A
+        if lam > 0:
+            np.fill_diagonal(B[n + top:], np.sqrt(n * lam))
+        factors.append(qr(B, mode="economic", overwrite_a=True))
+    (Qx, Rx_), (Qy, Ry_) = factors
     for R, side in ((Rx_, "x"), (Ry_, "y")):
         d = np.abs(np.diag(R))
         if d.min() < 1e-12 * max(d.max(), 1.0):

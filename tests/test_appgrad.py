@@ -10,7 +10,7 @@ import pytest
 import scipy.sparse as sp
 from scipy.linalg import eigh
 
-from ccakit import appgrad, stochastic
+from ccakit import appgrad, linalg, stochastic
 from ccakit.appgrad import (
     AppGradState,
     StepSizes,
@@ -19,6 +19,7 @@ from ccakit.appgrad import (
     default_step,
     error_metric,
     extract_model,
+    moment_pair,
     normalize_columns,
     procrustes_distance,
     random_init,
@@ -27,7 +28,7 @@ from ccakit.appgrad import (
 )
 from ccakit.linalg import DegenerateIterateError, as_matrix, gram, induced_norm
 from ccakit.planted import PlantedParams, generate_planted
-from ccakit.metrics import step_flops, tcc
+from ccakit.metrics import moment_pair_flops, moments, step_flops, tcc
 from ccakit.reference import spectral_cca
 from ccakit.stochastic import MinibatchPlan, StepSchedule, run_stochastic, stochastic_appgrad_step
 
@@ -572,14 +573,19 @@ class TestOverflow:
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("eta", [10.0, 1e8, 1e200])
-    @pytest.mark.parametrize("case", ["blocked", "single-block", "sparse", "minibatch"])
+    @pytest.mark.parametrize("case", ["blocked", "single-block", "sparse", "minibatch",
+                                      "blocked-steps"])
     def test_diverging_run_raises_overflow(self, small_instance, blocked_instance, case, eta):
-        inst = blocked_instance if case == "blocked" else small_instance
+        inst = blocked_instance if case.startswith("blocked") else small_instance
         X, Y = inst.x, inst.y
         if case == "sparse":
             X, Y = sp.csr_matrix(X), sp.csr_matrix(Y)
         with pytest.raises(DegenerateIterateError, match="iterate overflowed"):
-            if case == "minibatch":
+            if case == "blocked-steps":  # run_appgrad would run on the views' moment pair
+                state, eta = random_init(X, Y, 3, seed=0), StepSizes.constant(eta)
+                for _ in range(2000):
+                    state = appgrad_step(state, eta, X, Y)
+            elif case == "minibatch":
                 run_stochastic(X, Y, 3, MinibatchPlan(m=50, seed=0),
                                StepSchedule("constant", eta0=eta), max_iters=2000, seed=0)
             else:
@@ -593,7 +599,7 @@ class FlopArray(np.ndarray):
 
     def __matmul__(self, other):
         FlopArray.flops += 2 * self.size * other.shape[1]
-        return np.asarray(self) @ other
+        return np.asarray(self) @ np.asarray(other)  # a FlopArray on the right is not charged twice
 
     def __rmatmul__(self, other):
         FlopArray.flops += 2 * self.size * other.shape[0]
@@ -688,3 +694,99 @@ class TestFlopCharge:
         t = report.records[-1].t
         assert t == 95 and FlopArray.flops > 0
         assert report.records[-1].flops == FlopArray.flops + t * step_flops(60, p1, p2, 3, 0, 0)
+
+
+def agreeing_runs(X, Y, k, oracle, **kw):
+    """``run_appgrad`` on dense (X, Y) and on their CSR copies, from one step size."""
+    eta = default_step(X, Y, kw.get("lam", 0.0))
+    return [run_appgrad(A, B, k, eta=eta, seed=3, tol=0.0, max_iters=150, record_every=5,
+                        oracle=oracle, **kw)
+            for A, B in ((X, Y), (sp.csr_matrix(X), sp.csr_matrix(Y)))]
+
+
+def first_flops(X, Y, k, **kw):
+    return run_appgrad(X, Y, k, seed=0, tol=0.0, **kw)[1].records[0].flops
+
+
+RANK5 = (0.9, 0.8, 0.7, 0.6, 0.5)
+ACCEPTANCE_VIEWS = {  # the instances of acceptance 05 and 07
+    "acceptance-05": PlantedParams(n=2000, p1=50, p2=50, correlations=RANK5),
+    "acceptance-07": PlantedParams(n=2000, p1=25, p2=25, correlations=RANK5, cond_x=31.6,
+                                   cond_y=31.6, latent_rotate=True),
+}
+
+
+class TestMomentPair:
+    """Narrow dense views run on a (p1 + p2)-row pair with their moments."""
+
+    def test_pair_has_the_moments(self, small_instance):
+        X, Y = small_instance.x, small_instance.y
+        pair = moment_pair(X, Y)
+        assert pair[0].shape == (27, 12) and pair[1].shape == (27, 15)
+        for got, want in zip(moments(*pair), moments(X, Y)):
+            assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+    @pytest.mark.parametrize("case", [*ACCEPTANCE_VIEWS, "duplicate-lam0", "duplicate-lam0.1",
+                                      "rank1"])
+    def test_agrees_with_the_uncompressed_run(self, small_instance, rank1_instance, case):
+        kw, k = {}, 3
+        if case in ACCEPTANCE_VIEWS:
+            inst, k = generate_planted(ACCEPTANCE_VIEWS[case], seed=0), 5
+            X, Y, oracle = inst.x, inst.y, inst.empirical
+        elif case == "rank1":
+            X, Y, oracle, k = rank1_instance.x, rank1_instance.y, rank1_instance.empirical, 1
+            kw["step_fn"] = appgrad_step_rank1
+        else:
+            X, Y = np.hstack((small_instance.x, small_instance.x[:, :1])), small_instance.y
+            oracle, kw["lam"] = spectral_cca(X, Y, 3, lam=0.1), float(case[len("duplicate-lam"):])
+        (n, p1), p2 = X.shape, Y.shape[1]
+        (m_d, r_d), (m_s, r_s) = agreeing_runs(X, Y, k, oracle, **kw)
+        # the dense run paid for the pair and took its first step on p1 + p2 rows; CSR did not
+        assert r_d.records[0].flops == (moment_pair_flops(n, p1, p2)
+                                       + step_flops(p1 + p2, p1, p2, k, batch=True))
+        assert r_s.records[0].flops == step_flops(n, p1, p2, k, sp.csr_matrix(X).nnz,
+                                                  sp.csr_matrix(Y).nnz, batch=True)
+        for a, b in ((m_d.phi, m_s.phi), (m_d.psi, m_s.psi), (m_d.lam, m_s.lam)):
+            assert np.abs(a - b).max() <= 1e-10 * np.abs(b).max()
+        assert [r.t for r in r_d.records] == [r.t for r in r_s.records]
+        for a, b in zip(r_d.records, r_s.records):
+            assert a.pcc_train == pytest.approx(b.pcc_train, rel=1e-10)
+
+    def test_rule_boundaries(self, small_instance):
+        X, Y, k = small_instance.x, small_instance.y, 3
+        (n, p1), p2 = X.shape, Y.shape[1]
+        cached = step_flops(n, p1, p2, k, cached=True, batch=True)
+        pays = -(-moment_pair_flops(n, p1, p2) // cached)  # fewest max_iters the pair pays for
+        assert first_flops(X, Y, k, max_iters=pays - 1) == step_flops(n, p1, p2, k, batch=True)
+        assert first_flops(X, Y, k, max_iters=pays) == (moment_pair_flops(n, p1, p2)
+                                                        + step_flops(p1 + p2, p1, p2, k, batch=True))
+        # 25 rows, 27 columns: the pair would be larger than the data, however long the run
+        assert moment_pair_flops(25, p1, p2) <= 200 * step_flops(25, p1, p2, k, cached=True,
+                                                                  batch=True)
+        assert first_flops(X[:25], Y[:25], k, max_iters=200) == step_flops(25, p1, p2, k,
+                                                                           batch=True)
+
+    @pytest.mark.parametrize("eta", [None, 0.1])
+    def test_non_finite_view_raises(self, small_instance, eta):
+        X = small_instance.x.copy()
+        X[3, 2] = np.nan
+        with pytest.raises(ValueError, match="non-finite entries"):
+            run_appgrad(X, small_instance.y, 3, eta=eta, seed=0)
+
+    def test_iterations_do_not_read_the_rows(self, blocked_instance, monkeypatch):
+        X, Y = blocked_instance.x.view(FlopArray), blocked_instance.y.view(FlopArray)
+        (n, p1), p2 = X.shape, Y.shape[1]
+        for module in (appgrad, linalg):  # count every product taken with the original views
+            monkeypatch.setattr(module, "as_matrix",
+                                lambda A: A if isinstance(A, FlopArray) else as_matrix(A))
+        counted = []
+        for max_iters in (50, 200):
+            FlopArray.flops = 0
+            _, report = run_appgrad(X, Y, 3, seed=0, tol=0.0, max_iters=max_iters)
+            assert report.final_state.t == max_iters
+            counted.append(FlopArray.flops)
+            assert report.records[0].flops == (moment_pair_flops(n, p1, p2)
+                                               + step_flops(p1 + p2, p1, p2, 3, batch=True))
+        # X'X, X'Y and Y'Y, once; the (p1 + p2)^3 rest of the charge is the decomposition's
+        assert counted == [2 * n * (p1 * p1 + p1 * p2 + p2 * p2)] * 2
+        assert counted[0] == moment_pair_flops(n, p1, p2) - (p1 + p2)**3

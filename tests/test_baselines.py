@@ -4,6 +4,7 @@ whitening, and principal-subspace whitening."""
 import numpy as np
 import pytest
 
+from ccakit import linalg
 from ccakit.appgrad import run_appgrad
 from ccakit.baselines import dw_cca, nw_cca, pca_cca
 from ccakit.metrics import pcc, principal_angles, tcc
@@ -87,6 +88,13 @@ class TestDwCca:
         X, Y = np.random.default_rng(4).standard_normal((2, 4000, 20))
         _, peak = peak_bytes(lambda: dw_cca(X, Y, 2))
         assert peak <= 0.5 * X.nbytes, f"peak {peak / X.nbytes:.2f}x one view"
+
+    def test_scans_each_view_once(self, monkeypatch):
+        X, Y = np.random.default_rng(5).standard_normal((2, 300, 6))
+        scanned, check = [], linalg._check_finite
+        monkeypatch.setattr(linalg, "_check_finite", lambda A: scanned.append(A) or check(A))
+        dw_cca(X, Y, 2)
+        assert len(scanned) == 2 and scanned[0] is X and scanned[1] is Y
 
 
 class TestPcaCca:

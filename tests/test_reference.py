@@ -3,6 +3,7 @@ import pytest
 import scipy.sparse as sp
 from scipy.linalg import qr, solve_triangular, svd
 
+from ccakit import reference
 from ccakit.linalg import SingularMatrixError, cross_covariance, gram, induced_norm
 from ccakit.metrics import principal_angles
 from ccakit.planted import PlantedParams, generate_planted
@@ -108,6 +109,28 @@ class TestQrCca:
         X, Y = np.random.default_rng(7).standard_normal((2, 4000, 20))
         _, peak = peak_bytes(lambda: qr_cca(X, Y, 2))
         assert peak <= 2.5 * X.nbytes, f"peak {peak / X.nbytes:.2f}x one view"
+
+    def test_regularized_peak_is_one_augmented_copy_per_view(self):
+        X, Y = np.random.default_rng(7).standard_normal((2, 4000, 20))
+        _, peak = peak_bytes(lambda: qr_cca(X, Y, 2, lam=0.1))
+        assert peak <= 2.5 * X.nbytes, f"peak {peak / X.nbytes:.2f}x one view"
+
+    def test_regularized_views_are_factored_as_stacked(self, monkeypatch):
+        rng = np.random.default_rng(8)
+        X, Y = rng.standard_normal((60, 4)), rng.standard_normal((60, 3))
+        factored = []
+
+        def spy(A, *args, **kwargs):
+            factored.append(A.copy(order="K"))
+            return qr(A, *args, **kwargs)
+
+        monkeypatch.setattr(reference, "qr", spy)
+        qr_cca(X, Y, 2, lam=0.1)
+        r = np.sqrt(60 * 0.1)
+        stacked = (np.vstack([X, r * np.eye(4), np.zeros((3, 4))]),
+                   np.vstack([Y, np.zeros((4, 3)), r * np.eye(3)]))
+        for got, want in zip(factored, stacked, strict=True):
+            assert got.flags.f_contiguous and np.array_equal(got, want)
 
 
 class TestAlsCca:
