@@ -11,9 +11,8 @@ C_x = X'Z/n and C_y = Y'Z/n (1 narrow, 1 2k-wide product per view), whence the
 whiteners and the next gradient X'(X PhiTilde - Y Psi)/n = C_x[:, :k] - C_x[:, k:] R_y.
 A sparse step caches its n-by-k projections (2 products per view); a minibatch step issues 3,
 as X phi = (X PhiTilde) R. A cache is keyed to its X and Y objects; mutating them is unsupported.
-The iterates depend on the data only through X'X/n, Y'Y/n and X'Y/n, so ``run_appgrad`` runs on
-``moment_pair``'s (p1 + p2)-row pair, no larger than the data, when both views are dense,
-p1 + p2 <= n and forming those moments costs at most ``max_iters`` cached steps.
+As iterates see the data only through X'X/n, Y'Y/n, X'Y/n, ``run_appgrad`` runs on ``moment_pair``
+when both views are dense and 4 (p1+p2) <= n, so the build's 3 (p1+p2)^2 + O(p1+p2) fit the data.
 """
 
 import time
@@ -23,8 +22,8 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.linalg import block_diag, eigh, svd
 
-from .linalg import DegenerateIterateError, as_matrix, gram
-from .metrics import (IterationRecord, RunReport, moment_pair_flops, moment_tcc, moments,
+from .linalg import DegenerateIterateError, _check_finite, as_matrix, gram
+from .metrics import (IterationRecord, RunReport, moment_pair_flops, moment_tcc,
                       projected_correlations, step_flops, tcc)
 from .reference import CcaModel, fix_signs
 
@@ -305,10 +304,13 @@ def extract_model(X, Y, fit, k=None):
 
 def moment_pair(X, Y):
     """[X^ Y^] = diag(sqrt(max(w, 0) (p1+p2))) V' from V diag(w) V', the joint moment of (X, Y)."""
-    Sx, Sy, Sxy = moments(X, Y)
-    w, V = np.linalg.eigh(np.block([[Sx, Sxy], [Sxy.T, Sy]]))
-    C = np.sqrt(np.maximum(w, 0.0) * w.size)[:, None] * V.T
-    return C[:, :Sx.shape[0]], C[:, Sx.shape[0]:]
+    (n, p1), m = X.shape, X.shape[1] + Y.shape[1]
+    S = np.zeros((m, m), order="F")  # the lower triangle of n times the joint moment
+    S[:p1, :p1], S[p1:, :p1], S[p1:, p1:] = X.T @ X, Y.T @ X, Y.T @ Y
+    _check_finite(S.diagonal())  # non-finite exactly when a view holds a non-finite entry
+    w, V = eigh(S, overwrite_a=True, driver="evd")  # V overwrites S, beside 2 m^2 + O(m) workspace
+    V *= np.sqrt(np.maximum(w, 0.0) * (m / n))
+    return V[:p1].T, V[p1:].T
 
 
 def run_appgrad(
@@ -337,11 +339,9 @@ def run_appgrad(
     p2 = Y.shape[1]
     if k < 1 or k > min(p1, p2):
         raise ValueError(f"rank k={k} out of range")
-    flops, step = moment_pair_flops(n, p1, p2), step_flops(n, p1, p2, k, cached=True, batch=True)
-    if sp.issparse(X) or sp.issparse(Y) or p1 + p2 > n or flops > max_iters * step:
-        flops = 0
-    else:  # the first record is charged the pair
-        (X, Y), n = moment_pair(X, Y), p1 + p2
+    flops = 0
+    if not (sp.issparse(X) or sp.issparse(Y) or 4 * (p1 + p2) > n):  # the first record pays
+        flops, (X, Y), n = moment_pair_flops(n, p1, p2), moment_pair(X, Y), p1 + p2
     if eta is None:
         eta = default_step(X, Y, lam, seed=seed)
     if isinstance(eta, (int, float)):

@@ -14,7 +14,7 @@ costs, in such products per view, uncached / with the state's cache:
             (X phi_tilde) R from the carried whitener R (4 products from a hand-built state)
   + 8*m*k^2 + 24*k^3       k-by-k Grams, re-projections, eigendecompositions
   + 2*(p1+p2)*k^2          applying the k-by-k whitener
-A run on a moment pair pays 2*n*(p1^2 + p1*p2 + p2^2) + (p1+p2)^3 once, then steps of m = p1+p2.
+A run on a moment pair pays 2*n*(p1^2 + p1*p2 + p2^2) + 4*(p1+p2)^3 (syevd) once, then m = p1+p2.
 
 Evaluation: a rank-k TCC on n rows costs 2*n*(p1+p2)*k projected, or O((p1+p2)^2*k)
 from the moments X'X/n, Y'Y/n, X'Y/n (n*(p1+p2)^2 once). Dense views are evaluated
@@ -46,7 +46,7 @@ def step_flops(m, p1, p2, k, nnz1=None, nnz2=None, cached=False, batch=False, wh
 
 def moment_pair_flops(n, p1, p2):
     """FLOPs of ``appgrad.moment_pair`` on n rows (see module docstring)."""
-    return 2 * n * (p1 * p1 + p1 * p2 + p2 * p2) + (p1 + p2)**3
+    return 2 * n * (p1 * p1 + p1 * p2 + p2 * p2) + 4 * (p1 + p2)**3
 
 
 def _correlations(Su, Sv, Suv, ridge_scale=1e-10):

@@ -32,7 +32,7 @@ from ccakit.metrics import moment_pair_flops, moments, step_flops, tcc
 from ccakit.reference import spectral_cca
 from ccakit.stochastic import MinibatchPlan, StepSchedule, run_stochastic, stochastic_appgrad_step
 
-from conftest import random_orthogonal
+from conftest import peak_bytes, random_orthogonal
 
 
 def rank1_state(phi, psi, lam):
@@ -412,26 +412,39 @@ class CountingArray(np.ndarray):
         return other @ np.asarray(self)
 
 
+def cached_and_uncached_runs(X, Y, oracle):
+    """Runs with and without the projection cache, checked to agree; returns the cached report."""
+    def uncached_step(state, eta, X, Y, lam):
+        return replace(appgrad_step(state, eta, X, Y, lam))
+
+    runs = [run_appgrad(X, Y, 3, seed=1, max_iters=60, tol=0.0, record_every=3,
+                        oracle=oracle, step_fn=step)
+            for step in (appgrad_step, uncached_step)]
+    (m_c, r_c), (m_u, r_u) = runs
+    assert [r.t for r in r_c.records] == [r.t for r in r_u.records]
+    for a, b in zip(r_c.records, r_u.records):
+        assert abs(a.tcc_train - b.tcc_train) < 1e-10
+        assert abs(a.pcc_train - b.pcc_train) < 1e-10
+        assert a.flops <= b.flops
+    # after the first step, the uncached run is charged its extra products
+    assert r_c.records[-1].flops < r_u.records[-1].flops
+    for A, B in ((m_c.phi, m_u.phi), (m_c.psi, m_u.psi), (m_c.lam, m_u.lam)):
+        assert np.abs(A - B).max() < 1e-10
+    return r_c
+
+
 class TestProjectionCache:
     def test_discarding_the_cache_changes_no_result(self, small_instance):
-        X, Y = small_instance.x, small_instance.y
+        cached_and_uncached_runs(small_instance.x, small_instance.y, small_instance.empirical)
 
-        def uncached_step(state, eta, X, Y, lam):
-            return replace(appgrad_step(state, eta, X, Y, lam))
-
-        runs = [run_appgrad(X, Y, 3, seed=1, max_iters=60, tol=0.0, record_every=3,
-                            oracle=small_instance.empirical, step_fn=step)
-                for step in (appgrad_step, uncached_step)]
-        (m_c, r_c), (m_u, r_u) = runs
-        assert [r.t for r in r_c.records] == [r.t for r in r_u.records]
-        for a, b in zip(r_c.records, r_u.records):
-            assert abs(a.tcc_train - b.tcc_train) < 1e-10
-            assert abs(a.pcc_train - b.pcc_train) < 1e-10
-            assert a.flops <= b.flops
-        # after the first step, the uncached run is charged its extra products
-        assert r_c.records[-1].flops < r_u.records[-1].flops
-        for A, B in ((m_c.phi, m_u.phi), (m_c.psi, m_u.psi), (m_c.lam, m_u.lam)):
-            assert np.abs(A - B).max() < 1e-10
+    def test_discarding_the_cache_changes_no_result_on_the_rows(self, small_instance):
+        # 100 rows < 4 (p1 + p2): the run reads the n rows through the cache on every step
+        X, Y = small_instance.x[:100], small_instance.y[:100]
+        report = cached_and_uncached_runs(X, Y, spectral_cca(X, Y, 3))
+        assert report.records[0].flops == step_flops(100, 12, 15, 3, batch=True)
+        assert report.records[1].flops == (report.records[0].flops
+                                           + 2 * step_flops(100, 12, 15, 3, cached=True,
+                                                            batch=True))
 
     def test_cache_is_ignored_on_other_rows(self, small_instance):
         X, Y = small_instance.x, small_instance.y
@@ -754,17 +767,27 @@ class TestMomentPair:
 
     def test_rule_boundaries(self, small_instance):
         X, Y, k = small_instance.x, small_instance.y, 3
-        (n, p1), p2 = X.shape, Y.shape[1]
-        cached = step_flops(n, p1, p2, k, cached=True, batch=True)
-        pays = -(-moment_pair_flops(n, p1, p2) // cached)  # fewest max_iters the pair pays for
-        assert first_flops(X, Y, k, max_iters=pays - 1) == step_flops(n, p1, p2, k, batch=True)
-        assert first_flops(X, Y, k, max_iters=pays) == (moment_pair_flops(n, p1, p2)
-                                                        + step_flops(p1 + p2, p1, p2, k, batch=True))
-        # 25 rows, 27 columns: the pair would be larger than the data, however long the run
-        assert moment_pair_flops(25, p1, p2) <= 200 * step_flops(25, p1, p2, k, cached=True,
-                                                                  batch=True)
-        assert first_flops(X[:25], Y[:25], k, max_iters=200) == step_flops(25, p1, p2, k,
+        p1, p2 = X.shape[1], Y.shape[1]
+
+        def pair(n):
+            return moment_pair_flops(n, p1, p2) + step_flops(p1 + p2, p1, p2, k, batch=True)
+
+        # 4 (p1 + p2) = 108 rows hold the build; 107 keep the n-row path
+        assert first_flops(X[:108], Y[:108], k, max_iters=5) == pair(108)
+        assert first_flops(X[:107], Y[:107], k, max_iters=5) == step_flops(107, p1, p2, k,
                                                                            batch=True)
+        # the rule does not weigh the run's length: a one-step run is taken on the pair
+        assert first_flops(X, Y, k, max_iters=1) == pair(400)
+
+    def test_build_fits_in_the_views(self):
+        # at the rule's boundary n = 4 (p1 + p2); the pair path held about 4 (p1+p2)^2 before
+        params = PlantedParams(n=800, p1=100, p2=100, correlations=RANK5)
+        inst = generate_planted(params, seed=2)
+        X, Y = inst.x, inst.y
+        (_, report), peak = peak_bytes(lambda: run_appgrad(X, Y, 5, seed=0, max_iters=5))
+        assert report.records[0].flops == (moment_pair_flops(800, 100, 100)
+                                           + step_flops(200, 100, 100, 5, batch=True))
+        assert peak <= X.nbytes + Y.nbytes, f"peak {peak / (X.nbytes + Y.nbytes):.2f}x the views"
 
     @pytest.mark.parametrize("eta", [None, 0.1])
     def test_non_finite_view_raises(self, small_instance, eta):
@@ -787,6 +810,6 @@ class TestMomentPair:
             counted.append(FlopArray.flops)
             assert report.records[0].flops == (moment_pair_flops(n, p1, p2)
                                                + step_flops(p1 + p2, p1, p2, 3, batch=True))
-        # X'X, X'Y and Y'Y, once; the (p1 + p2)^3 rest of the charge is the decomposition's
+        # X'X, X'Y and Y'Y, once; the 4 (p1 + p2)^3 rest of the charge is the decomposition's
         assert counted == [2 * n * (p1 * p1 + p1 * p2 + p2 * p2)] * 2
-        assert counted[0] == moment_pair_flops(n, p1, p2) - (p1 + p2)**3
+        assert counted[0] == moment_pair_flops(n, p1, p2) - 4 * (p1 + p2)**3
