@@ -5,12 +5,11 @@ matrices take plain gradient steps on the coupled least-squares objective
 || X*PhiTilde - Y*Psi ||_F^2 / 2n, and the normalized matrices are produced
 by whitening with a small k-by-k Gram matrix. A step forms no p-by-p object.
 
-A step reads the data only through n-by-p times p-by-k products. A dense batch step reads
-X and Y once, in row blocks: with Z = [X PhiTilde, Y PsiTilde] it caches Z'Z/n,
-C_x = X'Z/n and C_y = Y'Z/n (1 narrow, 1 2k-wide product per view), whence the
-whiteners and the next gradient X'(X PhiTilde - Y Psi)/n = C_x[:, :k] - C_x[:, k:] R_y.
-A sparse step caches its n-by-k projections (2 products per view); a minibatch step issues 3,
-as X phi = (X PhiTilde) R. A cache is keyed to its X and Y objects; mutating them is unsupported.
+A step reads the data only through n-by-p times p-by-k products. A batch step, on dense or
+sparse views, caches its n-by-k projections X PhiTilde, X Phi, Y PsiTilde, Y Psi, so the next
+step issues 2 products per view: the gradient (r' X)' and the new iterate's X PhiTilde, with
+X Phi = (X PhiTilde) R. A minibatch step issues 3, as it reads no cache. A cache is keyed to
+its X and Y objects; mutating them is unsupported.
 As iterates see the data only through X'X/n, Y'Y/n, X'Y/n, ``run_appgrad`` runs on ``moment_pair``
 when both views are dense and 4 (p1+p2) <= n, so the build's 3 (p1+p2)^2 + O(p1+p2) fit the data.
 """
@@ -20,17 +19,14 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg import block_diag, eigh, svd
+from scipy.linalg import eigh, svd
 
 from .linalg import DegenerateIterateError, _check_finite, as_matrix, gram
-from .metrics import (IterationRecord, RunReport, moment_pair_flops, moment_tcc,
-                      projected_correlations, step_flops, tcc)
+from .metrics import (IterationRecord, RunReport, moment_pair_flops, projected_correlations,
+                      step_flops, tcc)
 from .reference import CcaModel, fix_signs
 
 EIG_FLOOR_REL = 1e-10
-# Bytes per row block of the dense pass, both views. On batch-rank5 (p1=p2=100, k=5; 2 vCPUs,
-# 1 BLAS thread) 256-655-row blocks took 13.3-15.3 ms per iteration, 1024 rows or more 17-21 ms.
-ROW_BLOCK_BYTES = 2**20
 
 
 @dataclass
@@ -52,9 +48,8 @@ class StepSizes:
 @dataclass
 class AppGradState:
     """Solver state: normalized (phi, psi) and unnormalized (phi_tilde, psi_tilde).
-    ``cache`` is None or (X, Y, (X phi_tilde, X phi, Y psi_tilde, Y psi), None) or, from
-    the dense pass, (X, Y, None, (C_x', C_y', Z'Z/n, R_x, R_y)). ``whiteners`` is None or
-    (R_x, R_y) with phi = phi_tilde R_x, psi = psi_tilde R_y. ``replace`` drops both."""
+    ``cache`` is None or (X, Y, (X phi_tilde, X phi, Y psi_tilde, Y psi)). ``whiteners`` is
+    None or (R_x, R_y) with phi = phi_tilde R_x, psi = psi_tilde R_y. ``replace`` drops both."""
 
     phi: np.ndarray
     psi: np.ndarray
@@ -75,7 +70,7 @@ class AppGradState:
     def projections(self, X, Y, whitened=False):
         """(X phi_tilde, X phi, Y psi_tilde, Y psi), from the cache when it holds them for X and Y,
         else computed: four n-sized products, two if ``whitened`` from the carried whiteners."""
-        if self.cached_on(X, Y) and self.cache[2] is not None:
+        if self.cached_on(X, Y):
             return self.cache[2]
         Xpt, Yqt = np.asarray(X @ self.phi_tilde), np.asarray(Y @ self.psi_tilde)
         if whitened and self.whiteners is not None:
@@ -83,62 +78,28 @@ class AppGradState:
         return Xpt, np.asarray(X @ self.phi), Yqt, np.asarray(Y @ self.psi)
 
     def tcc(self, X, Y):
-        """TCC of (X phi, Y psi): k-by-k work from a dense pass made on X and Y, else projected."""
-        if self.cached_on(X, Y) and self.cache[3] is not None:
-            (*_, ZZ, Rx, Ry), k = self.cache[3], self.k
-            return moment_tcc((ZZ[:k, :k], ZZ[k:, k:], ZZ[:k, k:]), Rx, Ry)
+        """TCC of (X phi, Y psi), from the cached projections when made on X and Y."""
         return float(projected_correlations(*self.projections(X, Y)[1::2]).sum())
-
-
-def _whiteners(products, k):
-    """``products()``'s outputs, the first a Gram G (lam terms included) of k-column
-    iterates, and the whitener G_ii^(-1/2) of each diagonal k-by-k block. Raises
-    DegenerateIterateError when G overflowed or a block is rank-deficient."""
-    with np.errstate(over="ignore", invalid="ignore"):  # a diverged iterate; checked below
-        out = products()
-    if not np.all(np.isfinite(out[0])):
-        raise DegenerateIterateError(
-            "iterate overflowed (non-finite Gram); the step size is too large")
-    Rs = []
-    for i in range(0, out[0].shape[0], k):
-        w, V = np.linalg.eigh(out[0][i:i + k, i:i + k])
-        if w[-1] <= 0.0 or w[0] < max(EIG_FLOOR_REL * w[-1], 1e-300):
-            raise DegenerateIterateError(
-                f"iterate Gram is numerically rank-deficient (eigs in [{w[0]:.3e}, "
-                f"{w[-1]:.3e}]); restart from a new initialization")
-        R = (V * w**-0.5) @ V.T  # every eigenvalue passed the floor, so none is clamped
-        Rs.append(0.5 * (R + R.T))
-    return out, Rs
 
 
 def _whiten(X, W, lam):
     """(X W, X W R, R) with R = (W' S W)^(-1/2), S = X'X/n + lam I: one n-sized
-    product and one k-by-k eigendecomposition."""
-    def products():
+    product and one k-by-k eigendecomposition. Raises DegenerateIterateError when
+    the Gram W' S W overflowed or is numerically rank-deficient."""
+    with np.errstate(over="ignore", invalid="ignore"):  # a diverged iterate; checked below
         XW = np.asarray(X @ W)
-        return XW.T @ XW / X.shape[0] + (lam * (W.T @ W) if lam else 0), XW
-    (_, XW), (R,) = _whiteners(products, W.shape[1])
+        G = XW.T @ XW / X.shape[0] + (lam * (W.T @ W) if lam else 0)
+    if not np.all(np.isfinite(G)):
+        raise DegenerateIterateError(
+            "iterate overflowed (non-finite Gram); the step size is too large")
+    w, V = np.linalg.eigh(G)
+    if w[-1] <= 0.0 or w[0] < max(EIG_FLOOR_REL * w[-1], 1e-300):
+        raise DegenerateIterateError(
+            f"iterate Gram is numerically rank-deficient (eigs in [{w[0]:.3e}, "
+            f"{w[-1]:.3e}]); restart from a new initialization")
+    R = (V * w**-0.5) @ V.T  # every eigenvalue passed the floor, so none is clamped
+    R = 0.5 * (R + R.T)
     return XW, XW @ R, R
-
-
-def _dense_pass(X, Y, pt, qt, lam):
-    """One read of dense X and Y in row blocks of about ROW_BLOCK_BYTES: with
-    Z = [X pt, Y qt], returns (C_x' = Z'X/n, C_y' = Z'Y/n, Z'Z/n, R_x, R_y)."""
-    (n, p1), p2, k = X.shape, Y.shape[1], pt.shape[1]
-    rows = max(1, ROW_BLOCK_BYTES // (X.itemsize * (p1 + p2)))
-
-    def products():
-        ZZ, Cx, Cy = np.zeros((2 * k, 2 * k)), np.zeros((2 * k, p1)), np.zeros((2 * k, p2))
-        for i in range(0, n, rows):
-            Xb, Yb = X[i:i + rows], Y[i:i + rows]
-            Z = np.hstack((np.asarray(Xb @ pt), np.asarray(Yb @ qt)))
-            ZZ += Z.T @ Z
-            Cx += Z.T @ Xb
-            Cy += Z.T @ Yb
-        ZZ /= n
-        return ZZ + (lam * block_diag(pt.T @ pt, qt.T @ qt) if lam else 0), Cx / n, Cy / n, ZZ
-    (_, Cx, Cy, ZZ), (Rx, Ry) = _whiteners(products, k)
-    return Cx, Cy, ZZ, Rx, Ry
 
 
 def normalize_columns(X, W, lam=0.0):
@@ -164,30 +125,23 @@ def _step(state, eta, X, Y, lam, batch=True):
     """The update behind the batch, minibatch and rank-1 steps: gradient
     steps on both tilde matrices (each against the partner's incoming
     normalized state), then k-by-k whitening, averaged over the rows given.
-    ``batch``: the next step runs on these rows (else no cache is read): dense views take the pass.
+    ``batch``: the next step runs on these rows (else no cache is read).
     The public steps wrap this rather than each other, so timing one by name
     (as perfbench's tracer does) does not count calls made through another."""
     key = X, Y  # the cache is keyed to the caller's objects, not to converted copies
     X, Y = as_matrix(X), as_matrix(Y)
-    n, k = X.shape[0], state.k
-    projections, dense = state.cache[2:] if batch and state.cached_on(*key) else (None, None)
-    if dense is not None:
-        Cx, Cy, _, Rx, Ry = dense
-        gx, gy = (Cx[:k] - Ry @ Cx[k:]).T, (Cy[k:] - Rx @ Cy[:k]).T
+    n = X.shape[0]
+    if batch and state.cached_on(*key):
+        Xpt, Xphi, Yqt, Ypsi = state.cache[2]
     else:
-        Xpt, Xphi, Yqt, Ypsi = projections or state.projections(X, Y, whitened=not batch)
-        # (r' X)' rather than X' r: BLAS runs it about 1.5x faster on row-major X
-        gx, gy = np.asarray((Xpt - Ypsi).T @ X).T / n, np.asarray((Yqt - Xphi).T @ Y).T / n
+        Xpt, Xphi, Yqt, Ypsi = state.projections(X, Y, whitened=not batch)
+    # (r' X)' rather than X' r: BLAS runs it about 1.5x faster on row-major X
+    gx, gy = np.asarray((Xpt - Ypsi).T @ X).T / n, np.asarray((Yqt - Xphi).T @ Y).T / n
     pt = state.phi_tilde - eta.eta1 * (gx + lam * state.phi_tilde)
     qt = state.psi_tilde - eta.eta2 * (gy + lam * state.psi_tilde)
-    if batch and not (sp.issparse(X) or sp.issparse(Y)):
-        projections, dense = None, _dense_pass(X, Y, pt, qt, lam)
-        Rx, Ry = dense[3:]
-    else:
-        (Xpt, Xphi, Rx), (Yqt, Ypsi, Ry) = _whiten(X, pt, lam), _whiten(Y, qt, lam)
-        projections, dense = (Xpt, Xphi, Yqt, Ypsi), None
+    (Xpt, Xphi, Rx), (Yqt, Ypsi, Ry) = _whiten(X, pt, lam), _whiten(Y, qt, lam)
     new = AppGradState(pt @ Rx, qt @ Ry, pt, qt, t=state.t + 1)
-    new.cache, new.whiteners = (*key, projections, dense), (Rx, Ry)
+    new.cache, new.whiteners = (*key, (Xpt, Xphi, Yqt, Ypsi)), (Rx, Ry)
     return new
 
 

@@ -6,10 +6,9 @@ serialize to line-delimited text (see RunReport.to_lines for the field order).
 
 FLOP model used throughout the reports (documented so curves are comparable):
 a product of an m-row view with a p-by-k matrix costs 2*m*p*k (2*nnz*k if the
-view is sparse), a 2k-wide one twice that. One iteration over an m-row (mini)batch
-costs, in such products per view, uncached / with the state's cache:
-    4 / 2   sparse batch: the cache holds the projections
-    6 / 3   dense batch: a row-blocked pass of 1 narrow and 1 2k-wide product
+view is sparse). One iteration over an m-row (mini)batch costs, in such products
+per view, uncached / with the state's cache:
+    4 / 2   batch, dense or sparse: the cache holds the n-by-k projections
     3 / -   minibatch: X phi_tilde, the gradient, the new iterate's projection; X phi is
             (X phi_tilde) R from the carried whitener R (4 products from a hand-built state)
   + 8*m*k^2 + 24*k^3       k-by-k Grams, re-projections, eigendecompositions
@@ -39,8 +38,7 @@ def step_flops(m, p1, p2, k, nnz1=None, nnz2=None, cached=False, batch=False, wh
         raise ValueError("cached applies to batch steps only")
     c1 = 2 * nnz1 * k if nnz1 is not None else 2 * m * p1 * k
     c2 = 2 * nnz2 * k if nnz2 is not None else 2 * m * p2 * k
-    dense = nnz1 is None and nnz2 is None
-    per_view = ((6 if dense else 4) if batch else 3 if whitened else 4) // (2 if cached else 1)
+    per_view = (3 if whitened and not batch else 4) // (2 if cached else 1)
     return per_view * (c1 + c2) + 8 * m * k * k + 24 * k**3 + 2 * (p1 + p2) * k * k
 
 

@@ -11,7 +11,7 @@ the *smallest* feature scales -- the regime where approximate whitening
 heuristics break down.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import qr

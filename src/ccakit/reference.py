@@ -6,7 +6,7 @@ least squares for the leading pair, and the naive projected-gradient update
 kept only as a negative control.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp

@@ -114,7 +114,7 @@ class StepSchedule:
 def stochastic_appgrad_step(state, eta, X_I, Y_I, lam=0.0):
     """One minibatch update: the batch step on the m sampled rows X_I, Y_I,
     so the gradient and the k-by-k whitening are averaged over m. With m = n
-    this is the batch update, taken without the dense pass."""
+    this is the batch update."""
     return _step(state, eta, X_I, Y_I, lam, batch=False)
 
 

@@ -1,6 +1,5 @@
 import tracemalloc
 
-import numpy as np
 import pytest
 
 from ccakit.planted import PlantedParams, generate_planted

@@ -7,7 +7,6 @@ so the summary is visible in plain ``pytest -v`` output).
 
 import numpy as np
 import pytest
-from scipy.linalg import qr
 
 from ccakit.appgrad import (
     AppGradState,

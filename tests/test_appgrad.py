@@ -21,7 +21,6 @@ from ccakit.appgrad import (
     extract_model,
     moment_pair,
     normalize_columns,
-    procrustes_distance,
     random_init,
     run_appgrad,
     theoretical_step_size,
@@ -520,8 +519,8 @@ class TestProjectionCache:
             s64 = appgrad_step(s64, eta, X64, Y64)
             for name in ("phi", "psi", "phi_tilde", "psi_tilde"):
                 assert np.abs(getattr(s32, name) - getattr(s64, name)).max() < 1e-10
-        # uncached: 4 projections, 2 gradient products and the pass's 2 per view
-        assert counts == [10, 4, 4]
+        # uncached: 4 projections, 2 gradient and 2 whitening products; cached: the last 4
+        assert counts == [8, 4, 4]
 
     def test_final_state_does_not_pin_the_data(self, small_instance):
         X, Y = small_instance.x.copy(), small_instance.y.copy()
@@ -536,34 +535,12 @@ class TestProjectionCache:
 
 @pytest.fixture(scope="module")
 def blocked_instance():
-    """Dense views that the pass reads in 4 full row blocks and a 4-row tail."""
+    """Dense views wider than ``small_instance``'s, with p1 != p2."""
     params = PlantedParams(n=2500, p1=120, p2=90, correlations=(0.9, 0.6, 0.3))
-    inst = generate_planted(params, seed=5)
-    rows = appgrad.ROW_BLOCK_BYTES // (8 * (120 + 90))
-    assert 2500 // rows == 4 and 0 < 2500 % rows < rows
-    return inst
+    return generate_planted(params, seed=5)
 
 
-class TestDensePass:
-    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
-    @pytest.mark.parametrize("lam", [0.0, 0.1])
-    @pytest.mark.parametrize("k", [1, 3])
-    def test_cache_matches_direct_products(self, blocked_instance, k, lam, dtype):
-        X, Y = blocked_instance.x.astype(dtype), blocked_instance.y.astype(dtype)
-        X64, Y64 = X.astype(float), Y.astype(float)
-        step = appgrad_step_rank1 if k == 1 else appgrad_step
-        eta = default_step(X64, Y64, lam)
-        state = random_init(X64, Y64, k, seed=0, lam=lam)
-        for _ in range(3):
-            state = step(state, eta, X, Y, lam)
-            Cx, Cy, ZZ, Rx, Ry = state.cache[3]
-            Z = np.hstack((X64 @ state.phi_tilde, Y64 @ state.psi_tilde))
-            for got, want in ((Cx, Z.T @ X64 / 2500), (Cy, Z.T @ Y64 / 2500),
-                              (ZZ, Z.T @ Z / 2500)):
-                assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
-            assert np.array_equal(state.phi, state.phi_tilde @ Rx)
-            assert np.array_equal(state.psi, state.psi_tilde @ Ry)
-
+class TestDenseStepCache:
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
     @pytest.mark.parametrize("lam", [0.0, 0.1])
     @pytest.mark.parametrize("k", [1, 3])
@@ -651,7 +628,7 @@ class TestFlopCharge:
             FlopArray.flops = 0
             state = appgrad_step(state, eta, X, Y)
             assert FlopArray.flops == product_flops(n, p1, p2, 3, cached=cached, batch=True)
-        assert FlopArray.flops == 3 * 2 * n * (p1 + p2) * 3  # 3 products per view
+        assert FlopArray.flops == 2 * 2 * n * (p1 + p2) * 3  # 2 products per view
 
     def test_sparse_batch_steps(self, small_instance):
         X, Y = FlopCSR(sp.csr_matrix(small_instance.x)), FlopCSR(sp.csr_matrix(small_instance.y))
@@ -740,10 +717,13 @@ class TestMomentPair:
             assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
     @pytest.mark.parametrize("case", [*ACCEPTANCE_VIEWS, "duplicate-lam0", "duplicate-lam0.1",
-                                      "rank1"])
+                                      "rank1", "rows"])
     def test_agrees_with_the_uncompressed_run(self, small_instance, rank1_instance, case):
         kw, k = {}, 3
-        if case in ACCEPTANCE_VIEWS:
+        if case == "rows":  # 100 < 4 (p1 + p2) rows: both runs step on the n rows
+            X, Y = small_instance.x[:100], small_instance.y[:100]
+            oracle = spectral_cca(X, Y, 3)
+        elif case in ACCEPTANCE_VIEWS:
             inst, k = generate_planted(ACCEPTANCE_VIEWS[case], seed=0), 5
             X, Y, oracle = inst.x, inst.y, inst.empirical
         elif case == "rank1":
@@ -754,9 +734,10 @@ class TestMomentPair:
             oracle, kw["lam"] = spectral_cca(X, Y, 3, lam=0.1), float(case[len("duplicate-lam"):])
         (n, p1), p2 = X.shape, Y.shape[1]
         (m_d, r_d), (m_s, r_s) = agreeing_runs(X, Y, k, oracle, **kw)
-        # the dense run paid for the pair and took its first step on p1 + p2 rows; CSR did not
-        assert r_d.records[0].flops == (moment_pair_flops(n, p1, p2)
-                                       + step_flops(p1 + p2, p1, p2, k, batch=True))
+        # off the rows, the dense run paid for the pair and stepped on p1 + p2 rows; CSR did not
+        assert r_d.records[0].flops == (step_flops(n, p1, p2, k, batch=True) if case == "rows"
+                                        else moment_pair_flops(n, p1, p2)
+                                        + step_flops(p1 + p2, p1, p2, k, batch=True))
         assert r_s.records[0].flops == step_flops(n, p1, p2, k, sp.csr_matrix(X).nnz,
                                                   sp.csr_matrix(Y).nnz, batch=True)
         for a, b in ((m_d.phi, m_s.phi), (m_d.psi, m_s.psi), (m_d.lam, m_s.lam)):

@@ -18,6 +18,7 @@ from ccakit.harness import (
     run_experiment,
 )
 from ccakit.kernels import KernelSpec
+from ccakit.linalg import DegenerateIterateError, SingularMatrixError
 from ccakit.metrics import RunReport, tcc
 from ccakit.planted import PlantedParams, _mixing, generate_planted
 from ccakit.reference import spectral_cca
@@ -254,6 +255,25 @@ class TestRunExperiment:
                                batch_size=100, max_iters=400, seed=2)
             scores[l] = run_experiment(cfg, x=X, y=Y).pcc_train
         assert scores[5] >= scores[0] - 0.01
+
+    def test_oversampled_run_ends_alike_on_dense_and_sparse_views(self):
+        # dense views run on the moment pair, CSR on the n rows; either both fail with
+        # one typed error or both return the same model, never an internal ValueError
+        params = PlantedParams(n=400, p1=12, p2=15, correlations=(0.9, 0.6, 0.3))
+        inst = generate_planted(params, seed=3)
+        cfg = SolverConfig(solver="appgrad", k=2, oversample=2, seed=3, max_iters=300)
+        outcomes = []
+        for X, Y in ((inst.x, inst.y), (sp.csr_matrix(inst.x), sp.csr_matrix(inst.y))):
+            try:
+                outcomes.append(run_experiment(cfg, x=X, y=Y).model)
+            except (DegenerateIterateError, SingularMatrixError) as err:
+                outcomes.append(type(err))
+        dense, sparse = outcomes
+        if isinstance(dense, type) or isinstance(sparse, type):
+            assert dense is sparse
+        else:
+            for a, b in ((dense.phi, sparse.phi), (dense.psi, sparse.psi), (dense.lam, sparse.lam)):
+                assert np.abs(a - b).max() <= 1e-10 * np.abs(b).max()
 
     def test_holdout_pcc_reported(self, small_instance):
         cfg = SolverConfig(solver="appgrad", k=2, holdout=0.25, seed=0,

@@ -162,12 +162,12 @@ class TestFlopModel:
         assert step_flops(100, 20, 30, 6) > base
 
     def test_cached_iteration_saves_two_products_per_view(self):
-        """Only batch steps cache: dense 6 -> 3 products per view, sparse 4 -> 2."""
+        """Only batch steps cache: 4 -> 2 products per view, dense or sparse."""
         m, p1, p2, k = 100, 20, 30, 5
         product = 2 * m * p1 * k + 2 * m * p2 * k
         base = step_flops(m, p1, p2, k, 0, 0, batch=True)  # the k-by-k terms alone
-        for nnz, per_view in (((), (6, 3)), ((m * p1, m * p2), (4, 2))):
-            for cached, products in zip((False, True), per_view):
+        for nnz in ((), (m * p1, m * p2)):
+            for cached, products in zip((False, True), (4, 2)):
                 flops = step_flops(m, p1, p2, k, *nnz, cached=cached, batch=True)
                 assert flops - base == products * product
         with pytest.raises(ValueError, match="batch"):
