@@ -5,11 +5,11 @@ matrices take plain gradient steps on the coupled least-squares objective
 || X*PhiTilde - Y*Psi ||_F^2 / 2n, and the normalized matrices are produced
 by whitening with a small k-by-k Gram matrix. A step forms no p-by-p object.
 
-A step reads the data only through n-by-p times p-by-k products. A batch step, on dense or
-sparse views, caches its n-by-k projections X PhiTilde, X Phi, Y PsiTilde, Y Psi, so the next
-step issues 2 products per view: the gradient (r' X)' and the new iterate's X PhiTilde, with
-X Phi = (X PhiTilde) R. A minibatch step issues 3, as it reads no cache. A cache is keyed to
-its X and Y objects; mutating them is unsupported.
+A step reads the data only through n-by-p times p-by-k products. A step caches its n-by-k
+projections X PhiTilde, X Phi, Y PsiTilde, Y Psi, so the next step on the same X and Y objects
+issues 2 products per view: the gradient (r' X)' and the new iterate's X PhiTilde, with
+X Phi = (X PhiTilde) R. A step on other rows (a new minibatch) issues 3, X Phi again from the
+carried whitener R. A cache is keyed to its X and Y objects; mutating them is unsupported.
 As iterates see the data only through X'X/n, Y'Y/n, X'Y/n, ``run_appgrad`` runs on ``moment_pair``
 when both views are dense and 4 (p1+p2) <= n, so the build's 3 (p1+p2)^2 + O(p1+p2) fit the data.
 """
@@ -27,6 +27,7 @@ from .metrics import (IterationRecord, RunReport, moment_pair_flops, projected_c
 from .reference import CcaModel, fix_signs
 
 EIG_FLOOR_REL = 1e-10
+POWER_ITERS = 50  # of estimate_gram_norm
 
 
 @dataclass
@@ -47,9 +48,9 @@ class StepSizes:
 
 @dataclass
 class AppGradState:
-    """Solver state: normalized (phi, psi) and unnormalized (phi_tilde, psi_tilde).
-    ``cache`` is None or (X, Y, (X phi_tilde, X phi, Y psi_tilde, Y psi)). ``whiteners`` is
-    None or (R_x, R_y) with phi = phi_tilde R_x, psi = psi_tilde R_y. ``replace`` drops both."""
+    """Solver state: normalized (phi, psi) and unnormalized (phi_tilde, psi_tilde). ``cache`` is
+    None or (X, Y, (X phi_tilde, X phi, Y psi_tilde, Y psi)); ``whiteners`` None (hand-built) or
+    (R_x, R_y) with phi = phi_tilde R_x, psi = psi_tilde R_y. ``replace`` drops both."""
 
     phi: np.ndarray
     psi: np.ndarray
@@ -67,13 +68,13 @@ class AppGradState:
         """Whether the cache was made on these very X and Y objects."""
         return self.cache is not None and self.cache[0] is X and self.cache[1] is Y
 
-    def projections(self, X, Y, whitened=False):
+    def projections(self, X, Y):
         """(X phi_tilde, X phi, Y psi_tilde, Y psi), from the cache when it holds them for X and Y,
-        else computed: four n-sized products, two if ``whitened`` from the carried whiteners."""
+        else computed: two n-sized products with the carried whiteners, four without them."""
         if self.cached_on(X, Y):
             return self.cache[2]
         Xpt, Yqt = np.asarray(X @ self.phi_tilde), np.asarray(Y @ self.psi_tilde)
-        if whitened and self.whiteners is not None:
+        if self.whiteners is not None:
             return Xpt, Xpt @ self.whiteners[0], Yqt, Yqt @ self.whiteners[1]
         return Xpt, np.asarray(X @ self.phi), Yqt, np.asarray(Y @ self.psi)
 
@@ -121,20 +122,17 @@ def random_init(X, Y, k, seed, lam=0.0):
     return state
 
 
-def _step(state, eta, X, Y, lam, batch=True):
+def _step(state, eta, X, Y, lam):
     """The update behind the batch, minibatch and rank-1 steps: gradient
     steps on both tilde matrices (each against the partner's incoming
     normalized state), then k-by-k whitening, averaged over the rows given.
-    ``batch``: the next step runs on these rows (else no cache is read).
-    The public steps wrap this rather than each other, so timing one by name
-    (as perfbench's tracer does) does not count calls made through another."""
+    It reads the state's cache when that was made on these X and Y objects,
+    else ``state.projections``. The public steps wrap this rather than each other,
+    so timing one by name (as perfbench's tracer does) counts no calls made through another."""
     key = X, Y  # the cache is keyed to the caller's objects, not to converted copies
     X, Y = as_matrix(X), as_matrix(Y)
     n = X.shape[0]
-    if batch and state.cached_on(*key):
-        Xpt, Xphi, Yqt, Ypsi = state.cache[2]
-    else:
-        Xpt, Xphi, Yqt, Ypsi = state.projections(X, Y, whitened=not batch)
+    Xpt, Xphi, Yqt, Ypsi = state.cache[2] if state.cached_on(*key) else state.projections(X, Y)
     # (r' X)' rather than X' r: BLAS runs it about 1.5x faster on row-major X
     gx, gy = np.asarray((Xpt - Ypsi).T @ X).T / n, np.asarray((Yqt - Xphi).T @ Y).T / n
     pt = state.phi_tilde - eta.eta1 * (gx + lam * state.phi_tilde)
@@ -164,18 +162,18 @@ def appgrad_step_rank1(state, eta, X, Y, lam=0.0):
     return new
 
 
-def estimate_gram_norm(X, iters=50, seed=0):
-    """Largest eigenvalue of X'X/n: exact from the Gram for dense X with p <= 4*iters (200),
-    where its n*p^2 FLOPs are at most the power loop's; else an ``iters``-step power estimate."""
+def estimate_gram_norm(X, seed=0):
+    """Largest eigenvalue of X'X/n: exact from the Gram for dense X with p <= 4*POWER_ITERS (200),
+    where its n*p^2 FLOPs are at most the power loop's; else a POWER_ITERS-step power estimate."""
     X = as_matrix(X)
     n, p = X.shape
-    if not sp.issparse(X) and p <= 4 * iters:
+    if not sp.issparse(X) and p <= 4 * POWER_ITERS:
         return float(eigh(gram(X), eigvals_only=True)[-1])
     rng = np.random.default_rng(seed)
     v = rng.standard_normal(p)
     v /= np.linalg.norm(v)
     ev = 0.0
-    for _ in range(iters):
+    for _ in range(POWER_ITERS):
         w = np.asarray(X.T @ np.asarray(X @ v)) / n
         nw = np.linalg.norm(w)
         if nw == 0.0:
@@ -318,9 +316,9 @@ def run_appgrad(
     t0 = time.perf_counter()
     converged = False
     for it in range(max_iters):
-        cached = state.cached_on(X, Y)
+        cached, whitened = state.cached_on(X, Y), state.whiteners is not None
         new = step_fn(state, eta, X, Y, lam)
-        flops += step_flops(n, p1, p2, k, *nnz, cached=cached, batch=True)
+        flops += step_flops(n, p1, p2, k, *nnz, cached=cached, whitened=whitened)
         converged = max(procrustes_distance(new.phi, state.phi),
                         procrustes_distance(new.psi, state.psi)) < tol
         state = new

@@ -10,25 +10,27 @@ from scipy.linalg import qr
 from .linalg import as_matrix, cross_covariance, gram_diagonal, randomized_svd
 from .reference import CcaModel, fix_signs, spectral_cca
 
+OVERSAMPLE, POWER_ITERS = 10, 2  # of every randomized_svd taken here
 
-def _top_pairs(S, k, oversample, power_iters, seed):
+
+def _top_pairs(S, k, seed):
     """(Phi, Psi, lam): the rank-k truncated SVD of the cross-moment S, signs fixed."""
     p1, p2 = S.shape
     if k < 1 or k > min(p1, p2):
         raise ValueError(f"rank k={k} out of range")
-    U, s, V = randomized_svd(S, k, oversample=oversample, power_iters=power_iters, seed=seed)
+    U, s, V = randomized_svd(S, k, oversample=OVERSAMPLE, power_iters=POWER_ITERS, seed=seed)
     return *fix_signs(U, V), s.copy()
 
 
-def nw_cca(X, Y, k, oversample=10, power_iters=2, seed=0):
+def nw_cca(X, Y, k, seed=0):
     """No whitening: truncated SVD of the raw cross-covariance X'Y/n.
 
     Returned directions are not S-orthonormal (``whitened`` is False)."""
     Sxy = cross_covariance(X, Y)
-    return CcaModel(*_top_pairs(Sxy, k, oversample, power_iters, seed), whitened=False)
+    return CcaModel(*_top_pairs(Sxy, k, seed), whitened=False)
 
 
-def dw_cca(X, Y, k, lam=0.0, oversample=10, power_iters=2, seed=0):
+def dw_cca(X, Y, k, lam=0.0, seed=0):
     """Diagonal whitening: truncated SVD of diag(sx) X'Y/n diag(sy), sx and sy the
     inverse root column variances, with the directions mapped back by the same scales."""
     X, Y = as_matrix(X), as_matrix(Y)
@@ -37,13 +39,12 @@ def dw_cca(X, Y, k, lam=0.0, oversample=10, power_iters=2, seed=0):
         raise ValueError("zero-variance column; set lam > 0")
     sx = 1.0 / np.sqrt(dx)
     sy = 1.0 / np.sqrt(dy)
-    U, V, s = _top_pairs(sx[:, None] * cross_covariance(X, Y) * sy, k, oversample,
-                         power_iters, seed)
+    U, V, s = _top_pairs(sx[:, None] * cross_covariance(X, Y) * sy, k, seed)
     Phi, Psi = fix_signs(U * sx[:, None], V * sy[:, None])
     return CcaModel(Phi, Psi, s, whitened=False)
 
 
-def pca_cca(X, Y, k, m, lam=0.0, oversample=10, power_iters=2, seed=0):
+def pca_cca(X, Y, k, m, lam=0.0, seed=0):
     """Whiten only the leading m principal directions of each view: project,
     solve the exact m-dimensional CCA, and compose the maps back. With m = p
     this reduces to the exact spectral solver."""
@@ -53,10 +54,9 @@ def pca_cca(X, Y, k, m, lam=0.0, oversample=10, power_iters=2, seed=0):
     if not (k <= m <= min(p1, p2, n)):
         raise ValueError(f"need k <= m <= min(p1, p2, n), got k={k}, m={m}")
     # right singular vectors of the data = principal directions
-    if m == min(p1, p2):
-        oversample = min(oversample, 0)
-    _, _, Vx = randomized_svd(X, m, oversample=oversample, power_iters=power_iters, seed=seed)
-    _, _, Vy = randomized_svd(Y, m, oversample=oversample, power_iters=power_iters, seed=seed + 1)
+    oversample = 0 if m == min(p1, p2) else OVERSAMPLE
+    _, _, Vx = randomized_svd(X, m, oversample=oversample, power_iters=POWER_ITERS, seed=seed)
+    _, _, Vy = randomized_svd(Y, m, oversample=oversample, power_iters=POWER_ITERS, seed=seed + 1)
     # re-orthonormalize in case the randomized bases are rank-deficient
     Vx = qr(Vx, mode="economic")[0]
     Vy = qr(Vy, mode="economic")[0]

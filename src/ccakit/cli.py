@@ -10,23 +10,16 @@ from . import io
 from .harness import SOLVERS, SolverConfig, parse_config_file, run_experiment
 from .kernels import KernelSpec
 from .planted import PlantedParams, generate_planted
+from .stochastic import StepSchedule
 
 
 def _add_run_flags(p):
+    """One flag per SolverConfig field (``--lambda`` for ``lam``), parsed by its config type,
+    so a bad value fails before any run; then the data and output flags."""
     p.add_argument("--config", help="flat key=value config file; flags override")
-    p.add_argument("--solver", choices=SOLVERS)
-    p.add_argument("--k", type=int)
-    p.add_argument("--oversample", type=int)
-    p.add_argument("--lambda", dest="lam", type=float)
-    p.add_argument("--eta", type=float)
-    p.add_argument("--schedule", choices=["constant", "inverse-t", "inverse-sqrt-t"])
-    p.add_argument("--batch-size", type=int)
-    p.add_argument("--max-iters", type=int)
-    p.add_argument("--tol", type=float)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--holdout", type=float)
-    p.add_argument("--kernel", help="linear | rbf:SIGMA | polynomial:DEGREE:OFFSET")
-    p.add_argument("--pca-m", type=int)
+    for name, typ in _CONFIG_TYPES.items():
+        p.add_argument("--lambda" if name == "lam" else "--" + name.replace("_", "-"),
+                       dest=name, type=typ, choices=_CHOICES.get(name), help=_HELP.get(name))
     p.add_argument("--x", dest="x_path", help="path to the X view")
     p.add_argument("--y", dest="y_path", help="path to the Y view")
     p.add_argument("--format", choices=["csv", "matrix-market"], default="csv")
@@ -53,6 +46,8 @@ def _parse_kernel(text):
 
 # each SolverConfig field parses with its annotated type, except the kernel spec
 _CONFIG_TYPES = {f.name: f.type for f in fields(SolverConfig)} | {"kernel": _parse_kernel}
+_CHOICES = {"solver": list(SOLVERS), "schedule": StepSchedule.KINDS}
+_HELP = {"kernel": "linear | rbf:SIGMA | polynomial:DEGREE:OFFSET"}
 
 
 def build_config(args):
@@ -63,9 +58,9 @@ def build_config(args):
             if key not in _CONFIG_TYPES:
                 raise ValueError(f"unknown config key {key!r}")
             setattr(cfg, key, _CONFIG_TYPES[key](raw))
-    for key, typ in _CONFIG_TYPES.items():
-        if getattr(args, key, None) is not None:  # flags override the file
-            setattr(cfg, key, typ(getattr(args, key)))
+    for key in _CONFIG_TYPES:
+        if getattr(args, key, None) is not None:  # flags, parsed already, override the file
+            setattr(cfg, key, getattr(args, key))
     return cfg
 
 

@@ -11,19 +11,19 @@ from .appgrad import default_step, extract_model, random_init, run_appgrad
 from .baselines import dw_cca, nw_cca, pca_cca
 from .kernels import KernelGram, KernelSpec, kernel_cca, kernel_gram
 from .linalg import SingularMatrixError, as_matrix
-from .metrics import IterationRecord, RunReport, moment_tcc, moments, pcc_of, tcc
+from .metrics import IterationRecord, RunReport, moments, pcc_of, tcc, tcc_evaluator
 from .planted import generate_planted
-from .reference import CcaModel, als_cca, qr_cca, spectral_cca, spectral_from_moments
+from .reference import CcaModel, als_cca, qr_cca, spectral_from_moments
 from .stochastic import MinibatchPlan, StepSchedule, run_stochastic
 
 
 @dataclass(frozen=True)
 class Solver:
     """How run_experiment runs one solver. ``run(config, X, Y, k_run, oracle,
-    holdout)`` returns a CcaModel, or (model, report) when ``traced``.
-    ``views(config, X, Y)``, if given, maps the data to the pair that the
-    solver and the metrics act on; the primal spectral oracle does not apply
-    to such views, so none is computed."""
+    holdout, M)`` returns a CcaModel, or (model, report) when ``traced``; M is
+    ``metrics.moments(X, Y)``. ``views(config, X, Y)``, if given, maps the data
+    to the pair that the solver and the metrics act on; the primal spectral
+    oracle does not apply to such views, so neither it nor M is computed."""
 
     run: object
     traced: bool = False
@@ -44,7 +44,7 @@ def _appgrad(c, X, Y, k_run, oracle, **_):
                        record_every=c.record_every or 1)
 
 
-def _stochastic(c, X, Y, k_run, oracle, holdout):
+def _stochastic(c, X, Y, k_run, oracle, holdout, **_):
     eta0 = c.eta if c.eta is not None else default_step(X, Y, c.lam, seed=c.seed).eta1
     return run_stochastic(
         X, Y, k_run, MinibatchPlan(m=min(c.batch_size, X.shape[0]), seed=c.seed),
@@ -73,7 +73,7 @@ def _kernel_appgrad(c, Kx, Ky, k_run, **_):
 
 
 SOLVERS = {
-    "spectral": Solver(lambda c, X, Y, k_run, **_: spectral_cca(X, Y, k_run, lam=c.lam)),
+    "spectral": Solver(lambda c, X, Y, k_run, M, **_: spectral_from_moments(M, k_run, c.lam)),
     "qr": Solver(lambda c, X, Y, k_run, **_: qr_cca(X, Y, k_run, lam=c.lam)),
     "als": Solver(_als),
     "appgrad": Solver(_appgrad, traced=True),
@@ -113,6 +113,8 @@ class SolverConfig:
             raise ValueError("oversample and lam must be nonnegative")
         if not (0.0 <= self.holdout <= 0.5):
             raise ValueError("holdout fraction must be in [0, 0.5]")
+        if self.record_every is not None and self.record_every < 1:
+            raise ValueError("record_every must be >= 1")
 
     def snapshot(self):
         d = asdict(self)
@@ -146,13 +148,12 @@ def _split_holdout(X, Y, fraction, seed):
     return (X[train], Y[train]), (X[hold], Y[hold])
 
 
-def _evaluator_and_oracle(X, Y, k, lam):
-    """Moment TCCs and the spectral oracle of (X, Y); no oracle if a view is singular."""
-    M = moments(X, Y)
+def _oracle(M, k, lam):
+    """The spectral oracle from the moments M; None when a view is singular at lam = 0."""
     try:
-        return partial(moment_tcc, M), spectral_from_moments(M, k, lam)
+        return spectral_from_moments(M, k, lam)
     except SingularMatrixError:
-        return partial(tcc, X, Y), None  # projected: the moments lend null directions noise
+        return None
 
 
 def run_experiment(config, x=None, y=None, planted=None,
@@ -183,14 +184,14 @@ def run_experiment(config, x=None, y=None, planted=None,
     k_run = min(k + config.oversample, X.shape[1], Y.shape[1])
     if k_run < k:
         raise ValueError(f"k={k} exceeds the view widths {X.shape[1]}, {Y.shape[1]}")
-    # the exact oracle is affordable at desk scale
-    evaluate, oracle = ((partial(tcc, X, Y), None) if solver.views
-                        else _evaluator_and_oracle(X, Y, k, config.lam))
+    M = None if solver.views else moments(X, Y)  # the exact oracle is affordable at desk scale
+    evaluate = partial(tcc, X, Y) if M is None else tcc_evaluator(X, Y, M)
+    oracle = None if M is None else _oracle(M, k, config.lam)
 
+    model = solver.run(config, X, Y, k_run, oracle=oracle, holdout=holdout_pair, M=M)
     if solver.traced:
-        model, report = solver.run(config, X, Y, k_run, oracle=oracle, holdout=holdout_pair)
+        model, report = model
     else:
-        model = solver.run(config, X, Y, k_run, oracle=oracle, holdout=holdout_pair)
         report = RunReport(solver=config.solver, seed=config.seed)
         report.records.append(
             IterationRecord(t=1, flops=0, tcc_train=evaluate(model.phi, model.psi))
@@ -203,8 +204,9 @@ def run_experiment(config, x=None, y=None, planted=None,
     if oracle is not None:
         result.pcc_train = pcc_of(result.tcc_train, evaluate(oracle.phi, oracle.psi))
         if holdout_pair is not None:
-            evaluate_h, oracle_h = _evaluator_and_oracle(*holdout_pair, k, config.lam)
-            if oracle_h is not None:
+            M_h = moments(*holdout_pair)
+            if (oracle_h := _oracle(M_h, k, config.lam)) is not None:
+                evaluate_h = tcc_evaluator(*holdout_pair, M_h)
                 result.pcc_holdout = pcc_of(evaluate_h(model.phi, model.psi),
                                             evaluate_h(oracle_h.phi, oracle_h.psi))
     report.validate()

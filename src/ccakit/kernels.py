@@ -94,10 +94,10 @@ def kernel_cca(Kx, Ky, k, lam=None, eta=None, max_iters=2000, tol=1e-7, seed=0):
     return model.phi, model.psi, model.lam
 
 
-def check_psd(K, tol_scale=1e-8):
-    """Raise if a kernel matrix has an eigenvalue below -tol_scale * trace."""
+def check_psd(K):
+    """Raise if a kernel matrix has an eigenvalue below -1e-8 * trace."""
     w = eigh(K.values, eigvals_only=True)
-    floor = -tol_scale * max(np.trace(K.values), 1.0)
+    floor = -1e-8 * max(np.trace(K.values), 1.0)
     if w[0] < floor:
         raise ValueError(f"kernel matrix is not PSD (min eig {w[0]:.3e})")
     return w

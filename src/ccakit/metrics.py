@@ -6,18 +6,19 @@ serialize to line-delimited text (see RunReport.to_lines for the field order).
 
 FLOP model used throughout the reports (documented so curves are comparable):
 a product of an m-row view with a p-by-k matrix costs 2*m*p*k (2*nnz*k if the
-view is sparse). One iteration over an m-row (mini)batch costs, in such products
-per view, uncached / with the state's cache:
-    4 / 2   batch, dense or sparse: the cache holds the n-by-k projections
-    3 / -   minibatch: X phi_tilde, the gradient, the new iterate's projection; X phi is
-            (X phi_tilde) R from the carried whitener R (4 products from a hand-built state)
+view is sparse). One iteration over an m-row (mini)batch, dense or sparse, costs in such
+products per view:
+    2   cached (the last step was on these rows): the gradient, the new iterate's X phi_tilde
+    3   uncached: X phi_tilde first; X phi is (X phi_tilde) R from the carried whitener R
+    4   uncached from a hand-built state, which carries no whitener
   + 8*m*k^2 + 24*k^3       k-by-k Grams, re-projections, eigendecompositions
   + 2*(p1+p2)*k^2          applying the k-by-k whitener
 A run on a moment pair pays 2*n*(p1^2 + p1*p2 + p2^2) + 4*(p1+p2)^3 (syevd) once, then m = p1+p2.
 
 Evaluation: a rank-k TCC on n rows costs 2*n*(p1+p2)*k projected, or O((p1+p2)^2*k)
-from the moments X'X/n, Y'Y/n, X'Y/n (n*(p1+p2)^2 once). Dense views are evaluated
-from the moments, sparse and singular ones projected; they agree to ~eps*cond(X)^2 relative.
+from the moments X'X/n, Y'Y/n, X'Y/n (n*(p1+p2)^2 once). ``tcc_evaluator`` is the one rule:
+dense nonsingular views from the moments, sparse and singular ones projected; the two agree
+to ~eps*cond(X)^2 relative.
 """
 
 from dataclasses import dataclass, field
@@ -29,16 +30,15 @@ from scipy.linalg import eigh, svd
 
 from .linalg import as_matrix, cross_covariance, gram, singular_floor, sym_inv_sqrt
 
+RIDGE_SCALE = 1e-10  # of the k-by-k moments in ``_correlations``, relative to their trace
 
-def step_flops(m, p1, p2, k, nnz1=None, nnz2=None, cached=False, batch=False, whitened=True):
-    """FLOPs of one solver iteration over an m-row batch (see module docstring); ``batch``:
-    over all rows; ``cached``: the state carries what its last step left on these rows;
-    ``whitened``: a minibatch step's state carries its whiteners. Only batch steps cache."""
-    if cached and not batch:
-        raise ValueError("cached applies to batch steps only")
+
+def step_flops(m, p1, p2, k, nnz1=None, nnz2=None, cached=False, whitened=True):
+    """FLOPs of one solver iteration over an m-row batch (see module docstring); ``cached``:
+    the state carries what its last step left on these rows; ``whitened``: it carries whiteners."""
     c1 = 2 * nnz1 * k if nnz1 is not None else 2 * m * p1 * k
     c2 = 2 * nnz2 * k if nnz2 is not None else 2 * m * p2 * k
-    per_view = (3 if whitened and not batch else 4) // (2 if cached else 1)
+    per_view = 2 if cached else 3 if whitened else 4
     return per_view * (c1 + c2) + 8 * m * k * k + 24 * k**3 + 2 * (p1 + p2) * k * k
 
 
@@ -47,23 +47,23 @@ def moment_pair_flops(n, p1, p2):
     return 2 * n * (p1 * p1 + p1 * p2 + p2 * p2) + 4 * (p1 + p2)**3
 
 
-def _correlations(Su, Sv, Suv, ridge_scale=1e-10):
+def _correlations(Su, Sv, Suv):
     """Canonical correlations from k-by-k moments, trace-scaled ridge for unwhitened ones."""
-    lam_u = ridge_scale * max(np.trace(Su) / max(Su.shape[0], 1), 1e-300)
-    lam_v = ridge_scale * max(np.trace(Sv) / max(Sv.shape[0], 1), 1e-300)
+    lam_u = RIDGE_SCALE * max(np.trace(Su) / max(Su.shape[0], 1), 1e-300)
+    lam_v = RIDGE_SCALE * max(np.trace(Sv) / max(Sv.shape[0], 1), 1e-300)
     Ru = sym_inv_sqrt(Su + lam_u * np.eye(Su.shape[0]), floor=lam_u * 1e-6)
     Rv = sym_inv_sqrt(Sv + lam_v * np.eye(Sv.shape[0]), floor=lam_v * 1e-6)
     s = svd(Ru @ Suv @ Rv, compute_uv=False)
     return np.minimum(s, 1.0 + 1e-9)
 
 
-def projected_correlations(U, V, ridge_scale=1e-10):
+def projected_correlations(U, V):
     """Canonical correlations of two n-by-k matrices (see ``_correlations``)."""
     U, V = np.asarray(U, dtype=float), np.asarray(V, dtype=float)
     if U.shape[0] != V.shape[0]:
         raise ValueError("projected views must have the same number of rows")
     n = U.shape[0]
-    return _correlations(U.T @ U / n, V.T @ V / n, U.T @ V / n, ridge_scale)
+    return _correlations(U.T @ U / n, V.T @ V / n, U.T @ V / n)
 
 
 def tcc(X, Y, A, B):
@@ -87,10 +87,11 @@ def moment_tcc(M, A, B):
     return float(_correlations(A.T @ Sx @ A, B.T @ Sy @ B, A.T @ Sxy @ B).sum())
 
 
-def tcc_evaluator(X, Y):
-    """(A, B) -> TCC on (X, Y): ``moment_tcc`` for dense nonsingular views, else ``tcc``."""
+def tcc_evaluator(X, Y, M=None):
+    """(A, B) -> TCC on (X, Y): ``moment_tcc`` for dense nonsingular views, from M = moments(X, Y)
+    when given (else formed here), and ``tcc`` otherwise."""
     if not (sp.issparse(as_matrix(X)) or sp.issparse(as_matrix(Y))):
-        M = moments(X, Y)
+        M = moments(X, Y) if M is None else M
         if all(w[0] >= singular_floor(w) for w in map(np.linalg.eigvalsh, M[:2])):
             return partial(moment_tcc, M)
     return partial(tcc, X, Y)
@@ -144,13 +145,11 @@ class IterationRecord:
     tcc_train: float = float("nan")
     tcc_holdout: float = float("nan")
     pcc_train: float = float("nan")
-    pcc_holdout: float = float("nan")
-    err: float = float("nan")
 
 
 # Serialized field order for trace records (wall time is deliberately omitted
 # so identical config + seed reproduce byte-identical report files).
-RECORD_FIELDS = ("t", "flops", "tcc_train", "tcc_holdout", "pcc_train", "pcc_holdout", "err")
+RECORD_FIELDS = ("t", "flops", "tcc_train", "tcc_holdout", "pcc_train")
 
 
 @dataclass
@@ -217,6 +216,7 @@ class RunReport:
                     continue
                 parts = line.split()
                 rec = IterationRecord(t=int(parts[0]), flops=int(parts[1]))
+                # zip drops columns past RECORD_FIELDS: an older report's pcc_holdout and err
                 for name, raw in zip(RECORD_FIELDS[2:], parts[2:]):
                     setattr(rec, name, float(raw))
                 records.append(rec)

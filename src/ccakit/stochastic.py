@@ -91,12 +91,13 @@ def sample_minibatch(plan, t, n):
 class StepSchedule:
     """Step-size schedule eta_t per side: constant, 1/(t+t0), or 1/sqrt(t+t0)."""
 
-    kind: str = "constant"  # constant | inverse-t | inverse-sqrt-t
+    kind: str = "constant"  # one of KINDS
     eta0: float = 1.0
     t0: float = 1.0
+    KINDS = ("constant", "inverse-t", "inverse-sqrt-t")  # unannotated: not a field
 
     def __post_init__(self):
-        if self.kind not in ("constant", "inverse-t", "inverse-sqrt-t"):
+        if self.kind not in self.KINDS:
             raise ValueError(f"unknown schedule kind {self.kind!r}")
         if self.eta0 <= 0 or self.t0 <= 0:
             raise ValueError("eta0 and t0 must be positive")
@@ -115,7 +116,7 @@ def stochastic_appgrad_step(state, eta, X_I, Y_I, lam=0.0):
     """One minibatch update: the batch step on the m sampled rows X_I, Y_I,
     so the gradient and the k-by-k whitening are averaged over m. With m = n
     this is the batch update."""
-    return _step(state, eta, X_I, Y_I, lam, batch=False)
+    return _step(state, eta, X_I, Y_I, lam)
 
 
 def run_stochastic(

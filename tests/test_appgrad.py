@@ -440,10 +440,9 @@ class TestProjectionCache:
         # 100 rows < 4 (p1 + p2): the run reads the n rows through the cache on every step
         X, Y = small_instance.x[:100], small_instance.y[:100]
         report = cached_and_uncached_runs(X, Y, spectral_cca(X, Y, 3))
-        assert report.records[0].flops == step_flops(100, 12, 15, 3, batch=True)
+        assert report.records[0].flops == step_flops(100, 12, 15, 3)
         assert report.records[1].flops == (report.records[0].flops
-                                           + 2 * step_flops(100, 12, 15, 3, cached=True,
-                                                            batch=True))
+                                           + 2 * step_flops(100, 12, 15, 3, cached=True))
 
     def test_cache_is_ignored_on_other_rows(self, small_instance):
         X, Y = small_instance.x, small_instance.y
@@ -454,10 +453,12 @@ class TestProjectionCache:
         others = [(X.copy(), Y.copy()),  # equal values, other objects
                   (rng.standard_normal(X.shape), rng.standard_normal(Y.shape)),
                   (X[:200], Y[:200])]
+        uncached = replace(state)  # which drops the whiteners too: restore them
+        uncached.whiteners = state.whiteners
         for X2, Y2 in others:
             assert not state.cached_on(X2, Y2)
             got = appgrad_step(state, eta, X2, Y2)
-            want = appgrad_step(replace(state), eta, X2, Y2)
+            want = appgrad_step(uncached, eta, X2, Y2)
             for name in ("phi", "psi", "phi_tilde", "psi_tilde"):
                 assert np.array_equal(getattr(got, name), getattr(want, name))
 
@@ -499,7 +500,7 @@ class TestProjectionCache:
             CountingCSR.products = 0
             state = appgrad_step(state, eta, X, Y)
             counts.append(CountingCSR.products)
-        assert counts == [8, 4, 4]  # 4 per view without the cache, 2 with it
+        assert counts == [6, 4, 4]  # 3 per view without the cache (from the whiteners), 2 with it
 
     def test_cache_is_keyed_to_the_callers_views(self, small_instance, monkeypatch):
         # float32 views are converted on every call; the cache must still hit
@@ -519,8 +520,24 @@ class TestProjectionCache:
             s64 = appgrad_step(s64, eta, X64, Y64)
             for name in ("phi", "psi", "phi_tilde", "psi_tilde"):
                 assert np.abs(getattr(s32, name) - getattr(s64, name)).max() < 1e-10
-        # uncached: 4 projections, 2 gradient and 2 whitening products; cached: the last 4
-        assert counts == [8, 4, 4]
+        # uncached: 2 projections, 2 gradient and 2 whitening products; cached: the last 4
+        assert counts == [6, 4, 4]
+
+    def test_minibatch_step_on_the_same_rows_reads_the_cache(self, small_instance):
+        X = CountingCSR(sp.csr_matrix(small_instance.x[:50]))
+        Y = CountingCSR(sp.csr_matrix(small_instance.y[:50]))
+        eta = default_step(small_instance.x, small_instance.y)
+        state, counts = random_init(small_instance.x, small_instance.y, 3, seed=0), []
+        for _ in range(2):
+            CountingCSR.products = 0
+            state = stochastic_appgrad_step(state, eta, X, Y)
+            counts.append(CountingCSR.products)
+        assert counts == [6, 4]  # 3 per view, then 2 from the cache
+        # the cache holds what the whiteners would give, bit for bit
+        uncached = replace(state)
+        uncached.whiteners = state.whiteners
+        for a, b in zip(state.projections(X, Y), uncached.projections(X, Y)):
+            assert np.array_equal(a, b)
 
     def test_final_state_does_not_pin_the_data(self, small_instance):
         X, Y = small_instance.x.copy(), small_instance.y.copy()
@@ -627,7 +644,7 @@ class TestFlopCharge:
         for cached in (False, True, True):
             FlopArray.flops = 0
             state = appgrad_step(state, eta, X, Y)
-            assert FlopArray.flops == product_flops(n, p1, p2, 3, cached=cached, batch=True)
+            assert FlopArray.flops == product_flops(n, p1, p2, 3, cached=cached)
         assert FlopArray.flops == 2 * 2 * n * (p1 + p2) * 3  # 2 products per view
 
     def test_sparse_batch_steps(self, small_instance):
@@ -638,8 +655,7 @@ class TestFlopCharge:
         for cached in (False, True, True):
             FlopCSR.flops = 0
             state = appgrad_step(state, eta, X, Y)
-            assert FlopCSR.flops == product_flops(n, p1, p2, 3, X.nnz, Y.nnz,
-                                                  cached=cached, batch=True)
+            assert FlopCSR.flops == product_flops(n, p1, p2, 3, X.nnz, Y.nnz, cached=cached)
 
     def test_minibatch_step(self, small_instance, monkeypatch):
         X, Y = small_instance.x, small_instance.y
@@ -647,10 +663,12 @@ class TestFlopCharge:
         eta = default_step(X, Y)
         state = random_init(X, Y, 3, seed=0)
         monkeypatch.setattr(appgrad, "as_matrix", lambda A: as_matrix(A).view(FlopArray))
-        for start in (0, 50, 100):
+        batches = [(X[start:start + 50], Y[start:start + 50]) for start in (0, 50, 100)]
+        # new rows issue 3 products per view; the last batch's own objects again read the cache
+        for (X_I, Y_I), cached in zip([*batches, batches[-1]], (False, False, False, True)):
             FlopArray.flops = 0
-            state = stochastic_appgrad_step(state, eta, X[start:start + 50], Y[start:start + 50])
-            assert FlopArray.flops == product_flops(50, p1, p2, 3)
+            state = stochastic_appgrad_step(state, eta, X_I, Y_I)
+            assert FlopArray.flops == product_flops(50, p1, p2, 3, cached=cached)
 
     def test_hand_built_state_pays_a_fourth_product_once(self, small_instance, monkeypatch):
         X, Y = small_instance.x, small_instance.y
@@ -735,11 +753,11 @@ class TestMomentPair:
         (n, p1), p2 = X.shape, Y.shape[1]
         (m_d, r_d), (m_s, r_s) = agreeing_runs(X, Y, k, oracle, **kw)
         # off the rows, the dense run paid for the pair and stepped on p1 + p2 rows; CSR did not
-        assert r_d.records[0].flops == (step_flops(n, p1, p2, k, batch=True) if case == "rows"
+        assert r_d.records[0].flops == (step_flops(n, p1, p2, k) if case == "rows"
                                         else moment_pair_flops(n, p1, p2)
-                                        + step_flops(p1 + p2, p1, p2, k, batch=True))
+                                        + step_flops(p1 + p2, p1, p2, k))
         assert r_s.records[0].flops == step_flops(n, p1, p2, k, sp.csr_matrix(X).nnz,
-                                                  sp.csr_matrix(Y).nnz, batch=True)
+                                                  sp.csr_matrix(Y).nnz)
         for a, b in ((m_d.phi, m_s.phi), (m_d.psi, m_s.psi), (m_d.lam, m_s.lam)):
             assert np.abs(a - b).max() <= 1e-10 * np.abs(b).max()
         assert [r.t for r in r_d.records] == [r.t for r in r_s.records]
@@ -751,12 +769,11 @@ class TestMomentPair:
         p1, p2 = X.shape[1], Y.shape[1]
 
         def pair(n):
-            return moment_pair_flops(n, p1, p2) + step_flops(p1 + p2, p1, p2, k, batch=True)
+            return moment_pair_flops(n, p1, p2) + step_flops(p1 + p2, p1, p2, k)
 
         # 4 (p1 + p2) = 108 rows hold the build; 107 keep the n-row path
         assert first_flops(X[:108], Y[:108], k, max_iters=5) == pair(108)
-        assert first_flops(X[:107], Y[:107], k, max_iters=5) == step_flops(107, p1, p2, k,
-                                                                           batch=True)
+        assert first_flops(X[:107], Y[:107], k, max_iters=5) == step_flops(107, p1, p2, k)
         # the rule does not weigh the run's length: a one-step run is taken on the pair
         assert first_flops(X, Y, k, max_iters=1) == pair(400)
 
@@ -767,7 +784,7 @@ class TestMomentPair:
         X, Y = inst.x, inst.y
         (_, report), peak = peak_bytes(lambda: run_appgrad(X, Y, 5, seed=0, max_iters=5))
         assert report.records[0].flops == (moment_pair_flops(800, 100, 100)
-                                           + step_flops(200, 100, 100, 5, batch=True))
+                                           + step_flops(200, 100, 100, 5))
         assert peak <= X.nbytes + Y.nbytes, f"peak {peak / (X.nbytes + Y.nbytes):.2f}x the views"
 
     @pytest.mark.parametrize("eta", [None, 0.1])
@@ -790,7 +807,7 @@ class TestMomentPair:
             assert report.final_state.t == max_iters
             counted.append(FlopArray.flops)
             assert report.records[0].flops == (moment_pair_flops(n, p1, p2)
-                                               + step_flops(p1 + p2, p1, p2, 3, batch=True))
+                                               + step_flops(p1 + p2, p1, p2, 3))
         # X'X, X'Y and Y'Y, once; the 4 (p1 + p2)^3 rest of the charge is the decomposition's
         assert counted == [2 * n * (p1 * p1 + p1 * p2 + p2 * p2)] * 2
         assert counted[0] == moment_pair_flops(n, p1, p2) - 4 * (p1 + p2)**3

@@ -1,6 +1,7 @@
 """Tests for the planted-instance generator, file I/O, the experiment driver,
 and the command-line interface."""
 
+import argparse
 from dataclasses import fields
 
 import numpy as np
@@ -8,8 +9,8 @@ import pytest
 import scipy.sparse as sp
 from scipy.linalg import qr
 
-from ccakit import io
-from ccakit.cli import _CONFIG_TYPES, main
+from ccakit import cli, harness, io, metrics, reference
+from ccakit.cli import _CONFIG_TYPES, _add_run_flags, build_config, main
 from ccakit.harness import (
     SOLVERS,
     SolverConfig,
@@ -19,7 +20,7 @@ from ccakit.harness import (
 )
 from ccakit.kernels import KernelSpec
 from ccakit.linalg import DegenerateIterateError, SingularMatrixError
-from ccakit.metrics import RunReport, tcc
+from ccakit.metrics import RunReport, moments, tcc
 from ccakit.planted import PlantedParams, _mixing, generate_planted
 from ccakit.reference import spectral_cca
 from conftest import peak_bytes
@@ -180,6 +181,8 @@ class TestConfig:
             SolverConfig(holdout=0.8).validate()
         with pytest.raises(ValueError):
             SolverConfig(lam=-1.0).validate()
+        with pytest.raises(ValueError, match="record_every"):  # 0 would divide the cadence
+            SolverConfig(solver="stochastic-appgrad", record_every=0).validate()
 
     def test_parse_config_file(self, tmp_path):
         path = tmp_path / "run.cfg"
@@ -331,6 +334,37 @@ class TestRunExperiment:
             want = tcc(X, small_instance.y, result.model.phi, result.model.psi)
             assert result.tcc_train == want
 
+    @pytest.mark.parametrize("solver", ["appgrad", "stochastic-appgrad"])
+    @pytest.mark.parametrize("case", ["csr", "duplicate-lam0.1"])
+    def test_sparse_and_singular_views_are_projected(self, small_instance, solver, case):
+        # one rule, metrics.tcc_evaluator, also where lam > 0 gives a singular view an oracle
+        X, Y, lam = small_instance.x, small_instance.y, 0.1
+        if case == "csr":
+            X, Y, lam = sp.csr_matrix(X), sp.csr_matrix(Y), 0.0
+        else:
+            X = np.hstack([X, X[:, :1]])
+        cfg = SolverConfig(solver=solver, k=2, lam=lam, max_iters=100)
+        result = run_experiment(cfg, x=X, y=Y)
+        assert np.isfinite(result.pcc_train)  # the oracle exists
+        assert result.tcc_train == tcc(X, Y, result.model.phi, result.model.psi)
+
+    def test_spectral_forms_the_training_moments_once(self, small_instance, monkeypatch):
+        X, Y = small_instance.x, small_instance.y
+        calls = []
+
+        def counted(A, B, lam=0.0):
+            calls.append((A.shape, B.shape))
+            return moments(A, B, lam)
+
+        for module in (metrics, reference, harness):  # every module that binds the name
+            monkeypatch.setattr(module, "moments", counted)
+        result = run_experiment(SolverConfig(solver="spectral", k=3), x=X, y=Y)
+        assert calls == [(X.shape, Y.shape)]  # one build serves solver, oracle and evaluator
+        want = spectral_cca(X, Y, 3)
+        for name in ("phi", "psi", "lam"):
+            assert np.array_equal(getattr(result.model, name), getattr(want, name))
+        assert result.pcc_train == 1.0
+
     def test_rank_beyond_the_view_widths_rejected(self, small_instance):
         # the narrower view has 12 columns; no solver may silently return fewer
         X, Y = small_instance.x, small_instance.y
@@ -423,6 +457,22 @@ class TestCli:
 
     def test_config_keys_are_the_config_fields(self):
         assert set(_CONFIG_TYPES) == {f.name for f in fields(SolverConfig)}
+
+    def test_every_config_field_has_a_flag(self):
+        parser = argparse.ArgumentParser()
+        _add_run_flags(parser)
+        assert {f.name for f in fields(SolverConfig)} <= {a.dest for a in parser._actions}
+        args = parser.parse_args(["--record-every", "7", "--lambda", "0.5", "--kernel", "rbf:2"])
+        cfg = build_config(args)
+        assert (cfg.record_every, cfg.lam, cfg.kernel) == (7, 0.5, KernelSpec("rbf", sigma=2.0))
+
+    @pytest.mark.parametrize("flag", [["--record-every", "x"], ["--kernel", "rbf:-1"],
+                                      ["--schedule", "linear"], ["--solver", "svd"]])
+    def test_bad_flag_value_fails_before_any_run(self, flag, monkeypatch):
+        monkeypatch.setattr(cli, "run_experiment", lambda *a, **kw: pytest.fail("a run started"))
+        with pytest.raises(SystemExit) as exc:
+            main(["run", *flag, "--x", "x.csv", "--y", "y.csv"])
+        assert exc.value.code == 2
 
     def test_kernel_flag_parsing(self, tmp_path, capsys):
         self.generate(tmp_path)

@@ -1,4 +1,5 @@
-"""Every name imported by the package and its tests is referenced (pyflakes' F401, by ``ast``)."""
+"""Every name imported by the package and its tests is referenced (pyflakes' F401, by ``ast``),
+and every private module-level helper of the package is used somewhere in it."""
 
 import ast
 from pathlib import Path
@@ -6,7 +7,8 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
-FILES = sorted([*ROOT.glob("src/ccakit/*.py"), *ROOT.glob("tests/*.py")])
+SRC = sorted(ROOT.glob("src/ccakit/*.py"))
+FILES = sorted([*SRC, *ROOT.glob("tests/*.py")])
 
 
 def unused_imports(source):
@@ -39,3 +41,34 @@ def test_checker_sees_what_it_must():
 @pytest.mark.parametrize("path", FILES, ids=lambda p: str(p.relative_to(ROOT)))
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def dead_private_helpers(sources):
+    """Sorted (module, name) of each module-level function or class named ``_name`` that no
+    module of ``sources`` ({module: source}) references by name, attribute or import."""
+    defined, used = [], set()
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                used.update(alias.name for alias in node.names)
+        defined += [(module, node.name) for node in tree.body
+                    if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                    and node.name.startswith("_") and not node.name.startswith("__")]
+    return sorted((module, name) for module, name in defined if name not in used)
+
+
+def test_dead_helper_checker_sees_what_it_must():
+    sources = {"a": "def _dead(x):\n    return x\ndef _called():\n    pass\nclass _Kept:\n"
+                    "    pass\ndef __getattr__(name):\n    pass\n_called()\n",
+               "b": "from a import _Kept\nimport a\na._attr_used\n",
+               "c": "def _attr_used():\n    pass\nclass _Unused:\n    pass\n"}
+    assert dead_private_helpers(sources) == [("a", "_dead"), ("c", "_Unused")]
+
+
+def test_no_dead_private_helpers():
+    assert dead_private_helpers({p.stem: p.read_text() for p in SRC}) == []

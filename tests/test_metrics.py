@@ -162,16 +162,13 @@ class TestFlopModel:
         assert step_flops(100, 20, 30, 6) > base
 
     def test_cached_iteration_saves_two_products_per_view(self):
-        """Only batch steps cache: 4 -> 2 products per view, dense or sparse."""
+        """Products per view, dense or sparse: 3 uncached, 2 cached, 4 without whiteners."""
         m, p1, p2, k = 100, 20, 30, 5
         product = 2 * m * p1 * k + 2 * m * p2 * k
-        base = step_flops(m, p1, p2, k, 0, 0, batch=True)  # the k-by-k terms alone
+        base = step_flops(m, p1, p2, k, 0, 0)  # the k-by-k terms alone
         for nnz in ((), (m * p1, m * p2)):
-            for cached, products in zip((False, True), (4, 2)):
-                flops = step_flops(m, p1, p2, k, *nnz, cached=cached, batch=True)
-                assert flops - base == products * product
-        with pytest.raises(ValueError, match="batch"):
-            step_flops(m, p1, p2, k, cached=True)
+            for kw, products in (({}, 3), ({"cached": True}, 2), ({"whitened": False}, 4)):
+                assert step_flops(m, p1, p2, k, *nnz, **kw) - base == products * product
 
     @given(
         m=st.integers(1, 10_000),
@@ -208,6 +205,22 @@ class TestRunReport:
             assert a.tcc_train == b.tcc_train
             assert a.pcc_train == b.pcc_train
             assert np.isnan(b.tcc_holdout)
+
+    def test_reads_a_report_with_the_older_seven_columns(self, tmp_path):
+        path = tmp_path / "old.report"
+        path.write_text(
+            "# solver=appgrad\n# seed=3\n# config k=2\n"
+            "# fields: t flops tcc_train tcc_holdout pcc_train pcc_holdout err\n"
+            "1 100 0.5 nan 0.40000000000000002 nan nan\n"
+            "5 500 1.1000000000000001 0.75 0.90000000000000002 0.625 0.125\n")
+        back = RunReport.read(path)
+        assert back.solver == "appgrad" and back.seed == 3 and back.config == {"k": "2"}
+        assert [(r.t, r.flops, r.tcc_train, r.pcc_train) for r in back.records] == [
+            (1, 100, 0.5, 0.4), (5, 500, 1.1, 0.9)]
+        assert np.isnan(back.records[0].tcc_holdout) and back.records[1].tcc_holdout == 0.75
+        assert not hasattr(back.records[1], "err")
+        # written back in the current five columns
+        assert back.to_lines()[-1] == "5 500 1.1000000000000001 0.75 0.90000000000000002"
 
     def test_wall_time_excluded_from_serialization(self, tmp_path):
         report = self.make_report()
