@@ -22,8 +22,7 @@ import scipy.sparse as sp
 from scipy.linalg import eigh, svd
 
 from .linalg import DegenerateIterateError, _check_finite, as_matrix, gram
-from .metrics import (IterationRecord, RunReport, moment_pair_flops, projected_correlations,
-                      step_flops, tcc)
+from .metrics import RunReport, moment_pair_flops, projected_correlations, step_flops, tcc
 from .reference import CcaModel, fix_signs
 
 EIG_FLOOR_REL = 1e-10
@@ -91,6 +90,7 @@ def _whiten(X, W, lam):
         XW = np.asarray(X @ W)
         G = XW.T @ XW / X.shape[0] + (lam * (W.T @ W) if lam else 0)
     if not np.all(np.isfinite(G)):
+        _check_finite(X)  # non-finite data, not a diverged iterate, raises ValueError
         raise DegenerateIterateError(
             "iterate overflowed (non-finite Gram); the step size is too large")
     w, V = np.linalg.eigh(G)
@@ -178,6 +178,8 @@ def estimate_gram_norm(X, seed=0):
         nw = np.linalg.norm(w)
         if nw == 0.0:
             return 0.0
+        if not np.isfinite(nw):
+            _check_finite(X)  # non-finite data raises ValueError
         ev = float(v @ w)
         v = w / nw
     return ev
@@ -284,13 +286,15 @@ def run_appgrad(
 
     Returns (CcaModel, RunReport). The report records in-sample total
     correlation and, when an oracle model is given, its captured-correlation
-    ratio, at the first, every ``record_every``-th and the last iteration.
+    ratio, at the first, every ``record_every``-th and the last iteration (none for 0).
     """
     X, Y = as_matrix(X), as_matrix(Y)
     n, p1 = X.shape
     p2 = Y.shape[1]
     if k < 1 or k > min(p1, p2):
         raise ValueError(f"rank k={k} out of range")
+    if record_every < 0:
+        raise ValueError("record_every must be >= 0")
     flops = 0
     if not (sp.issparse(X) or sp.issparse(Y) or 4 * (p1 + p2) > n):  # the first record pays
         flops, (X, Y), n = moment_pair_flops(n, p1, p2), moment_pair(X, Y), p1 + p2
@@ -324,12 +328,8 @@ def run_appgrad(
         state = new
         if record_every and (state.t % record_every == 0 or state.t == 1
                              or converged or it == max_iters - 1):
-            t_in = state.tcc(X, Y)
-            rec = IterationRecord(t=state.t, flops=flops, tcc_train=t_in,
-                                  wall_time=time.perf_counter() - t0)
-            if oracle_tcc:
-                rec.pcc_train = t_in / oracle_tcc
-            report.records.append(rec)
+            report.record(state.t, flops, state.tcc(X, Y), oracle_tcc,
+                          wall_time=time.perf_counter() - t0)
         if converged:
             break
     model = extract_model(X, Y, state)

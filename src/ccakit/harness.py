@@ -11,7 +11,7 @@ from .appgrad import default_step, extract_model, random_init, run_appgrad
 from .baselines import dw_cca, nw_cca, pca_cca
 from .kernels import KernelGram, KernelSpec, kernel_cca, kernel_gram
 from .linalg import SingularMatrixError, as_matrix
-from .metrics import IterationRecord, RunReport, moments, pcc_of, tcc, tcc_evaluator
+from .metrics import RunReport, moments, pcc_of, tcc, tcc_evaluator
 from .planted import generate_planted
 from .reference import CcaModel, als_cca, qr_cca, spectral_from_moments
 from .stochastic import MinibatchPlan, StepSchedule, run_stochastic
@@ -54,7 +54,7 @@ def _stochastic(c, X, Y, k_run, oracle, holdout, **_):
 
 
 def _pca_cca(c, X, Y, k_run, **_):
-    m = c.pca_m if c.pca_m is not None else min(4 * c.k, *X.shape, Y.shape[1])
+    m = min(4 * c.k, *X.shape, Y.shape[1])
     return pca_cca(X, Y, k_run, m=max(m, k_run), lam=c.lam, seed=c.seed)
 
 
@@ -101,7 +101,6 @@ class SolverConfig:
     seed: int = 0
     holdout: float = 0.0
     kernel: KernelSpec = None
-    pca_m: int = None
     record_every: int = None
 
     def validate(self):
@@ -148,12 +147,15 @@ def _split_holdout(X, Y, fraction, seed):
     return (X[train], Y[train]), (X[hold], Y[hold])
 
 
-def _oracle(M, k, lam):
-    """The spectral oracle from the moments M; None when a view is singular at lam = 0."""
+def _scored(X, Y, k, lam):
+    """(M, evaluate, oracle) of a pair: M = moments(X, Y), built once, ``tcc_evaluator(X, Y, M)``
+    and the rank-k spectral oracle from M, None when a view is singular at lam = 0."""
+    M = moments(X, Y)
     try:
-        return spectral_from_moments(M, k, lam)
+        oracle = spectral_from_moments(M, k, lam)
     except SingularMatrixError:
-        return None
+        oracle = None
+    return M, tcc_evaluator(X, Y, M), oracle
 
 
 def run_experiment(config, x=None, y=None, planted=None,
@@ -184,29 +186,28 @@ def run_experiment(config, x=None, y=None, planted=None,
     k_run = min(k + config.oversample, X.shape[1], Y.shape[1])
     if k_run < k:
         raise ValueError(f"k={k} exceeds the view widths {X.shape[1]}, {Y.shape[1]}")
-    M = None if solver.views else moments(X, Y)  # the exact oracle is affordable at desk scale
-    evaluate = partial(tcc, X, Y) if M is None else tcc_evaluator(X, Y, M)
-    oracle = None if M is None else _oracle(M, k, config.lam)
+    if solver.views:
+        M, evaluate, oracle = None, partial(tcc, X, Y), None
+    else:  # the exact oracle is affordable at desk scale
+        M, evaluate, oracle = _scored(X, Y, k, config.lam)
+    oracle_tcc = None if oracle is None else evaluate(oracle.phi, oracle.psi)
 
     model = solver.run(config, X, Y, k_run, oracle=oracle, holdout=holdout_pair, M=M)
     if solver.traced:
         model, report = model
     else:
         report = RunReport(solver=config.solver, seed=config.seed)
-        report.records.append(
-            IterationRecord(t=1, flops=0, tcc_train=evaluate(model.phi, model.psi))
-        )
+        report.record(1, 0, evaluate(model.phi, model.psi), oracle_tcc)
     report.config = config.snapshot()
 
     model = extract_best_k(X, Y, model, k)
     result = ExperimentResult(model=model, report=report, oracle=oracle)
     result.tcc_train = evaluate(model.phi, model.psi)
     if oracle is not None:
-        result.pcc_train = pcc_of(result.tcc_train, evaluate(oracle.phi, oracle.psi))
+        result.pcc_train = pcc_of(result.tcc_train, oracle_tcc)
         if holdout_pair is not None:
-            M_h = moments(*holdout_pair)
-            if (oracle_h := _oracle(M_h, k, config.lam)) is not None:
-                evaluate_h = tcc_evaluator(*holdout_pair, M_h)
+            _, evaluate_h, oracle_h = _scored(*holdout_pair, k, config.lam)
+            if oracle_h is not None:
                 result.pcc_holdout = pcc_of(evaluate_h(model.phi, model.psi),
                                             evaluate_h(oracle_h.phi, oracle_h.psi))
     report.validate()

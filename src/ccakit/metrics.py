@@ -21,7 +21,7 @@ dense nonsingular views from the moments, sparse and singular ones projected; th
 to ~eps*cond(X)^2 relative.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import partial
 
 import numpy as np
@@ -149,18 +149,24 @@ class IterationRecord:
 
 # Serialized field order for trace records (wall time is deliberately omitted
 # so identical config + seed reproduce byte-identical report files).
-RECORD_FIELDS = ("t", "flops", "tcc_train", "tcc_holdout", "pcc_train")
+RECORD_FIELDS = tuple(f.name for f in fields(IterationRecord) if f.name != "wall_time")
 
 
 @dataclass
 class RunReport:
-    """Per-iteration trace plus the resolved configuration of the run."""
+    """Per-iteration trace plus the resolved configuration of a run; ``record`` builds each row."""
 
     solver: str
     seed: int
     config: dict = field(default_factory=dict)
     records: list = field(default_factory=list)
     final_state: object = None
+
+    def record(self, t, flops, tcc_train, oracle_tcc, **fields):
+        """Append row t with PCC ``pcc_of(tcc_train, oracle_tcc)``, NaN for oracle_tcc None."""
+        pcc_train = float("nan") if oracle_tcc is None else pcc_of(tcc_train, oracle_tcc)
+        self.records.append(IterationRecord(t=t, flops=flops, tcc_train=tcc_train,
+                                            pcc_train=pcc_train, **fields))
 
     def validate(self):
         ts = [r.t for r in self.records]

@@ -162,7 +162,7 @@ def als_cca(X, Y, init, max_iters=1000, tol=1e-8, lam=0.0):
     return CcaModel(Phi, Psi, np.array([lam1]), converged=converged)
 
 
-def naive_gradient_step(phi, psi, eta1, eta2, X, Y, lam=0.0):
+def naive_gradient_step(phi, psi, eta1, eta2, X, Y):
     """One step of the broken projected-gradient scheme (negative control).
 
     Updates the normalized pair directly and renormalizes; the true canonical
@@ -178,12 +178,10 @@ def naive_gradient_step(phi, psi, eta1, eta2, X, Y, lam=0.0):
         raise ValueError("direction dimensions do not match the data views")
     Xp = np.asarray(X @ phi)
     Yq = np.asarray(Y @ psi)
-    g1 = np.asarray(X.T @ (Xp - Yq)) / n + lam * phi
-    g2 = np.asarray(Y.T @ (Yq - Xp)) / n + lam * psi
+    g1 = np.asarray(X.T @ (Xp - Yq)) / n
+    g2 = np.asarray(Y.T @ (Yq - Xp)) / n
     phi_new = phi - eta1 * g1
     psi_new = psi - eta2 * g2
-    Sx = gram(X, lam)
-    Sy = gram(Y, lam)
-    phi_new /= induced_norm(Sx, phi_new)
-    psi_new /= induced_norm(Sy, psi_new)
+    phi_new /= induced_norm(gram(X), phi_new)
+    psi_new /= induced_norm(gram(Y), psi_new)
     return phi_new, psi_new

@@ -19,7 +19,7 @@ from .appgrad import (  # noqa: F401  normalize_columns is looked up here by per
     random_init,
 )
 from .linalg import DegenerateIterateError, as_matrix
-from .metrics import IterationRecord, RunReport, step_flops, tcc, tcc_evaluator
+from .metrics import RunReport, step_flops, tcc, tcc_evaluator
 
 
 @dataclass
@@ -137,7 +137,7 @@ def run_stochastic(
     data in sequential-stream mode). Degenerate batches are resampled once,
     then the run fails.
 
-    ``record_every`` defaults to once per epoch-equivalent, ceil(n/m).
+    ``record_every`` defaults to once per epoch-equivalent, ceil(n/m); 0 records nothing.
     ``holdout`` is an optional (X_h, Y_h) pair for out-of-sample TCC.
     Returns (CcaModel, RunReport); the model's ``converged`` is False, since
     the run has no stopping test.
@@ -148,6 +148,8 @@ def run_stochastic(
     sampler = plan.make_sampler(n)
     if record_every is None:
         record_every = max(1, int(np.ceil(n / plan.m)))
+    if record_every < 0:
+        raise ValueError("record_every must be >= 0")
     state = init if init is not None else random_init(X, Y, k, seed, lam)
     report = RunReport(
         solver="stochastic-appgrad",
@@ -163,20 +165,15 @@ def run_stochastic(
         },
     )
     evaluate = tcc_evaluator(X, Y)
-    evaluate_holdout = tcc_evaluator(*holdout) if holdout is not None else None
+    evaluate_holdout = tcc_evaluator(*holdout) if holdout is not None else lambda A, B: np.nan
     oracle_tcc = evaluate(oracle.phi, oracle.psi) if oracle is not None else None
     flops = 0
     t0 = time.perf_counter()
 
     def record():
-        t_in = evaluate(state.phi, state.psi)
-        rec = IterationRecord(t=state.t, flops=flops, tcc_train=t_in,
-                              wall_time=time.perf_counter() - t0)
-        if holdout is not None:
-            rec.tcc_holdout = evaluate_holdout(state.phi, state.psi)
-        if oracle_tcc:
-            rec.pcc_train = t_in / oracle_tcc
-        report.records.append(rec)
+        report.record(state.t, flops, evaluate(state.phi, state.psi), oracle_tcc,
+                      wall_time=time.perf_counter() - t0,
+                      tcc_holdout=evaluate_holdout(state.phi, state.psi))
     streaming = plan.mode == "sequential-stream"
 
     def rows(idx):  # np.take gathers dense rows faster than X[idx]
@@ -200,9 +197,9 @@ def run_stochastic(
         flops += step_flops(len(idx), p1, p2, k, *nnz, whitened=state.whiteners is not None)
         state = new
         it += 1
-        if state.t % record_every == 0:
+        if record_every and state.t % record_every == 0:
             record()
-    if it and state.t % record_every:  # the last iterate, off the cadence
+    if it and record_every and state.t % record_every:  # the last iterate, off the cadence
         record()
     model = extract_model(X, Y, state)
     model.converged = False
@@ -217,14 +214,12 @@ def cross_validate_step(
     k,
     grid,
     holdout_fraction=0.1,
-    plan=None,
-    lam=0.0,
     budget=100,
     seed=0,
 ):
-    """Pick the constant step size from ``grid`` that maximizes holdout TCC
-    after a short run; ties break toward the smaller step. Candidates whose
-    runs diverge or degenerate are discarded; all-degenerate grids error."""
+    """Pick the constant step size from ``grid`` that maximizes holdout TCC after a
+    ``budget``-step full-batch run at lam = 0; ties break toward the smaller step.
+    Candidates whose runs diverge or degenerate are discarded; all-degenerate grids error."""
     if not grid:
         raise ValueError("candidate grid is empty")
     if not (0.0 < holdout_fraction <= 0.5):
@@ -237,14 +232,13 @@ def cross_validate_step(
     hold, train = perm[:n_hold], perm[n_hold:]
     X_tr, Y_tr = X[train], Y[train]
     X_h, Y_h = X[hold], Y[hold]
-    if plan is None:
-        plan = MinibatchPlan(m=len(train), mode="without-replacement", seed=seed)
+    plan = MinibatchPlan(m=len(train), seed=seed)  # full batch, without replacement
     best_eta, best_score = None, -np.inf
     for eta in sorted(grid):
         schedule = StepSchedule(kind="constant", eta0=float(eta))
         try:
             model, _ = run_stochastic(
-                X_tr, Y_tr, k, plan, schedule, lam=lam, max_iters=budget, seed=seed
+                X_tr, Y_tr, k, plan, schedule, max_iters=budget, seed=seed
             )
             score = tcc(X_h, Y_h, model.phi, model.psi)
         except DegenerateIterateError:

@@ -28,8 +28,9 @@ from ccakit.appgrad import (
 from ccakit.linalg import DegenerateIterateError, as_matrix, gram, induced_norm
 from ccakit.planted import PlantedParams, generate_planted
 from ccakit.metrics import moment_pair_flops, moments, step_flops, tcc
-from ccakit.reference import spectral_cca
-from ccakit.stochastic import MinibatchPlan, StepSchedule, run_stochastic, stochastic_appgrad_step
+from ccakit.reference import CcaModel, spectral_cca
+from ccakit.stochastic import (MinibatchPlan, StepSchedule, cross_validate_step, run_stochastic,
+                               stochastic_appgrad_step)
 
 from conftest import peak_bytes, random_orthogonal
 
@@ -373,6 +374,19 @@ class TestConvergence:
         assert all(b >= a for a, b in zip(flops, flops[1:]))
         assert all(np.isfinite(r.pcc_train) for r in report.records)
 
+    def test_record_every_zero_records_nothing(self, small_instance):
+        X, Y = small_instance.x, small_instance.y
+        _, report = run_appgrad(X, Y, 2, seed=0, record_every=0, max_iters=7, tol=0.0)
+        assert report.records == [] and report.final_state.t == 7
+        with pytest.raises(ValueError, match="record_every"):
+            run_appgrad(X, Y, 2, seed=0, record_every=-1)
+
+    def test_oracle_capturing_nothing_raises(self, small_instance):
+        X, Y = small_instance.x, small_instance.y
+        oracle = CcaModel(np.zeros((X.shape[1], 2)), np.zeros((Y.shape[1], 2)), np.zeros(2))
+        with pytest.raises(ValueError, match="oracle captures no correlation"):
+            run_appgrad(X, Y, 2, seed=0, oracle=oracle, max_iters=5)
+
     def test_last_record_is_the_final_iterate(self, small_instance):
         X, Y = small_instance.x, small_instance.y
         _, report = run_appgrad(X, Y, 3, seed=0, record_every=5, max_iters=7, tol=0.0)
@@ -597,6 +611,29 @@ class TestOverflow:
                                StepSchedule("constant", eta0=eta), max_iters=2000, seed=0)
             else:
                 run_appgrad(X, Y, 3, eta=eta, max_iters=2000, tol=0.0, seed=0)
+
+
+class TestNonFiniteData:
+    """A non-finite entry in a view is reported as bad data on every route, never as a
+    diverging step, though only the moment pair scans the views up front."""
+
+    ROUTES = {
+        "moment-pair": lambda X, Y: run_appgrad(X, Y, 2, eta=0.1, seed=0),
+        "rows": lambda X, Y: run_appgrad(X[:100], Y[:100], 2, eta=0.1, seed=0),  # 4(p1+p2) > n
+        "csr": lambda X, Y: run_appgrad(sp.csr_matrix(X), sp.csr_matrix(Y), 2, seed=0),
+        "csr-eta": lambda X, Y: run_appgrad(sp.csr_matrix(X), sp.csr_matrix(Y), 2, eta=0.1),
+        "minibatch": lambda X, Y: run_stochastic(X, Y, 2, MinibatchPlan(m=50),
+                                                 StepSchedule(eta0=0.1), max_iters=5),
+        "cross-validation": lambda X, Y: cross_validate_step(X, Y, 2, [0.01, 0.1], budget=5),
+    }
+
+    @pytest.mark.parametrize("route", sorted(ROUTES))
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_raises_value_error(self, small_instance, route, value):
+        X = small_instance.x.copy()
+        X[3, 2] = value
+        with pytest.raises(ValueError, match="non-finite entries"):
+            self.ROUTES[route](X, small_instance.y)
 
 
 class FlopArray(np.ndarray):

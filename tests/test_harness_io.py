@@ -9,7 +9,7 @@ import pytest
 import scipy.sparse as sp
 from scipy.linalg import qr
 
-from ccakit import cli, harness, io, metrics, reference
+from ccakit import baselines, cli, harness, io, metrics, reference
 from ccakit.cli import _CONFIG_TYPES, _add_run_flags, build_config, main
 from ccakit.harness import (
     SOLVERS,
@@ -318,6 +318,26 @@ class TestRunExperiment:
             assert np.all(np.isfinite(A))
         assert result.report.solver == name and result.report.records
         result.report.validate()
+
+    @pytest.mark.parametrize("name", ["spectral", "nw"])
+    def test_one_shot_trace_has_one_line(self, small_instance, name, tmp_path):
+        path = tmp_path / "trace.txt"
+        result = run_experiment(SolverConfig(solver=name, k=2), x=small_instance.x,
+                                y=small_instance.y, trace_path=path)
+        (row,) = result.report.records
+        assert row.pcc_train == result.pcc_train  # at k_run = k the row scores the model
+        flops, pcc = path.read_text().split()
+        assert (int(flops), float(pcc)) == (0, row.pcc_train)
+
+    @pytest.mark.parametrize("name, solve", [("nw", baselines.nw_cca), ("dw", baselines.dw_cca)])
+    def test_oversampled_heuristic_keeps_its_first_directions(self, small_instance, name, solve):
+        X, Y = small_instance.x, small_instance.y
+        result = run_experiment(SolverConfig(solver=name, k=2, oversample=2, seed=4), x=X, y=Y)
+        full = solve(X, Y, 4, seed=4)
+        assert result.model.whitened is False
+        for got, want in ((result.model.phi, full.phi), (result.model.psi, full.psi),
+                          (result.model.lam, full.lam)):
+            assert np.array_equal(got, want[..., :2])
 
     def test_singular_view_leaves_pcc_undefined(self, small_instance):
         X = np.hstack([small_instance.x, small_instance.x[:, :1]])

@@ -1,5 +1,6 @@
 """Every name imported by the package and its tests is referenced (pyflakes' F401, by ``ast``),
-and every private module-level helper of the package is used somewhere in it."""
+every private module-level helper of the package is used somewhere in it, and every defaulted
+parameter of the package is passed by some call in the package, tests, scripts or benchmark."""
 
 import ast
 from pathlib import Path
@@ -72,3 +73,67 @@ def test_dead_helper_checker_sees_what_it_must():
 
 def test_no_dead_private_helpers():
     assert dead_private_helpers({p.stem: p.read_text() for p in SRC}) == []
+
+
+def dead_parameters(package, callers):
+    """Sorted (module, function, parameter) of each defaulted parameter of a ``def`` in
+    ``package`` ({module: source}) that no call in ``callers`` (a list of sources) passes by
+    keyword, by position or through ``*``/``**``. A call reaches every ``def`` of its name
+    (``f(...)``, ``obj.f(...)``, ``partial(f, ...)``; ``C(...)`` reaches ``C.__init__``), and a
+    method's positions start after ``self``."""
+    defs = {}  # call name -> [(module, qualified name, positional names, defaulted names)]
+    for module, source in package.items():
+        tree = ast.parse(source)
+        methods = {id(f): c.name for c in ast.walk(tree) if isinstance(c, ast.ClassDef)
+                   for f in c.body if isinstance(f, ast.FunctionDef)}
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.FunctionDef):
+                continue
+            a, cls = node.args, methods.get(id(node))
+            positional = [p.arg for p in a.posonlyargs + a.args]
+            if cls and "staticmethod" not in {getattr(d, "id", None) for d in node.decorator_list}:
+                positional = positional[1:]
+            defaulted = positional[len(positional) - len(a.defaults):] + [
+                p.arg for p, d in zip(a.kwonlyargs, a.kw_defaults) if d is not None]
+            name = cls if node.name == "__init__" else node.name
+            qualified = f"{cls}.{node.name}" if cls else node.name
+            defs.setdefault(name, []).append((module, qualified, positional, set(defaulted)))
+    passed = set()
+    for source in callers:
+        for node in ast.walk(ast.parse(source)):
+            if not isinstance(node, ast.Call):
+                continue
+            func, args = node.func, node.args
+            if getattr(func, "id", None) == "partial" and args:
+                func, args = args[0], args[1:]
+            for module, qualified, positional, _ in defs.get(
+                    getattr(func, "id", None) or getattr(func, "attr", None), ()):
+                spread = any(isinstance(a, ast.Starred) for a in args)
+                passed.update((qualified, p) for p in positional[:None if spread else len(args)])
+                for kw in node.keywords:
+                    if kw.arg is None:  # **kwargs may carry any parameter
+                        passed.update((qualified, p) for p in positional)
+                    passed.add((qualified, kw.arg))
+    return sorted((module, qualified, p) for entries in defs.values()
+                  for module, qualified, _, defaulted in entries
+                  for p in defaulted if (qualified, p) not in passed)
+
+
+def test_dead_parameter_checker_sees_what_it_must():
+    package = {"a": "def f(x, y=1, z=2, *, w=3):\n    pass\ndef g(x, y=1, z=2):\n    pass\n"
+                    "def h(x, y=1):\n    pass\nclass C:\n    def __init__(self, v=0, u=1):\n"
+                    "        pass\n    def m(self, s=1):\n        pass\n"}
+    callers = ["f(1, 2)\ng(*args)\nh(1, **kw)\nC(5)\nobj.m(s=2)\n",
+               "from functools import partial\npartial(f, 0, w=1)\n"]
+    assert dead_parameters(package, callers) == [("a", "C.__init__", "u"), ("a", "f", "z")]
+
+
+# appgrad_step_rank1 reaches run_appgrad only as step_fn, which passes lam positionally
+DEAD_PARAMETER_ALLOWLIST = [("appgrad", "appgrad_step_rank1", "lam")]
+
+
+def test_no_dead_parameters():
+    callers = [p.read_text() for d in ("src/ccakit", "tests", "scripts", "perfbench")
+               for p in sorted(ROOT.glob(f"{d}/*.py"))]
+    package = {p.stem: p.read_text() for p in SRC}
+    assert dead_parameters(package, callers) == DEAD_PARAMETER_ALLOWLIST

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from ccakit.appgrad import normalize_columns
 from ccakit.linalg import gram
 from ccakit.metrics import (
+    RECORD_FIELDS,
     IterationRecord,
     RunReport,
     moment_tcc,
@@ -221,6 +222,20 @@ class TestRunReport:
         assert not hasattr(back.records[1], "err")
         # written back in the current five columns
         assert back.to_lines()[-1] == "5 500 1.1000000000000001 0.75 0.90000000000000002"
+
+    def test_field_order_is_the_file_format(self):
+        assert RECORD_FIELDS == ("t", "flops", "tcc_train", "tcc_holdout", "pcc_train")
+
+    def test_record_takes_pcc_from_the_oracle_tcc(self):
+        report = RunReport(solver="x", seed=0)
+        report.record(1, 10, 0.5, 2.0, tcc_holdout=0.25)
+        report.record(2, 20, 0.5, None, wall_time=1.5)
+        first, second = report.records
+        assert (first.pcc_train, first.tcc_holdout) == (0.25, 0.25)
+        assert np.isnan(second.pcc_train) and second.wall_time == 1.5
+        with pytest.raises(ValueError, match="oracle captures no correlation"):
+            report.record(3, 30, 0.5, 0.0)
+        assert len(report.records) == 2
 
     def test_wall_time_excluded_from_serialization(self, tmp_path):
         report = self.make_report()

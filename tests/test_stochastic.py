@@ -21,7 +21,7 @@ from ccakit.appgrad import (
 from ccakit.linalg import DegenerateIterateError, gram
 from ccakit.metrics import pcc, tcc
 from ccakit.planted import PlantedParams, generate_planted
-from ccakit.reference import spectral_cca
+from ccakit.reference import CcaModel, spectral_cca
 from ccakit.stochastic import (
     MinibatchPlan,
     StepSchedule,
@@ -246,6 +246,21 @@ class TestRunner:
         final = report.final_state
         assert report.records[-1].tcc_train == pytest.approx(
             tcc(X, Y, final.phi, final.psi), rel=1e-9)
+
+    def test_record_every_zero_records_nothing(self, small_instance):
+        X, Y = small_instance.x, small_instance.y
+        plan, schedule = MinibatchPlan(m=50, seed=0), StepSchedule(eta0=0.1)
+        _, report = run_stochastic(X, Y, 2, plan, schedule, max_iters=7, record_every=0)
+        assert report.records == [] and report.final_state.t == 7
+        with pytest.raises(ValueError, match="record_every"):
+            run_stochastic(X, Y, 2, plan, schedule, max_iters=7, record_every=-1)
+
+    def test_oracle_capturing_nothing_raises(self, small_instance):
+        X, Y = small_instance.x, small_instance.y
+        oracle = CcaModel(np.zeros((X.shape[1], 2)), np.zeros((Y.shape[1], 2)), np.zeros(2))
+        with pytest.raises(ValueError, match="oracle captures no correlation"):
+            run_stochastic(X, Y, 2, MinibatchPlan(m=50, seed=0), StepSchedule(eta0=0.1),
+                           max_iters=5, oracle=oracle)
 
     def test_model_is_never_marked_converged(self, small_instance):
         # the runner stops on its iteration budget, never on a convergence test
