@@ -4,14 +4,12 @@ evaluation, and report/model emission."""
 from dataclasses import dataclass, asdict
 from functools import partial
 
-import numpy as np
-
 from . import io
 from .appgrad import default_step, extract_model, random_init, run_appgrad
 from .baselines import dw_cca, nw_cca, pca_cca
-from .kernels import KernelGram, KernelSpec, kernel_cca, kernel_gram
+from .kernels import KernelSpec, kernel_gram, kernel_ridge
 from .linalg import SingularMatrixError, as_matrix
-from .metrics import RunReport, moments, pcc_of, tcc, tcc_evaluator
+from .metrics import RunReport, moments, pcc_of, split_holdout, tcc, tcc_evaluator
 from .planted import generate_planted
 from .reference import CcaModel, als_cca, qr_cca, spectral_from_moments
 from .stochastic import MinibatchPlan, StepSchedule, run_stochastic
@@ -20,10 +18,11 @@ from .stochastic import MinibatchPlan, StepSchedule, run_stochastic
 @dataclass(frozen=True)
 class Solver:
     """How run_experiment runs one solver. ``run(config, X, Y, k_run, oracle,
-    holdout, M)`` returns a CcaModel, or (model, report) when ``traced``; M is
-    ``metrics.moments(X, Y)``. ``views(config, X, Y)``, if given, maps the data
-    to the pair that the solver and the metrics act on; the primal spectral
-    oracle does not apply to such views, so neither it nor M is computed."""
+    holdout, M)`` returns a CcaModel, or (model, report) when ``traced`` (the
+    report then takes the entry's name); M is ``metrics.moments(X, Y)``.
+    ``views(config, X, Y)``, if given, maps the data to the pair that the
+    solver and the metrics act on; the primal spectral oracle does not apply
+    to such views, so neither it nor M is computed."""
 
     run: object
     traced: bool = False
@@ -64,12 +63,9 @@ def _grams(c, X, Y):
 
 
 def _kernel_appgrad(c, Kx, Ky, k_run, **_):
-    spec = c.kernel or KernelSpec("linear")
-    Wx, Wy, lams = kernel_cca(
-        KernelGram(Kx, spec), KernelGram(Ky, spec), k_run, lam=c.lam or None,
-        eta=c.eta, max_iters=c.max_iters, tol=c.tol, seed=c.seed,
-    )
-    return CcaModel(Wx, Wy, lams)
+    return run_appgrad(Kx, Ky, k_run, eta=c.eta, lam=c.lam or kernel_ridge(Kx, Ky),
+                       max_iters=c.max_iters, tol=c.tol, seed=c.seed,
+                       record_every=c.record_every or 1)
 
 
 SOLVERS = {
@@ -81,7 +77,7 @@ SOLVERS = {
     "nw": Solver(lambda c, X, Y, k_run, **_: nw_cca(X, Y, k_run, seed=c.seed)),
     "dw": Solver(lambda c, X, Y, k_run, **_: dw_cca(X, Y, k_run, lam=c.lam, seed=c.seed)),
     "pca-cca": Solver(_pca_cca),
-    "kernel-appgrad": Solver(_kernel_appgrad, views=_grams),
+    "kernel-appgrad": Solver(_kernel_appgrad, traced=True, views=_grams),
 }
 
 
@@ -137,16 +133,6 @@ def extract_best_k(X, Y, model, k):
     return model if model.k <= k else extract_model(X, Y, model, k)
 
 
-def _split_holdout(X, Y, fraction, seed):
-    n = X.shape[0]
-    n_hold = int(round(fraction * n))
-    if n_hold == 0:
-        raise ValueError(f"holdout fraction {fraction} of n={n} rows leaves 0 held-out rows")
-    perm = np.random.default_rng(seed).permutation(n)
-    hold, train = perm[:n_hold], perm[n_hold:]
-    return (X[train], Y[train]), (X[hold], Y[hold])
-
-
 def _scored(X, Y, k, lam):
     """(M, evaluate, oracle) of a pair: M = moments(X, Y), built once, ``tcc_evaluator(X, Y, M)``
     and the rank-k spectral oracle from M, None when a view is singular at lam = 0."""
@@ -177,7 +163,7 @@ def run_experiment(config, x=None, y=None, planted=None,
 
     holdout_pair = None
     if config.holdout > 0:
-        (X, Y), holdout_pair = _split_holdout(X, Y, config.holdout, config.seed)
+        (X, Y), holdout_pair = split_holdout(X, Y, config.holdout, config.seed)
 
     solver = SOLVERS[config.solver]
     if solver.views:
@@ -197,12 +183,13 @@ def run_experiment(config, x=None, y=None, planted=None,
         model, report = model
     else:
         report = RunReport(solver=config.solver, seed=config.seed)
-        report.record(1, 0, evaluate(model.phi, model.psi), oracle_tcc)
-    report.config = config.snapshot()
+    report.solver, report.config = config.solver, config.snapshot()
 
     model = extract_best_k(X, Y, model, k)
     result = ExperimentResult(model=model, report=report, oracle=oracle)
     result.tcc_train = evaluate(model.phi, model.psi)
+    if not solver.traced:  # the one row scores the returned rank-k model
+        report.record(1, 0, result.tcc_train, oracle_tcc)
     if oracle is not None:
         result.pcc_train = pcc_of(result.tcc_train, oracle_tcc)
         if holdout_pair is not None:

@@ -68,29 +68,24 @@ def kernel_gram(X, spec, center=False):
     return KernelGram(K, spec)
 
 
+def kernel_ridge(Kx, Ky):
+    """The ridge a kernel run applies to both Gram views: the larger of the two views'
+    1e-6 * trace(K)/n (K K is rank-deficient by construction, so some is always needed)."""
+    return max(1e-6 * np.trace(K) / K.shape[0] for K in (Kx, Ky))
+
+
 def kernel_cca(Kx, Ky, k, lam=None, eta=None, max_iters=2000, tol=1e-7, seed=0):
     """Top-k kernel CCA via the rank-k augmented-gradient solver run on the
     Gram pair. Returns (Wx, Wy, lam_hat): dual coefficient matrices with
-    Wx' Kx Kx Wx / n = I_k and the captured correlations.
+    Wx' (Kx Kx / n + lam I) Wx = I_k and the captured correlations.
 
-    ``lam`` defaults to 1e-6 * trace(K)/n per view (Kx Kx is rank-deficient by
-    construction, so some regularization is always applied)."""
+    One ridge ``lam`` applies to both views; it defaults to ``kernel_ridge``, the larger
+    of the two views' 1e-6 * trace(K)/n."""
     if Kx.n != Ky.n:
         raise ValueError("Gram matrices must cover the same samples")
-    n = Kx.n
-    lam_x = 1e-6 * np.trace(Kx.values) / n if lam is None else lam
-    lam_y = 1e-6 * np.trace(Ky.values) / n if lam is None else lam
-    lam_run = max(lam_x, lam_y)
-    model, report = run_appgrad(
-        Kx.values,
-        Ky.values,
-        k,
-        eta=eta,
-        lam=lam_run,
-        max_iters=max_iters,
-        tol=tol,
-        seed=seed,
-    )
+    lam = kernel_ridge(Kx.values, Ky.values) if lam is None else lam
+    model, _ = run_appgrad(Kx.values, Ky.values, k, eta=eta, lam=lam, max_iters=max_iters,
+                           tol=tol, seed=seed)
     return model.phi, model.psi, model.lam
 
 

@@ -14,6 +14,8 @@ products per view:
   + 8*m*k^2 + 24*k^3       k-by-k Grams, re-projections, eigendecompositions
   + 2*(p1+p2)*k^2          applying the k-by-k whitener
 A run on a moment pair pays 2*n*(p1^2 + p1*p2 + p2^2) + 4*(p1+p2)^3 (syevd) once, then m = p1+p2.
+A minibatch attempt that fails as degenerate and is resampled is charged as one uncached step
+on its own rows, besides the step that replaces it.
 
 Evaluation: a rank-k TCC on n rows costs 2*n*(p1+p2)*k projected, or O((p1+p2)^2*k)
 from the moments X'X/n, Y'Y/n, X'Y/n (n*(p1+p2)^2 once). ``tcc_evaluator`` is the one rule:
@@ -112,6 +114,18 @@ def pcc(X, Y, est, oracle):
     carry, so holdout evaluation just passes the held-out rows.
     """
     return pcc_of(tcc(X, Y, *est), tcc(X, Y, *oracle))
+
+
+def split_holdout(X, Y, fraction, seed):
+    """((X_train, Y_train), (X_hold, Y_hold)): round(fraction * n) rows drawn by a seeded
+    permutation are held out; a fraction that leaves no held-out row raises ValueError."""
+    n = X.shape[0]
+    n_hold = int(round(fraction * n))
+    if n_hold == 0:
+        raise ValueError(f"holdout fraction {fraction} of n={n} rows leaves 0 held-out rows")
+    perm = np.random.default_rng(seed).permutation(n)
+    hold, train = perm[:n_hold], perm[n_hold:]
+    return (X[train], Y[train]), (X[hold], Y[hold])
 
 
 def principal_angles(A, B, S=None):

@@ -17,9 +17,10 @@ from .appgrad import (  # noqa: F401  normalize_columns is looked up here by per
     extract_model,
     normalize_columns,
     random_init,
+    run_appgrad,
 )
 from .linalg import DegenerateIterateError, as_matrix
-from .metrics import RunReport, step_flops, tcc, tcc_evaluator
+from .metrics import RunReport, split_holdout, step_flops, tcc, tcc_evaluator
 
 
 @dataclass
@@ -178,6 +179,10 @@ def run_stochastic(
 
     def rows(idx):  # np.take gathers dense rows faster than X[idx]
         return [A[idx] if sp.issparse(A) else np.take(A, idx, axis=0) for A in (X, Y)]
+
+    def step_cost(X_I, Y_I):  # of one step from ``state`` on these rows
+        nnz = [A.nnz if sp.issparse(A) else None for A in (X_I, Y_I)]
+        return step_flops(X_I.shape[0], p1, p2, k, *nnz, whitened=state.whiteners is not None)
     it = 0
     while it < max_iters:
         idx = sampler.next_batch()
@@ -188,13 +193,13 @@ def run_stochastic(
         try:
             new = stochastic_appgrad_step(state, eta, X_I, Y_I, lam)
         except DegenerateIterateError:
+            flops += step_cost(X_I, Y_I)  # the discarded attempt did the work of a step
             idx = sampler.next_batch()
             if streaming and idx.size == 0:
                 break
             X_I, Y_I = rows(idx)
             new = stochastic_appgrad_step(state, eta, X_I, Y_I, lam)
-        nnz = [A.nnz if sp.issparse(A) else None for A in (X_I, Y_I)]
-        flops += step_flops(len(idx), p1, p2, k, *nnz, whitened=state.whiteners is not None)
+        flops += step_cost(X_I, Y_I)
         state = new
         it += 1
         if record_every and state.t % record_every == 0:
@@ -218,34 +223,23 @@ def cross_validate_step(
     seed=0,
 ):
     """Pick the constant step size from ``grid`` that maximizes holdout TCC after a
-    ``budget``-step full-batch run at lam = 0; ties break toward the smaller step.
-    Candidates whose runs diverge or degenerate are discarded; all-degenerate grids error."""
+    ``budget``-step ``run_appgrad`` at lam = 0 on the rows ``split_holdout`` keeps for
+    training; ties break toward the smaller step. Candidates whose runs diverge or
+    degenerate are discarded; all-degenerate grids error."""
     if not grid:
         raise ValueError("candidate grid is empty")
     if not (0.0 < holdout_fraction <= 0.5):
         raise ValueError("holdout fraction must be in (0, 0.5]")
-    X, Y = as_matrix(X), as_matrix(Y)
-    n = X.shape[0]
-    rng = np.random.default_rng(seed)
-    perm = rng.permutation(n)
-    n_hold = max(1, int(round(holdout_fraction * n)))
-    hold, train = perm[:n_hold], perm[n_hold:]
-    X_tr, Y_tr = X[train], Y[train]
-    X_h, Y_h = X[hold], Y[hold]
-    plan = MinibatchPlan(m=len(train), seed=seed)  # full batch, without replacement
+    (X_tr, Y_tr), (X_h, Y_h) = split_holdout(as_matrix(X), as_matrix(Y), holdout_fraction, seed)
     best_eta, best_score = None, -np.inf
     for eta in sorted(grid):
-        schedule = StepSchedule(kind="constant", eta0=float(eta))
         try:
-            model, _ = run_stochastic(
-                X_tr, Y_tr, k, plan, schedule, max_iters=budget, seed=seed
-            )
+            model, _ = run_appgrad(X_tr, Y_tr, k, eta=float(eta), max_iters=budget, tol=0.0,
+                                   seed=seed, record_every=0)
             score = tcc(X_h, Y_h, model.phi, model.psi)
         except DegenerateIterateError:
             continue
-        if not np.isfinite(score):
-            continue
-        if score > best_score:
+        if np.isfinite(score) and score > best_score:
             best_eta, best_score = float(eta), score
     if best_eta is None:
         raise DegenerateIterateError("every candidate step size degenerated")

@@ -18,7 +18,8 @@ from ccakit.harness import (
     parse_config_file,
     run_experiment,
 )
-from ccakit.kernels import KernelSpec
+from ccakit.appgrad import run_appgrad
+from ccakit.kernels import KernelSpec, kernel_gram, kernel_ridge
 from ccakit.linalg import DegenerateIterateError, SingularMatrixError
 from ccakit.metrics import RunReport, moments, tcc
 from ccakit.planted import PlantedParams, _mixing, generate_planted
@@ -319,15 +320,48 @@ class TestRunExperiment:
         assert result.report.solver == name and result.report.records
         result.report.validate()
 
-    @pytest.mark.parametrize("name", ["spectral", "nw"])
-    def test_one_shot_trace_has_one_line(self, small_instance, name, tmp_path):
+    @pytest.mark.parametrize("name, oversample", [
+        pytest.param(name, oversample, id=name + ("-oversample" if oversample else ""))
+        for oversample in (0, 2) for name in ("spectral", "nw")])
+    def test_one_shot_trace_has_one_line(self, small_instance, name, oversample, tmp_path):
         path = tmp_path / "trace.txt"
-        result = run_experiment(SolverConfig(solver=name, k=2), x=small_instance.x,
-                                y=small_instance.y, trace_path=path)
+        result = run_experiment(SolverConfig(solver=name, k=2, oversample=oversample),
+                                x=small_instance.x, y=small_instance.y, trace_path=path)
         (row,) = result.report.records
-        assert row.pcc_train == result.pcc_train  # at k_run = k the row scores the model
+        assert row.pcc_train == result.pcc_train  # the row scores the returned rank-k model
         flops, pcc = path.read_text().split()
         assert (int(flops), float(pcc)) == (0, row.pcc_train)
+
+    @pytest.mark.parametrize("name", sorted(SOLVERS))
+    def test_solver_table_matches_its_drivers(self, name):
+        params = PlantedParams(n=200, p1=6, p2=7, correlations=(0.9, 0.6), noise=0.2)
+        cfg = SolverConfig(solver=name, k=1, seed=1, max_iters=3, tol=0.0, record_every=1,
+                           batch_size=50)
+        result = run_experiment(cfg, planted=params)
+        if name in ("als", "appgrad", "stochastic-appgrad", "kernel-appgrad"):
+            assert result.model.converged is False
+        rows = result.report.records
+        if SOLVERS[name].traced:  # one row per iteration, each charged
+            assert [r.t for r in rows] == [1, 2, 3]
+            flops = [r.flops for r in rows]
+            assert flops[0] > 0 and flops == sorted(flops)
+        else:
+            assert [(r.t, r.flops) for r in rows] == [(1, 0)]
+
+    def test_kernel_run_is_run_appgrad_on_the_grams(self, small_instance):
+        spec = KernelSpec("rbf", sigma=3.0)
+        x, y = small_instance.x[:150], small_instance.y[:150]
+        cfg = SolverConfig(solver="kernel-appgrad", k=2, max_iters=40, seed=2, kernel=spec)
+        result = run_experiment(cfg, x=x, y=y)
+        Kx, Ky = kernel_gram(x, spec).values, kernel_gram(y, spec).values
+        model, report = run_appgrad(Kx, Ky, 2, lam=kernel_ridge(Kx, Ky), max_iters=40, seed=2)
+        assert result.model.converged is model.converged is False
+        for a, b in ((result.model.phi, model.phi), (result.model.psi, model.psi),
+                     (result.model.lam, model.lam)):
+            assert np.array_equal(a, b)
+        assert result.report.solver == "kernel-appgrad"
+        assert ([(r.t, r.flops, r.tcc_train) for r in result.report.records]
+                == [(r.t, r.flops, r.tcc_train) for r in report.records])
 
     @pytest.mark.parametrize("name, solve", [("nw", baselines.nw_cca), ("dw", baselines.dw_cca)])
     def test_oversampled_heuristic_keeps_its_first_directions(self, small_instance, name, solve):

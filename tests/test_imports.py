@@ -1,6 +1,7 @@
 """Every name imported by the package and its tests is referenced (pyflakes' F401, by ``ast``),
-every private module-level helper of the package is used somewhere in it, and every defaulted
-parameter of the package is passed by some call in the package, tests, scripts or benchmark."""
+every private module-level helper of the package is used somewhere in it, every public function
+and method of the package is referenced somewhere in the package, tests, scripts or benchmark,
+and every defaulted parameter of the package is passed by some call in them."""
 
 import ast
 from pathlib import Path
@@ -73,6 +74,47 @@ def test_dead_helper_checker_sees_what_it_must():
 
 def test_no_dead_private_helpers():
     assert dead_private_helpers({p.stem: p.read_text() for p in SRC}) == []
+
+
+def unreferenced_public_functions(package, others):
+    """Sorted (module, qualified name) of each public module-level function, or public method of
+    a module-level class, in ``package`` ({module: source}) whose name nothing in ``package`` or
+    ``others`` (a list of sources) references by name, attribute or import. A ``def`` does not
+    reference the name it defines, though a recursive call in its body does."""
+    defined, used = [], set()
+    for module, source in package.items():
+        body = ast.parse(source).body
+        defined += [(module, node.name, node.name) for node in body
+                    if isinstance(node, ast.FunctionDef)]
+        defined += [(module, f"{c.name}.{f.name}", f.name) for c in body
+                    if isinstance(c, ast.ClassDef) for f in c.body
+                    if isinstance(f, ast.FunctionDef)]
+    for source in [*package.values(), *others]:
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                used.update(alias.name for alias in node.names)
+    return sorted((module, qualified) for module, qualified, name in defined
+                  if not name.startswith("_") and name not in used)
+
+
+def test_unreferenced_function_checker_sees_what_it_must():
+    package = {"a": "def unused():\n    pass\ndef called():\n    pass\ndef _private():\n"
+                    "    pass\nclass C:\n    def __init__(self):\n        pass\n"
+                    "    def attr_used(self):\n        pass\n    def dead(self):\n        pass\n"
+                    "called()\n",
+               "b": "def imported():\n    pass\n"}
+    others = ["from b import imported\nobj.attr_used()\n"]
+    assert unreferenced_public_functions(package, others) == [("a", "C.dead"), ("a", "unused")]
+
+
+def test_no_unreferenced_public_functions():
+    others = [p.read_text() for d in ("tests", "scripts", "perfbench")
+              for p in sorted(ROOT.glob(f"{d}/*.py"))]
+    assert unreferenced_public_functions({p.stem: p.read_text() for p in SRC}, others) == []
 
 
 def dead_parameters(package, callers):

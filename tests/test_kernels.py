@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from ccakit.kernels import KernelGram, KernelSpec, check_psd, kernel_cca, kernel_gram
+from ccakit.appgrad import run_appgrad
+from ccakit.kernels import KernelGram, KernelSpec, check_psd, kernel_cca, kernel_gram, kernel_ridge
 from ccakit.metrics import projected_correlations
 from ccakit.planted import PlantedParams, generate_planted
 from ccakit.reference import spectral_cca
@@ -122,6 +123,21 @@ class TestKernelCca:
             return projected_correlations(Kx.values @ Wx, Ky.values @ Wy).sum()
 
         assert total(rbf_x, rbf_y) > total(lin_x, lin_y) + 0.1
+
+    @pytest.mark.parametrize("lam", [None, 0.01])
+    def test_is_run_appgrad_on_the_grams_at_one_ridge(self, lam):
+        rng = np.random.default_rng(8)
+        X = rng.standard_normal((60, 3))
+        Kx = kernel_gram(X, KernelSpec("rbf", sigma=2.0))
+        Ky = kernel_gram(3.0 * X + rng.standard_normal((60, 3)), KernelSpec("linear"))
+        # one ridge on both views: the larger view's, here the linear Gram's
+        assert kernel_ridge(Kx.values, Ky.values) == 1e-6 * np.trace(Ky.values) / 60 > 1e-6
+        ridge = kernel_ridge(Kx.values, Ky.values) if lam is None else lam
+        got = kernel_cca(Kx, Ky, 2, lam=lam, eta=0.05, max_iters=7, tol=1e-3, seed=3)
+        model, _ = run_appgrad(Kx.values, Ky.values, 2, eta=0.05, lam=ridge, max_iters=7,
+                               tol=1e-3, seed=3)
+        for a, b in zip(got, (model.phi, model.psi, model.lam)):
+            assert np.array_equal(a, b)
 
     def test_dimension_mismatch_rejected(self):
         rng = np.random.default_rng(6)

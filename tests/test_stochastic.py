@@ -255,6 +255,23 @@ class TestRunner:
         with pytest.raises(ValueError, match="record_every"):
             run_stochastic(X, Y, 2, plan, schedule, max_iters=7, record_every=-1)
 
+    def test_a_resampled_attempt_is_charged(self, small_instance, monkeypatch):
+        X, Y = small_instance.x, small_instance.y
+        plan, schedule = MinibatchPlan(m=50, seed=0), StepSchedule(eta0=0.1)
+        _, clean = run_stochastic(X, Y, 2, plan, schedule, max_iters=4, record_every=1)
+        real, calls = stochastic.stochastic_appgrad_step, []
+
+        def degenerate_once(*args):
+            calls.append(1)
+            if len(calls) == 1:
+                raise DegenerateIterateError("degenerate batch")
+            return real(*args)
+        monkeypatch.setattr(stochastic, "stochastic_appgrad_step", degenerate_once)
+        _, report = run_stochastic(X, Y, 2, plan, schedule, max_iters=4, record_every=1)
+        attempt = metrics.step_flops(50, 12, 15, 2)  # from random_init, which carries whiteners
+        assert len(calls) == 5
+        assert [r.flops for r in report.records] == [r.flops + attempt for r in clean.records]
+
     def test_oracle_capturing_nothing_raises(self, small_instance):
         X, Y = small_instance.x, small_instance.y
         oracle = CcaModel(np.zeros((X.shape[1], 2)), np.zeros((Y.shape[1], 2)), np.zeros(2))
@@ -469,6 +486,28 @@ class TestCrossValidation:
             )
             scores[eta] = tcc(X[hold], Y[hold], model.phi, model.psi)
         assert all(scores[got.eta1] >= s for s in scores.values())
+
+    @pytest.mark.parametrize("grid, budget, seed", [([0.25], 5, 0), ([1e-4, 1e-2, 1e0], 80, 2)])
+    def test_picks_what_a_full_batch_minibatch_run_picks(self, small_instance, grid, budget,
+                                                          seed):
+        X, Y = small_instance.x, small_instance.y
+        got = cross_validate_step(X, Y, 2, grid, budget=budget, seed=seed)
+        (X_tr, Y_tr), (X_h, Y_h) = metrics.split_holdout(X, Y, 0.1, seed)
+        plan = MinibatchPlan(m=X_tr.shape[0], seed=seed)
+        scores = {}
+        for eta in grid:
+            old, _ = run_stochastic(X_tr, Y_tr, 2, plan, StepSchedule(eta0=eta),
+                                    max_iters=budget, seed=seed)
+            new, _ = appgrad.run_appgrad(X_tr, Y_tr, 2, eta=eta, max_iters=budget, tol=0.0,
+                                         seed=seed, record_every=0)
+            scores[eta] = tcc(X_h, Y_h, old.phi, old.psi)
+            assert tcc(X_h, Y_h, new.phi, new.psi) == pytest.approx(scores[eta], rel=1e-12)
+        assert got.eta1 == max(grid, key=scores.get)  # ties go to the smaller step
+
+    def test_holdout_without_a_row_raises(self, small_instance):
+        with pytest.raises(ValueError, match="leaves 0 held-out rows"):
+            cross_validate_step(small_instance.x, small_instance.y, 2, [0.1], budget=5,
+                                holdout_fraction=0.001)
 
     def test_divergent_grid_errors(self, small_instance):
         with pytest.raises(DegenerateIterateError):
