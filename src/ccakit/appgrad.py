@@ -10,8 +10,9 @@ projections X PhiTilde, X Phi, Y PsiTilde, Y Psi, so the next step on the same X
 issues 2 products per view: the gradient (r' X)' and the new iterate's X PhiTilde, with
 X Phi = (X PhiTilde) R. A step on other rows (a new minibatch) issues 3, X Phi again from the
 carried whitener R. A cache is keyed to its X and Y objects; mutating them is unsupported.
-As iterates see the data only through X'X/n, Y'Y/n, X'Y/n, ``run_appgrad`` runs on ``moment_pair``
-when both views are dense and 4 (p1+p2) <= n, so the build's 3 (p1+p2)^2 + O(p1+p2) fit the data.
+As iterates see the data only through X'X/n, Y'Y/n, X'Y/n, ``run_appgrad`` runs on ``solver_views``:
+``moment_pair`` when both views are dense and 4 (p1+p2) <= n, so the build's 3 (p1+p2)^2 + O(p1+p2)
+fit the data.
 """
 
 import time
@@ -267,6 +268,15 @@ def moment_pair(X, Y):
     return V[:p1].T, V[p1:].T
 
 
+def solver_views(X, Y):
+    """(X', Y', flops): ``moment_pair(X, Y)`` and its build's FLOPs when both views are dense and
+    4 (p1+p2) <= n, else X, Y and 0. A pair has p1+p2 rows, so this leaves a pair as it is."""
+    (n, p1), p2 = X.shape, Y.shape[1]
+    if sp.issparse(X) or sp.issparse(Y) or 4 * (p1 + p2) > n:
+        return X, Y, 0
+    return *moment_pair(X, Y), moment_pair_flops(n, p1, p2)
+
+
 def run_appgrad(
     X,
     Y,
@@ -281,7 +291,7 @@ def run_appgrad(
     record_every=1,
     step_fn=appgrad_step,
 ):
-    """Iterate rank-k updates (on ``moment_pair(X, Y)`` by the module docstring's rule) until the
+    """Iterate rank-k updates on ``solver_views(X, Y)`` until the
     Procrustes-aligned movement of both normalized iterates is below ``tol``, or ``max_iters``.
 
     Returns (CcaModel, RunReport). The report records in-sample total
@@ -289,15 +299,13 @@ def run_appgrad(
     ratio, at the first, every ``record_every``-th and the last iteration (none for 0).
     """
     X, Y = as_matrix(X), as_matrix(Y)
-    n, p1 = X.shape
-    p2 = Y.shape[1]
+    p1, p2 = X.shape[1], Y.shape[1]
     if k < 1 or k > min(p1, p2):
         raise ValueError(f"rank k={k} out of range")
     if record_every < 0:
         raise ValueError("record_every must be >= 0")
-    flops = 0
-    if not (sp.issparse(X) or sp.issparse(Y) or 4 * (p1 + p2) > n):  # the first record pays
-        flops, (X, Y), n = moment_pair_flops(n, p1, p2), moment_pair(X, Y), p1 + p2
+    X, Y, flops = solver_views(X, Y)  # the first record pays the pair's build
+    n = X.shape[0]
     if eta is None:
         eta = default_step(X, Y, lam, seed=seed)
     if isinstance(eta, (int, float)):

@@ -28,24 +28,8 @@ def _add_run_flags(p):
     p.add_argument("--model-prefix", help="write PHI/PSI matrices with this prefix")
 
 
-def _parse_kernel(text):
-    parts = text.split(":")
-    kind = parts[0]
-    if kind == "linear":
-        return KernelSpec("linear")
-    if kind == "rbf":
-        return KernelSpec("rbf", sigma=float(parts[1]) if len(parts) > 1 else 1.0)
-    if kind == "polynomial":
-        return KernelSpec(
-            "polynomial",
-            degree=int(parts[1]) if len(parts) > 1 else 2,
-            offset=float(parts[2]) if len(parts) > 2 else 1.0,
-        )
-    raise ValueError(f"unknown kernel {text!r}")
-
-
 # each SolverConfig field parses with its annotated type, except the kernel spec
-_CONFIG_TYPES = {f.name: f.type for f in fields(SolverConfig)} | {"kernel": _parse_kernel}
+_CONFIG_TYPES = {f.name: f.type for f in fields(SolverConfig)} | {"kernel": KernelSpec.parse}
 _CHOICES = {"solver": list(SOLVERS), "schedule": StepSchedule.KINDS}
 _HELP = {"kernel": "linear | rbf:SIGMA | polynomial:DEGREE:OFFSET"}
 

@@ -112,9 +112,8 @@ class SolverConfig:
             raise ValueError("record_every must be >= 1")
 
     def snapshot(self):
-        d = asdict(self)
-        if d.get("kernel"):
-            d["kernel"] = f"{self.kernel.kind}"
+        """The set fields, the kernel as the text ``KernelSpec.parse`` reads."""
+        d = asdict(self) | {"kernel": None if self.kernel is None else str(self.kernel)}
         return {k: v for k, v in d.items() if v is not None}
 
 
@@ -183,7 +182,10 @@ def run_experiment(config, x=None, y=None, planted=None,
         model, report = model
     else:
         report = RunReport(solver=config.solver, seed=config.seed)
-    report.solver, report.config = config.solver, config.snapshot()
+    # a traced solver's resolved step sizes and applied ridge stay, so the header re-runs the run
+    resolved = {key: float(report.config[key]) for key in ("eta0", "eta1", "eta2", "lam")
+                if key in report.config}
+    report.solver, report.config = config.solver, config.snapshot() | resolved
 
     model = extract_best_k(X, Y, model, k)
     result = ExperimentResult(model=model, report=report, oracle=oracle)

@@ -28,6 +28,24 @@ class KernelSpec:
         if self.kind == "polynomial" and (self.degree < 1 or self.offset < 0):
             raise ValueError("polynomial kernel needs degree >= 1 and offset >= 0")
 
+    @classmethod
+    def parse(cls, text):
+        """The spec that ``text`` names: linear | rbf:SIGMA | polynomial:DEGREE:OFFSET, a missing
+        parameter taking its default; ``str`` of a spec gives it back."""
+        kind, *params = text.split(":")
+        if kind == "linear":
+            return cls("linear")
+        if kind == "rbf":
+            return cls("rbf", sigma=float(params[0]) if params else 1.0)
+        if kind == "polynomial":
+            return cls("polynomial", degree=int(params[0]) if params else 2,
+                       offset=float(params[1]) if len(params) > 1 else 1.0)
+        raise ValueError(f"unknown kernel {text!r}")
+
+    def __str__(self):
+        return {"linear": "linear", "rbf": f"rbf:{self.sigma}",
+                "polynomial": f"polynomial:{self.degree}:{self.offset}"}[self.kind]
+
 
 @dataclass
 class KernelGram:

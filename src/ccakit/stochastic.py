@@ -18,6 +18,7 @@ from .appgrad import (  # noqa: F401  normalize_columns is looked up here by per
     normalize_columns,
     random_init,
     run_appgrad,
+    solver_views,
 )
 from .linalg import DegenerateIterateError, as_matrix
 from .metrics import RunReport, split_holdout, step_flops, tcc, tcc_evaluator
@@ -231,6 +232,7 @@ def cross_validate_step(
     if not (0.0 < holdout_fraction <= 0.5):
         raise ValueError("holdout fraction must be in (0, 0.5]")
     (X_tr, Y_tr), (X_h, Y_h) = split_holdout(as_matrix(X), as_matrix(Y), holdout_fraction, seed)
+    X_tr, Y_tr, _ = solver_views(X_tr, Y_tr)  # one build serves every candidate
     best_eta, best_score = None, -np.inf
     for eta in sorted(grid):
         try:

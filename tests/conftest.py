@@ -1,8 +1,21 @@
+import os
 import tracemalloc
 
 import pytest
 
 from ccakit.planted import PlantedParams, generate_planted
+
+
+@pytest.fixture(autouse=True)
+def no_unreaped_child():
+    """Fail a test that leaves a child process unreaped, exited or still running."""
+    yield
+    try:
+        pid, _ = os.waitpid(-1, os.WNOHANG)  # reaps one exited child
+    except ChildProcessError:  # no child at all
+        return
+    pytest.fail(f"the test left child process {pid} unreaped" if pid
+                else "the test left a child process running")
 
 
 @pytest.fixture

@@ -1,6 +1,10 @@
 """CSV and model-file I/O: the accepted dialect, line-numbered errors,
-bit-exact round trips, byte-exact writes and the loader's peak memory."""
+bit-exact round trips, byte-exact writes, the loader's peak memory, and
+the same results from a file cut into ranges parsed by forked workers."""
 
+import os
+import signal
+import time
 import warnings
 
 import numpy as np
@@ -193,3 +197,142 @@ def test_load_peak_memory_is_at_most_twice_the_array(tmp_path):
     back, peak = peak_bytes(lambda: io.load_csv(path).values)
     assert np.array_equal(back, A)
     assert peak <= 2 * back.nbytes, f"peak {peak / back.nbytes:.2f}x the array"
+
+
+@pytest.fixture
+def ranges(monkeypatch):
+    """``ranges(n)`` makes the loaders cut any file of at least n bytes into n ranges."""
+    monkeypatch.setattr(io, "SPLIT_MIN_BYTES", 1)
+    return lambda n: monkeypatch.setattr(io, "_usable_cpus", lambda: n)
+
+
+@pytest.fixture
+def sixteen_ranges(ranges):
+    ranges(16)
+
+
+# With 16 ranges the loaders cut the small files below at every line start that follows
+# a probe, so each error case's bad line lies in a worker's range, not in the caller's.
+@pytest.mark.usefixtures("sixteen_ranges")
+class TestAcceptedDialectSplit(TestAcceptedDialect):
+    pass
+
+
+@pytest.mark.usefixtures("sixteen_ranges")
+class TestExactWritesSplit(TestExactWrites):
+    pass
+
+
+@pytest.mark.usefixtures("sixteen_ranges")
+class TestModelFilesSplit(TestModelFiles):
+    pass
+
+
+def outcome(path):
+    """load(path)'s bits, or its error message."""
+    try:
+        return load(path).view(np.uint64).tolist()
+    except ValueError as exc:
+        return str(exc)
+
+
+class TestSplitLoad:
+    def test_values_match_the_one_range_parse(self, tmp_path, ranges):
+        A = np.random.default_rng(10).standard_normal((300, 7)) * 10.0 ** np.arange(-3, 4)
+        path = tmp_path / "x.csv"
+        io.save_csv(path, A)
+        for n in (2, 3, 7):
+            ranges(n)
+            assert len(io._cuts(path, path.stat().st_size, n)) == n + 1
+            assert load(path).view(np.uint64).tolist() == A.view(np.uint64).tolist()
+
+    def test_header_blank_lines_and_crlf_at_the_cuts(self, tmp_path, ranges):
+        rows = [f"{i}.25, {-i}e-3\t\r\n" + ("\r\n" if i % 3 else " \t\r\n") for i in range(40)]
+        path = tmp_path / "x.csv"
+        path.write_bytes(("a,b\r\n\r\n" + "".join(rows)).encode())
+        ranges(1)
+        whole = outcome(path)
+        assert len(whole) == 40
+        for n in range(2, 12):
+            ranges(n)
+            assert outcome(path) == whole
+
+    def test_a_range_of_header_and_blank_lines_only(self, tmp_path, ranges):
+        path = write(tmp_path, "a,b\n" + "\n  \n" * 30 + "1,2\n3,4\n")
+        ranges(2)
+        assert io._cuts(path, path.stat().st_size, 2)[1] < path.read_text().index("1,2")
+        assert np.array_equal(load(path), [[1.0, 2.0], [3.0, 4.0]])
+
+    def test_width_mismatch_at_a_worker_first_line(self, tmp_path, ranges):
+        path = write(tmp_path, "1,2\n" * 15 + "1,2,3\n" * 10)
+        ranges(2)
+        assert io._cuts(path, 120, 2) == [0, 60, 120]  # the worker's rows all have 3 fields
+        with pytest.raises(ValueError, match=r"x\.csv:16: row has 3 fields, expected 2$"):
+            load(path)
+
+    @pytest.mark.parametrize("bad, message", [
+        ("1,oops", r"x\.csv:40: non-numeric field in row$"),
+        ("1,2,3", r"x\.csv:40: row has 3 fields, expected 2$"),
+    ])
+    def test_a_parse_error_in_a_worker_beats_a_nan_in_range_0(self, tmp_path, ranges,
+                                                               bad, message):
+        path = write(tmp_path, "1,2\n1,nan\n" + "1,2\n" * 37 + bad + "\n1,2\n")
+        for n in (1, 2):
+            ranges(n)
+            with pytest.raises(ValueError, match=message):
+                load(path)
+
+    def test_the_earliest_non_finite_row_wins(self, tmp_path, ranges):
+        path = write(tmp_path, "1,2\n" * 20 + "1,inf\n" + "1,2\n" * 20 + "nan,2\n")
+        for n in (1, 2, 5):
+            ranges(n)
+            with pytest.raises(ValueError, match=r"x\.csv:21: non-finite field in row$"):
+                load(path)
+
+    def test_numpy_message_counts_rows_from_the_file_start(self, tmp_path, ranges):
+        path = write(tmp_path, "1,2\n" * 30 + "1_000,3\n")
+        ranges(1)
+        whole = outcome(path)
+        assert "at row 30" in whole
+        for n in (2, 5):
+            ranges(n)
+            assert outcome(path) == whole
+
+    def test_a_killed_worker_raises_a_typed_error(self, tmp_path, ranges, monkeypatch):
+        parse = io._parse
+
+        def killed_in_a_worker(path, begin, *args, **kwargs):
+            if begin:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return parse(path, begin, *args, **kwargs)
+
+        monkeypatch.setattr(io, "_parse", killed_in_a_worker)
+        path = write(tmp_path, "1,2\n" * 50)
+        ranges(3)
+        with pytest.raises(ChildProcessError, match=r"x\.csv: a parse worker exited"):
+            load(path)
+
+    def test_a_failure_in_range_0_stops_the_workers(self, tmp_path, ranges, monkeypatch):
+        parse = io._parse
+
+        def slow_in_a_worker(path, begin, *args, **kwargs):
+            if begin:
+                time.sleep(60)
+            return parse(path, begin, *args, **kwargs)
+
+        monkeypatch.setattr(io, "_parse", slow_in_a_worker)
+        path = write(tmp_path, "1,2\n1,x\n" + "1,2\n" * 50)
+        ranges(2)
+        t0 = time.perf_counter()
+        with pytest.raises(ValueError, match=r"x\.csv:2: non-numeric field in row$"):
+            load(path)
+        assert time.perf_counter() - t0 < 30  # the autouse check sees both workers reaped
+
+    def test_caller_peak_memory_is_at_most_1_25_times_the_array(self, tmp_path, ranges):
+        A = np.random.default_rng(8).standard_normal((4000, 50))
+        path = tmp_path / "x.csv"
+        io.save_csv(path, A)
+        ranges(2)
+        back, peak = peak_bytes(lambda: io.load_csv(path).values)
+        assert np.array_equal(back, A)
+        assert peak <= 1.25 * back.nbytes, f"peak {peak / back.nbytes:.2f}x the array"

@@ -2,6 +2,7 @@
 and the command-line interface."""
 
 import argparse
+import ast
 from dataclasses import fields
 
 import numpy as np
@@ -18,7 +19,7 @@ from ccakit.harness import (
     parse_config_file,
     run_experiment,
 )
-from ccakit.appgrad import run_appgrad
+from ccakit.appgrad import default_step, run_appgrad
 from ccakit.kernels import KernelSpec, kernel_gram, kernel_ridge
 from ccakit.linalg import DegenerateIterateError, SingularMatrixError
 from ccakit.metrics import RunReport, moments, tcc
@@ -362,6 +363,25 @@ class TestRunExperiment:
         assert result.report.solver == "kernel-appgrad"
         assert ([(r.t, r.flops, r.tcc_train) for r in result.report.records]
                 == [(r.t, r.flops, r.tcc_train) for r in report.records])
+
+    def test_kernel_report_reruns_from_its_header(self, small_instance, tmp_path):
+        # the kernel run of the csv-compare benchmark workload: rbf, sigma 100
+        cfg = SolverConfig(solver="kernel-appgrad", k=2, max_iters=60, seed=3,
+                           kernel=KernelSpec("rbf", sigma=100.0))
+        x, y = small_instance.x[:200], small_instance.y[:200]
+        run_experiment(cfg, x=x, y=y, report_path=tmp_path / "first.report")
+        header = {key: ast.literal_eval(raw)
+                  for key, raw in RunReport.read(tmp_path / "first.report").config.items()}
+        Kx, Ky = kernel_gram(x, cfg.kernel).values, kernel_gram(y, cfg.kernel).values
+        lam = kernel_ridge(Kx, Ky)
+        eta = default_step(Kx, Ky, lam, seed=3)
+        assert ((header["kernel"], header["lam"], header["eta1"], header["eta2"])
+                == ("rbf:100.0", lam, eta.eta1, eta.eta2))
+        (tmp_path / "rerun.cfg").write_text("".join(
+            f"{key} = {value}\n" for key, value in header.items() if key in _CONFIG_TYPES))
+        rerun = build_config(argparse.Namespace(config=tmp_path / "rerun.cfg"))
+        run_experiment(rerun, x=x, y=y, report_path=tmp_path / "rerun.report")
+        assert (tmp_path / "rerun.report").read_bytes() == (tmp_path / "first.report").read_bytes()
 
     @pytest.mark.parametrize("name, solve", [("nw", baselines.nw_cca), ("dw", baselines.dw_cca)])
     def test_oversampled_heuristic_keeps_its_first_directions(self, small_instance, name, solve):

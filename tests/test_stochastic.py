@@ -504,6 +504,24 @@ class TestCrossValidation:
             assert tcc(X_h, Y_h, new.phi, new.psi) == pytest.approx(scores[eta], rel=1e-12)
         assert got.eta1 == max(grid, key=scores.get)  # ties go to the smaller step
 
+    def test_one_moment_pair_serves_the_grid(self, small_instance, monkeypatch):
+        X, Y = small_instance.x, small_instance.y
+        grid, budget, seed = [1e-2, 1e-1, 1e0], 60, 2
+        (X_tr, Y_tr), (X_h, Y_h) = metrics.split_holdout(X, Y, 0.1, seed)
+        want = []  # each candidate's run builds its own pair
+        for eta in grid:
+            model, _ = appgrad.run_appgrad(X_tr, Y_tr, 2, eta=eta, max_iters=budget, tol=0.0,
+                                           seed=seed, record_every=0)
+            want.append(tcc(X_h, Y_h, model.phi, model.psi))
+        builds, scores = [], []
+        pair, score = appgrad.moment_pair, stochastic.tcc
+        monkeypatch.setattr(appgrad, "moment_pair", lambda *a: builds.append(a) or pair(*a))
+        monkeypatch.setattr(stochastic, "tcc", lambda *a: scores.append(score(*a)) or scores[-1])
+        got = cross_validate_step(X, Y, 2, grid, budget=budget, seed=seed)
+        assert len(builds) == 1
+        assert scores == want
+        assert got.eta1 == grid[int(np.argmax(want))]
+
     def test_holdout_without_a_row_raises(self, small_instance):
         with pytest.raises(ValueError, match="leaves 0 held-out rows"):
             cross_validate_step(small_instance.x, small_instance.y, 2, [0.1], budget=5,
