@@ -22,24 +22,27 @@ def _top_pairs(S, k, seed):
     return *fix_signs(U, V), s.copy()
 
 
-def nw_cca(X, Y, k, seed=0):
-    """No whitening: truncated SVD of the raw cross-covariance X'Y/n.
+def nw_cca(X, Y, k, seed=0, M=None):
+    """No whitening: truncated SVD of the raw cross-covariance X'Y/n, read from M =
+    ``metrics.moments(X, Y)`` when given, else formed here.
 
     Returned directions are not S-orthonormal (``whitened`` is False)."""
-    Sxy = cross_covariance(X, Y)
+    Sxy = cross_covariance(X, Y) if M is None else M[2]
     return CcaModel(*_top_pairs(Sxy, k, seed), whitened=False)
 
 
-def dw_cca(X, Y, k, lam=0.0, seed=0):
+def dw_cca(X, Y, k, lam=0.0, seed=0, M=None):
     """Diagonal whitening: truncated SVD of diag(sx) X'Y/n diag(sy), sx and sy the
-    inverse root column variances, with the directions mapped back by the same scales."""
+    inverse root column variances, with the directions mapped back by the same scales.
+    X'Y/n is read from M = ``metrics.moments(X, Y)`` when given, else formed here."""
     X, Y = as_matrix(X), as_matrix(Y)
     dx, dy = gram_diagonal(X, lam), gram_diagonal(Y, lam)
     if dx.min() <= 0 or dy.min() <= 0:
         raise ValueError("zero-variance column; set lam > 0")
     sx = 1.0 / np.sqrt(dx)
     sy = 1.0 / np.sqrt(dy)
-    U, V, s = _top_pairs(sx[:, None] * cross_covariance(X, Y) * sy, k, seed)
+    Sxy = cross_covariance(X, Y) if M is None else M[2]
+    U, V, s = _top_pairs(sx[:, None] * Sxy * sy, k, seed)
     Phi, Psi = fix_signs(U * sx[:, None], V * sy[:, None])
     return CcaModel(Phi, Psi, s, whitened=False)
 

@@ -74,8 +74,9 @@ SOLVERS = {
     "als": Solver(_als),
     "appgrad": Solver(_appgrad, traced=True),
     "stochastic-appgrad": Solver(_stochastic, traced=True),
-    "nw": Solver(lambda c, X, Y, k_run, **_: nw_cca(X, Y, k_run, seed=c.seed)),
-    "dw": Solver(lambda c, X, Y, k_run, **_: dw_cca(X, Y, k_run, lam=c.lam, seed=c.seed)),
+    "nw": Solver(lambda c, X, Y, k_run, M, **_: nw_cca(X, Y, k_run, seed=c.seed, M=M)),
+    "dw": Solver(lambda c, X, Y, k_run, M, **_: dw_cca(X, Y, k_run, lam=c.lam, seed=c.seed,
+                                                       M=M)),
     "pca-cca": Solver(_pca_cca),
     "kernel-appgrad": Solver(_kernel_appgrad, traced=True, views=_grams),
 }

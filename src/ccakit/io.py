@@ -4,19 +4,22 @@ Formats: dense CSV (comma-separated numerics, optional header row, rows are
 samples), Matrix Market coordinate for sparse data, models as dense numeric
 text with a one-line "rows cols" header.
 
-Text rows are parsed on every usable CPU (``os.sched_getaffinity``). ``_load_rows`` cuts a
-file at line starts into one byte range per CPU, but never a range below ``SPLIT_MIN_BYTES``.
-The caller parses range 0, which holds physical line 1; each other range is parsed by the same
-code in an ``os.fork``ed worker, which sends its rows through a pipe into the caller's array,
-grown in place. A smaller file, or any file where ``os.fork`` is missing, is one range. Values
-and errors do not depend on the cut. A worker's memory is its own, not part of the caller's RSS.
+Text rows are read and written on every usable CPU (``os.sched_getaffinity``), one range per CPU
+and none below ``SPLIT_MIN_BYTES``: the caller handles range 0 and an ``os.fork``ed worker each
+other range, sending its result through a pipe. ``_load_rows`` cuts a file at line starts and
+grows the caller's array in place to take the workers' rows. ``_save_rows`` cuts the rows; each
+worker formats its range into its own memory, and the caller, after writing range 0, copies their
+bytes through one ``COPY_BYTES`` buffer. Values, errors and bytes written do not depend on the
+cut. Without ``os.fork`` a file is one range. A worker's memory is not part of the caller's RSS.
 """
 
 import itertools
 import os
 import re
 import signal
+from contextlib import contextmanager
 from dataclasses import dataclass
+from functools import partial
 from io import BufferedReader, FileIO, TextIOWrapper
 
 import numpy as np
@@ -26,9 +29,10 @@ import scipy.sparse as sp
 from .linalg import DataMatrix, as_matrix
 
 # A range below this saves less than its worker costs. On a 2-vCPU host, prefixes of a
-# 20000 x 100 save_csv file loaded in 62 ms split against 50 ms whole at 1.9 MB, and in
-# 49 ms against 70 ms at 2.9 MB.
+# 20000 x 100 save_csv file loaded faster in two ranges from about 1 MiB and saved faster
+# from about 0.5 MiB; the bound keeps a margin over both.
 SPLIT_MIN_BYTES = 2 << 20
+COPY_BYTES = 64 << 10  # a Linux pipe holds 64 KiB, so one read returns no more
 
 
 def _numeric(fields):
@@ -40,12 +44,13 @@ def _numeric(fields):
     return True
 
 
-def _data_lines(fh, linenos, delimiter, start, header):
-    """Yield the data lines of an open file from physical line ``start`` on, appending
-    their line numbers to ``linenos``; blank lines are skipped, and so is line 1 when it is
-    a header: always if ``header``, else when non-numeric."""
-    for lineno, line in enumerate(fh, start=start):
-        if line.isspace() or (lineno == 1 and (header or not _numeric(line.split(delimiter)))):
+def _data_lines(fh, linenos, delimiter, header):
+    """Yield the data lines of an open file, appending their line numbers, counted from 1, to
+    ``linenos``; blank lines are skipped, and so is line 1 when it is a header: always if
+    ``header`` is True, when non-numeric if False. None: line 1 is not the file's first line."""
+    for lineno, line in enumerate(fh, start=1):
+        if line.isspace() or (lineno == 1 and header is not None
+                              and (header or not _numeric(line.split(delimiter)))):
             continue
         linenos.append(lineno)
         yield line
@@ -78,6 +83,49 @@ def _usable_cpus():
     return len(os.sched_getaffinity(0))
 
 
+@contextmanager
+def _forked(cuts, task):
+    """The pipes of one forked worker per range [begin, end) of ``cuts`` after the first, in
+    order. A worker runs ``task(begin, end, out)``, ``out`` its pipe's write end as a binary file,
+    and exits. A failure in the block kills the workers still running; every worker is reaped
+    when the block ends."""
+    workers = []
+    try:
+        for begin, end in zip(cuts[1:], cuts[2:]):
+            r, w = os.pipe()
+            pid = os.fork()
+            if pid == 0:  # the worker never returns into the caller's stack
+                status = 1
+                try:
+                    os.close(r)
+                    with open(w, "wb") as out:
+                        task(begin, end, out)
+                    status = 0
+                finally:
+                    os._exit(status)
+            os.close(w)
+            workers.append((pid, open(r, "rb", buffering=0)))
+        yield [pipe for _, pipe in workers]
+    except BaseException:
+        for pid, _ in workers:
+            os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        for pid, pipe in workers:
+            pipe.close()
+            os.waitpid(pid, 0)
+
+
+def _read_into(path, pipe, A, job):
+    """Fill the contiguous array ``A`` from the pipe of a ``job`` worker."""
+    view, got = A.reshape(-1).view(np.uint8), 0
+    while got < view.size:
+        n = pipe.readinto(view[got:])
+        if not n:
+            raise ChildProcessError(f"{path}: a {job} worker exited without sending its rows")
+        got += n
+
+
 def _cuts(path, size, ranges):
     """Offsets [0, cuts..., size] of at most ``ranges`` byte ranges: each cut is the first
     line start after an even share of the bytes."""
@@ -93,7 +141,7 @@ def _cuts(path, size, ranges):
 
 @dataclass
 class _Part:
-    """What the parse of one byte range found. Line numbers are physical; 0 means none."""
+    """What the parse of one byte range found. Lines count from the range's first; 0 means none."""
 
     first: int = 0       # line of the range's first data row
     width: int = 0       # its field count
@@ -105,11 +153,11 @@ class _Part:
     rows: np.ndarray = None
 
 
-def _parse(path, begin, end, start, delimiter, header):
-    """The _Part of bytes [begin, end), whose first line is physical line ``start``."""
+def _parse(path, begin, end, delimiter, header):
+    """The _Part of bytes [begin, end); ``header`` as in ``_data_lines``."""
     part, linenos = _Part(), []
     with _text(path, begin, end) as fh:
-        lines = _data_lines(fh, linenos, delimiter, start, header)
+        lines = _data_lines(fh, linenos, delimiter, header)
         first = next(lines, None)
         if first is None:
             return part
@@ -140,57 +188,37 @@ def _row_error(path, lineno, width, delimiter, message):
     return ValueError(f"{path}: {message}")
 
 
-def _fork(path, begin, end, delimiter):
-    """(pid, read end of its pipe) of a worker that parses bytes [begin, end) and sends the
-    _Part: six int64 header fields and the message length, the message, then the rows."""
-    r, w = os.pipe()
-    pid = os.fork()
-    if pid == 0:  # the worker never returns into the caller's stack
-        status = 1
-        try:
-            os.close(r)
-            with _text(path, 0, begin) as fh:
-                start = 1 + sum(1 for _ in fh)
-            part = _parse(path, begin, end, start, delimiter, header=False)
-            message = part.message.encode()
-            with open(w, "wb") as out:
-                out.write(np.array([part.first, part.width, part.nrows, part.nonfinite,
-                                    part.failed, part.failed_row, len(message)], np.int64))
-                out.write(message)
-                if part.rows is not None:
-                    out.write(part.rows)
-            status = 0
-        finally:
-            os._exit(status)
-    os.close(w)
-    return pid, open(r, "rb", buffering=0)
-
-
-def _read_into(path, pipe, A):
-    """Fill the contiguous array ``A`` from a worker's pipe."""
-    view, got = A.reshape(-1).view(np.uint8), 0
-    while got < view.size:
-        n = pipe.readinto(view[got:])
-        if not n:
-            raise ChildProcessError(f"{path}: a parse worker exited without sending its rows")
-        got += n
+def _send_part(path, delimiter, begin, end, out):
+    """A parse worker: send the _Part of bytes [begin, end), a range after the first, to ``out``
+    as six int64 header fields and the message length, the message, then the rows."""
+    part = _parse(path, begin, end, delimiter, None)
+    message = part.message.encode()
+    out.write(np.array([part.first, part.width, part.nrows, part.nonfinite,
+                        part.failed, part.failed_row, len(message)], np.int64))
+    out.write(message)
+    if part.rows is not None:
+        out.write(part.rows)
 
 
 def _receive(path, pipe):
     """The _Part a worker sends, its rows still in the pipe."""
     head = np.empty(7, np.int64)
-    _read_into(path, pipe, head)
+    _read_into(path, pipe, head, "parse")
     message = np.empty(head[6], np.uint8)
-    _read_into(path, pipe, message)
+    _read_into(path, pipe, message, "parse")
     return _Part(*map(int, head[:6]), message.tobytes().decode())
 
 
-def _joined(path, parts, pipes, delimiter):
-    """The rows of ``parts``, an iterator over the ranges in file order, grown into range 0's
-    array; or the serial parse's error: the earliest parse failure, else the earliest
-    non-finite row. A part is taken only when no earlier range failed to parse."""
+def _joined(path, cuts, parts, pipes, delimiter):
+    """The rows of ``parts``, an iterator over the ranges that begin at ``cuts`` in file order,
+    grown into range 0's array; or the serial parse's error: the earliest parse failure, else
+    the earliest non-finite row. A part is taken only when no earlier range failed to parse."""
+    def physical(begin, lineno):  # the line's number in the file, counted only to report it
+        with _text(path, 0, begin) as fh:
+            return lineno + sum(1 for _ in fh)
+
     seen, width, nrows = [], 0, 0
-    for p in parts:
+    for begin, p in zip(cuts, parts):
         seen.append(p)
         if not p.first:
             continue
@@ -198,19 +226,19 @@ def _joined(path, parts, pipes, delimiter):
         if p.width != width or p.failed:
             # a range's loadtxt counts rows from its own start
             message = re.sub(r"at row \d+", f"at row {nrows + p.failed_row}", p.message, count=1)
-            raise _row_error(path, p.first if p.width != width else p.failed, width,
-                             delimiter, message)
+            lineno = physical(begin, p.first if p.width != width else p.failed)
+            raise _row_error(path, lineno, width, delimiter, message)
         nrows += p.nrows
     if not width:
         raise ValueError(f"{path}: no data rows")
-    nonfinite = next((p.nonfinite for p in seen if p.nonfinite), 0)
-    if nonfinite:
-        raise ValueError(f"{path}:{nonfinite}: non-finite field in row")
+    for begin, p in zip(cuts, seen):
+        if p.nonfinite:
+            raise ValueError(f"{path}:{physical(begin, p.nonfinite)}: non-finite field in row")
     A = seen[0].rows if seen[0].first else np.empty((0, width))
     row = A.shape[0]
     A.resize((nrows, width), refcheck=False)  # a realloc: the caller never holds two copies
     for p, pipe in zip(seen[1:], pipes):
-        _read_into(path, pipe, A[row : row + p.nrows])
+        _read_into(path, pipe, A[row : row + p.nrows], "parse")
         row += p.nrows
     return A
 
@@ -222,22 +250,49 @@ def _load_rows(path, delimiter=",", header=False):
     fields included, name the line; a worker that dies without a result raises ChildProcessError."""
     size = os.path.getsize(path)
     cuts = _cuts(path, size, min(_usable_cpus(), max(1, size // SPLIT_MIN_BYTES)))
-    workers = []
-    try:
-        for begin, end in zip(cuts[1:], cuts[2:]):
-            workers.append(_fork(path, begin, end, delimiter))
-        pipes = [pipe for _, pipe in workers]
-        parts = itertools.chain([_parse(path, 0, cuts[1], 1, delimiter, header)],
+    with _forked(cuts, partial(_send_part, path, delimiter)) as pipes:
+        parts = itertools.chain([_parse(path, 0, cuts[1], delimiter, header)],
                                 (_receive(path, pipe) for pipe in pipes))
-        return _joined(path, parts, pipes, delimiter)
-    except BaseException:  # a failure stops the workers still parsing
-        for pid, _ in workers:
-            os.kill(pid, signal.SIGKILL)
-        raise
-    finally:
-        for pid, pipe in workers:
-            pipe.close()
-            os.waitpid(pid, 0)
+        return _joined(path, cuts, parts, pipes, delimiter)
+
+
+def _formatted(A, begin, end, row, block):
+    """Rows [begin, end) of ``A`` (dense or CSR) as ``np.savetxt`` writes them, bytes of
+    ``block`` rows at a time; ``row`` is the format of one row."""
+    for i in range(begin, end, block):
+        B = A[i : min(i + block, end)]
+        B = B.toarray() if sp.issparse(B) else B
+        yield (row * B.shape[0]) % tuple(B.ravel().tolist())
+
+
+def _save_rows(path, A, delimiter, header=False):
+    """Write ``A`` as ``np.savetxt(fmt="%.17g")`` does, after a "rows cols" line if ``header``,
+    split over ``_usable_cpus()`` as the module docstring says; a worker that dies before it has
+    sent its bytes raises ChildProcessError."""
+    A = as_matrix(A)
+    A = A.tocsr() if sp.issparse(A) else A
+    n, p = A.shape
+    row = delimiter.join(["%.17g"] * p).encode() + b"\n"
+    width = len(next(_formatted(A, 0, min(n, 1), row, 1), b""))  # bytes of the first row
+    ranges = min(_usable_cpus(), max(1, width * n // SPLIT_MIN_BYTES))
+    cuts = [n * i // ranges for i in range(ranges + 1)]
+    block = max(1, COPY_BYTES // max(width, 1))
+
+    def send(begin, end, out):  # a worker formats its rows, then sends their byte count and bytes
+        chunks = list(_formatted(A, begin, end, row, block))
+        out.writelines([np.int64(sum(map(len, chunks))).tobytes(), *chunks])
+
+    with _forked(cuts, send) as pipes, open(path, "wb") as fh:
+        if header:
+            fh.write(f"{n} {p}\n".encode())
+        fh.writelines(_formatted(A, 0, cuts[1], row, block))
+        buf, count = np.empty(COPY_BYTES, np.uint8), np.empty(1, np.int64)
+        for pipe in pipes:
+            _read_into(path, pipe, count, "write")
+            for i in range(0, int(count[0]), COPY_BYTES):
+                chunk = buf[: count[0] - i]
+                _read_into(path, pipe, chunk, "write")
+                fh.write(chunk)
 
 
 def load_csv(path):
@@ -246,9 +301,7 @@ def load_csv(path):
 
 
 def save_csv(path, X):
-    A = as_matrix(X)
-    with open(path, "w") as fh:
-        np.savetxt(fh, A.toarray() if sp.issparse(A) else A, fmt="%.17g", delimiter=",")
+    _save_rows(path, X, ",")
 
 
 def load_matrix_market(path):
@@ -274,11 +327,8 @@ def load_dataset(path, fmt="csv"):
 
 
 def save_model_matrix(path, A):
-    """Dense numeric text with a one-line header 'rows cols'."""
-    A = as_matrix(A)
-    with open(path, "w") as fh:
-        np.savetxt(fh, A, fmt="%.17g", delimiter=" ",
-                   header=f"{A.shape[0]} {A.shape[1]}", comments="")
+    """Dense numeric text with a one-line header 'rows cols', written by ``_save_rows``."""
+    _save_rows(path, A, " ", header=True)
 
 
 def load_model_matrix(path):

@@ -195,7 +195,9 @@ class RunReport:
         field order), then one space-separated record per line."""
         lines = [f"# solver={self.solver}", f"# seed={self.seed}"]
         for key in sorted(self.config):
-            lines.append(f"# config {key}={self.config[key]!r}")
+            value = self.config[key]  # a numpy scalar is written as its Python scalar
+            value = value.item() if isinstance(value, np.generic) else value
+            lines.append(f"# config {key}={value!r}")
         lines.append("# fields: " + " ".join(RECORD_FIELDS))
         for r in self.records:
             vals = []

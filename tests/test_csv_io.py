@@ -6,12 +6,14 @@ import os
 import signal
 import time
 import warnings
+from io import BytesIO
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from ccakit import io
-from ccakit.linalg import DataMatrix
+from ccakit.linalg import DataMatrix, as_matrix
 from conftest import peak_bytes
 
 
@@ -298,6 +300,15 @@ class TestSplitLoad:
             ranges(n)
             assert outcome(path) == whole
 
+    def test_a_worker_decodes_only_its_range(self, tmp_path, monkeypatch):
+        # its lines are numbered from the range's start; the prefix is counted only on an error
+        path = write(tmp_path, "a,b\n" + "1,2\n" * 40)
+        begin, end = io._cuts(path, path.stat().st_size, 2)[1:]
+        decoded, text = [], io._text
+        monkeypatch.setattr(io, "_text", lambda p, b, e: decoded.append((b, e)) or text(p, b, e))
+        io._send_part(path, ",", begin, end, BytesIO())
+        assert decoded == [(begin, end)]
+
     def test_a_killed_worker_raises_a_typed_error(self, tmp_path, ranges, monkeypatch):
         parse = io._parse
 
@@ -336,3 +347,79 @@ class TestSplitLoad:
         back, peak = peak_bytes(lambda: io.load_csv(path).values)
         assert np.array_equal(back, A)
         assert peak <= 1.25 * back.nbytes, f"peak {peak / back.nbytes:.2f}x the array"
+
+
+def savetxt_bytes(A, delimiter=",", header=None):
+    """np.savetxt(fmt="%.17g")'s bytes, the output every cut of a save must equal."""
+    buf = BytesIO()
+    np.savetxt(buf, A, fmt="%.17g", delimiter=delimiter,
+               **({} if header is None else {"header": header, "comments": ""}))
+    return buf.getvalue()
+
+
+class TestSplitSave:
+    A = np.random.default_rng(11).standard_normal((40, 6)) * 10.0 ** np.arange(-200, 400, 100)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("make", [np.asarray, sp.csr_matrix, DataMatrix],
+                             ids=["dense", "csr", "data-matrix"])
+    @pytest.mark.parametrize("rows", [40, 1])
+    def test_bytes_match_savetxt(self, tmp_path, ranges, monkeypatch, n, make, rows):
+        A = self.A[:rows].copy()
+        A[0, :3] = (-0.0, 5e-324, -1.7976931348623157e308)  # CSR keeps no -0.0
+        M, forks, fork = make(A), [], os.fork
+        monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+        ranges(n)
+        io.save_csv(tmp_path / "x.csv", M)
+        dense = as_matrix(M).toarray() if sp.issparse(M) else A
+        assert (tmp_path / "x.csv").read_bytes() == savetxt_bytes(dense)
+        assert len(forks) == n - 1
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_model_file_bytes_match_savetxt(self, tmp_path, ranges, n):
+        ranges(n)
+        io.save_model_matrix(tmp_path / "phi.txt", self.A)
+        want = savetxt_bytes(self.A, " ", header=f"{self.A.shape[0]} {self.A.shape[1]}")
+        assert (tmp_path / "phi.txt").read_bytes() == want
+
+    @pytest.mark.parametrize("how", ["killed", "short"])
+    def test_a_worker_that_sends_too_little_raises_a_typed_error(self, tmp_path, ranges,
+                                                                monkeypatch, how):
+        formatted = io._formatted
+
+        class Short(bytes):
+            def __len__(self):  # the worker announces a byte more than it sends
+                return super().__len__() + 1
+
+        def failing_in_a_worker(A, begin, *args):
+            if begin and how == "killed":
+                os.kill(os.getpid(), signal.SIGKILL)
+            return (Short(b) if begin else b for b in formatted(A, begin, *args))
+
+        monkeypatch.setattr(io, "_formatted", failing_in_a_worker)
+        ranges(3)
+        with pytest.raises(ChildProcessError, match=r"x\.csv: a write worker exited"):
+            io.save_csv(tmp_path / "x.csv", self.A)
+
+    def test_a_failure_in_the_caller_stops_the_workers(self, tmp_path, ranges, monkeypatch):
+        formatted = io._formatted
+
+        def slow_in_a_worker(A, begin, *args):
+            if begin:
+                time.sleep(60)
+            return formatted(A, begin, *args)
+
+        monkeypatch.setattr(io, "_formatted", slow_in_a_worker)
+        ranges(2)
+        t0 = time.perf_counter()
+        with pytest.raises(FileNotFoundError):
+            io.save_csv(tmp_path / "missing" / "x.csv", self.A)
+        assert time.perf_counter() - t0 < 30  # the autouse check sees the worker reaped
+
+    def test_caller_peak_memory_is_bounded_by_the_copy_buffer(self, tmp_path, ranges):
+        A = np.random.default_rng(12).standard_normal((4000, 50))
+        ranges(2)
+        _, peak = peak_bytes(lambda: io.save_csv(tmp_path / "x.csv", A))
+        size = (tmp_path / "x.csv").stat().st_size
+        assert size > 16 * io.COPY_BYTES
+        assert peak <= 6 * io.COPY_BYTES, f"peak {peak / io.COPY_BYTES:.2f}x the copy buffer"

@@ -383,6 +383,36 @@ class TestRunExperiment:
         run_experiment(rerun, x=x, y=y, report_path=tmp_path / "rerun.report")
         assert (tmp_path / "rerun.report").read_bytes() == (tmp_path / "first.report").read_bytes()
 
+    def test_driver_report_config_values_are_python_literals(self, small_instance, tmp_path):
+        # default_step and kernel_ridge return numpy scalars; their reprs must not reach the file
+        spec = KernelSpec("rbf", sigma=3.0)
+        Kx = kernel_gram(small_instance.x[:100], spec).values
+        Ky = kernel_gram(small_instance.y[:100], spec).values
+        lam = kernel_ridge(Kx, Ky)
+        _, report = run_appgrad(Kx, Ky, 2, lam=lam, max_iters=5, seed=1)
+        assert isinstance(report.config["lam"], np.floating)
+        report.write(tmp_path / "kernel.report")
+        header = {key: ast.literal_eval(raw)
+                  for key, raw in RunReport.read(tmp_path / "kernel.report").config.items()}
+        assert header == report.config and header["lam"] == lam
+
+    @pytest.mark.parametrize("name, solve", [("nw", baselines.nw_cca), ("dw", baselines.dw_cca)])
+    def test_heuristic_reads_the_cross_covariance_of_the_moments(self, small_instance, monkeypatch,
+                                                                 name, solve):
+        X, Y = small_instance.x, small_instance.y
+        want, cross_covariance, calls = solve(X, Y, 2, seed=4), baselines.cross_covariance, []
+
+        def counted(A, B):
+            calls.append((A.shape, B.shape))
+            return cross_covariance(A, B)
+
+        for module in (metrics, baselines):  # every module that calls the name
+            monkeypatch.setattr(module, "cross_covariance", counted)
+        result = run_experiment(SolverConfig(solver=name, k=2, seed=4), x=X, y=Y)
+        assert calls == [(X.shape, Y.shape)]  # metrics.moments' one product serves the solver
+        for attr in ("phi", "psi", "lam"):
+            assert np.array_equal(getattr(result.model, attr), getattr(want, attr))
+
     @pytest.mark.parametrize("name, solve", [("nw", baselines.nw_cca), ("dw", baselines.dw_cca)])
     def test_oversampled_heuristic_keeps_its_first_directions(self, small_instance, name, solve):
         X, Y = small_instance.x, small_instance.y
