@@ -310,6 +310,8 @@ def run_appgrad(
         eta = default_step(X, Y, lam, seed=seed)
     if isinstance(eta, (int, float)):
         eta = StepSizes.constant(float(eta))
+    if eta.eta1 <= 0 or eta.eta2 <= 0:  # a zero step never moves the initialization
+        raise ValueError("step sizes must be positive")
     state = init if init is not None else random_init(X, Y, k, seed, lam)
     report = RunReport(
         solver="appgrad",

@@ -15,7 +15,7 @@ from .stochastic import StepSchedule
 
 def _add_run_flags(p):
     """One flag per SolverConfig field (``--lambda`` for ``lam``), parsed by its config type,
-    so a bad value fails before any run; then the data and output flags."""
+    so a bad value fails before any run; then the data flags."""
     p.add_argument("--config", help="flat key=value config file; flags override")
     for name, typ in _CONFIG_TYPES.items():
         p.add_argument("--lambda" if name == "lam" else "--" + name.replace("_", "-"),
@@ -23,9 +23,6 @@ def _add_run_flags(p):
     p.add_argument("--x", dest="x_path", help="path to the X view")
     p.add_argument("--y", dest="y_path", help="path to the Y view")
     p.add_argument("--format", choices=["csv", "matrix-market"], default="csv")
-    p.add_argument("--report", help="write the run report here")
-    p.add_argument("--trace", help="write the (FLOP, PCC) trace here")
-    p.add_argument("--model-prefix", help="write PHI/PSI matrices with this prefix")
 
 
 # each SolverConfig field parses with its annotated type, except the kernel spec
@@ -122,6 +119,9 @@ def main(argv=None):
 
     r = sub.add_parser("run", help="run one solver and report metrics")
     _add_run_flags(r)
+    r.add_argument("--report", help="write the run report here")
+    r.add_argument("--trace", help="write the (FLOP, PCC) trace here")
+    r.add_argument("--model-prefix", help="write PHI/PSI matrices with this prefix")
     r.set_defaults(func=cmd_run)
 
     c = sub.add_parser("compare", help="run several solvers on the same data")

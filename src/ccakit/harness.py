@@ -111,6 +111,8 @@ class SolverConfig:
             raise ValueError("holdout fraction must be in [0, 0.5]")
         if self.record_every is not None and self.record_every < 1:
             raise ValueError("record_every must be >= 1")
+        if self.max_iters < 1:
+            raise ValueError("max_iters must be >= 1")
 
     def snapshot(self):
         """The set fields, the kernel as the text ``KernelSpec.parse`` reads."""

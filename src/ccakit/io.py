@@ -6,19 +6,20 @@ text with a one-line "rows cols" header.
 
 Text rows are read and written on every usable CPU (``os.sched_getaffinity``), one range per CPU
 and none below ``SPLIT_MIN_BYTES``: the caller handles range 0 and an ``os.fork``ed worker each
-other range, sending its result through a pipe. ``_load_rows`` cuts a file at line starts and
-grows the caller's array in place to take the workers' rows. ``_save_rows`` cuts the rows; each
-worker formats its range into its own memory, and the caller, after writing range 0, copies their
-bytes through one ``COPY_BYTES`` buffer. Values, errors and bytes written do not depend on the
-cut. Without ``os.fork`` a file is one range. A worker's memory is not part of the caller's RSS.
+other range, sending its result through a pipe. ``_load_rows`` cuts a file at line starts and,
+when every range parses and all are as wide, grows the caller's array in place to take the
+workers' rows. A load error has one definition, the parse of the file as one range from byte 0:
+when a range does not parse, the workers are stopped and that parse runs to raise its error, so an
+error in a split file costs one extra parse. ``_save_rows`` cuts the rows; each worker formats its
+range into its own memory, and the caller, after writing range 0, copies their bytes through one
+``COPY_BYTES`` buffer. Values, errors and bytes written do not depend on the cut. Without
+``os.fork`` a file is one range. A worker's memory is not part of the caller's RSS.
 """
 
 import itertools
 import os
-import re
 import signal
 from contextlib import contextmanager
-from dataclasses import dataclass
 from functools import partial
 from io import BufferedReader, FileIO, TextIOWrapper
 
@@ -139,107 +140,75 @@ def _cuts(path, size, ranges):
     return cuts + [size]
 
 
-@dataclass
-class _Part:
-    """What the parse of one byte range found. Lines count from the range's first; 0 means none."""
-
-    first: int = 0       # line of the range's first data row
-    width: int = 0       # its field count
-    nrows: int = 0
-    nonfinite: int = 0   # line of the first row holding a non-finite field
-    failed: int = 0      # line on which np.loadtxt failed
-    failed_row: int = 0  # the range's data-row index there, which loadtxt's message counts
-    message: str = ""    # loadtxt's message
-    rows: np.ndarray = None
-
-
 def _parse(path, begin, end, delimiter, header):
-    """The _Part of bytes [begin, end); ``header`` as in ``_data_lines``."""
-    part, linenos = _Part(), []
+    """The rows of bytes [begin, end), an empty array if none; ``header`` as in ``_data_lines``.
+    Or the one-range parse's error for them, lines counted from the range's first: the first row
+    that does not parse, else the first row holding a non-finite field."""
+    linenos = []
     with _text(path, begin, end) as fh:
         lines = _data_lines(fh, linenos, delimiter, header)
         first = next(lines, None)
         if first is None:
-            return part
-        part.first, part.width = linenos[0], len(first.split(delimiter))
+            return np.empty((0, 0))
         try:
             A = np.loadtxt(itertools.chain([first], lines), delimiter=delimiter,
                            dtype=float, ndmin=2, comments=None)
         except ValueError as exc:
-            # loadtxt reads one line at a time, so the last line handed to it
-            # is the one it failed on.
-            part.failed, part.failed_row, part.message = linenos[-1], len(linenos) - 1, str(exc)
-            return part
+            # loadtxt reads one line at a time, so the last line handed to it is the one it
+            # failed on; the message counts rows from the range's first
+            lineno, width = linenos[-1], len(first.split(delimiter))
+            with _text(path, begin, end) as again:
+                fields = next(itertools.islice(again, lineno - 1, None)).split(delimiter)
+            if not _numeric(fields):
+                raise ValueError(f"{path}:{lineno}: non-numeric field in row") from None
+            if len(fields) != width:
+                raise ValueError(f"{path}:{lineno}: row has {len(fields)} fields, "
+                                 f"expected {width}") from None
+            raise ValueError(f"{path}: {exc}") from None
     finite = np.isfinite(A).all(axis=1)
     if not finite.all():
-        part.nonfinite = linenos[np.argmin(finite)]
-    part.rows, part.nrows = A, A.shape[0]
-    return part
+        raise ValueError(f"{path}:{linenos[np.argmin(finite)]}: non-finite field in row")
+    return A
 
 
-def _row_error(path, lineno, width, delimiter, message):
-    """The error for a parse failure at physical line ``lineno`` of a file ``width`` fields wide."""
-    with open(path) as fh:
-        fields = next(itertools.islice(fh, lineno - 1, None)).split(delimiter)
-    if not _numeric(fields):
-        return ValueError(f"{path}:{lineno}: non-numeric field in row")
-    if len(fields) != width:
-        return ValueError(f"{path}:{lineno}: row has {len(fields)} fields, expected {width}")
-    return ValueError(f"{path}: {message}")
+class _NotClean(Exception):
+    """A range of a split file holds an error, or its rows are not as wide as the others'."""
 
 
-def _send_part(path, delimiter, begin, end, out):
-    """A parse worker: send the _Part of bytes [begin, end), a range after the first, to ``out``
-    as six int64 header fields and the message length, the message, then the rows."""
-    part = _parse(path, begin, end, delimiter, None)
-    message = part.message.encode()
-    out.write(np.array([part.first, part.width, part.nrows, part.nonfinite,
-                        part.failed, part.failed_row, len(message)], np.int64))
-    out.write(message)
-    if part.rows is not None:
-        out.write(part.rows)
+def _send_rows(path, delimiter, begin, end, out):
+    """A parse worker: send the rows of bytes [begin, end), a range after the first, to ``out``
+    as int64 (nrows, width) and the rows; (-1, -1) alone if ``_parse`` rejects the range."""
+    try:
+        A = _parse(path, begin, end, delimiter, None)
+    except ValueError:
+        out.write(np.array((-1, -1), np.int64))
+        return
+    out.write(np.array(A.shape, np.int64))
+    out.write(A)
 
 
-def _receive(path, pipe):
-    """The _Part a worker sends, its rows still in the pipe."""
-    head = np.empty(7, np.int64)
-    _read_into(path, pipe, head, "parse")
-    message = np.empty(head[6], np.uint8)
-    _read_into(path, pipe, message, "parse")
-    return _Part(*map(int, head[:6]), message.tobytes().decode())
-
-
-def _joined(path, cuts, parts, pipes, delimiter):
-    """The rows of ``parts``, an iterator over the ranges that begin at ``cuts`` in file order,
-    grown into range 0's array; or the serial parse's error: the earliest parse failure, else
-    the earliest non-finite row. A part is taken only when no earlier range failed to parse."""
-    def physical(begin, lineno):  # the line's number in the file, counted only to report it
-        with _text(path, 0, begin) as fh:
-            return lineno + sum(1 for _ in fh)
-
-    seen, width, nrows = [], 0, 0
-    for begin, p in zip(cuts, parts):
-        seen.append(p)
-        if not p.first:
-            continue
-        width = width or p.width
-        if p.width != width or p.failed:
-            # a range's loadtxt counts rows from its own start
-            message = re.sub(r"at row \d+", f"at row {nrows + p.failed_row}", p.message, count=1)
-            lineno = physical(begin, p.first if p.width != width else p.failed)
-            raise _row_error(path, lineno, width, delimiter, message)
-        nrows += p.nrows
-    if not width:
-        raise ValueError(f"{path}: no data rows")
-    for begin, p in zip(cuts, seen):
-        if p.nonfinite:
-            raise ValueError(f"{path}:{physical(begin, p.nonfinite)}: non-finite field in row")
-    A = seen[0].rows if seen[0].first else np.empty((0, width))
-    row = A.shape[0]
-    A.resize((nrows, width), refcheck=False)  # a realloc: the caller never holds two copies
-    for p, pipe in zip(seen[1:], pipes):
-        _read_into(path, pipe, A[row : row + p.nrows], "parse")
-        row += p.nrows
+def _joined(path, cuts, delimiter, header):
+    """The rows of the ranges that begin at ``cuts``, grown into range 0's array; _NotClean if
+    the file is split and a range is rejected or the ranges' widths differ."""
+    with _forked(cuts, partial(_send_rows, path, delimiter)) as pipes:
+        try:
+            A = _parse(path, 0, cuts[1], delimiter, header)
+        except ValueError:
+            if not pipes:  # range 0 is the whole file
+                raise
+            raise _NotClean from None
+        heads = np.empty((len(pipes), 2), np.int64)
+        for pipe, head in zip(pipes, heads):
+            _read_into(path, pipe, head, "parse")
+        widths = {w for n, w in [A.shape, *heads.tolist()] if n}
+        if len(widths) > 1 or (heads < 0).any():
+            raise _NotClean
+        row = A.shape[0]
+        # a realloc: the caller never holds two copies
+        A.resize((row + int(heads[:, 0].sum()), max(widths, default=0)), refcheck=False)
+        for pipe, (n, _) in zip(pipes, heads.tolist()):
+            _read_into(path, pipe, A[row : row + n], "parse")
+            row += n
     return A
 
 
@@ -247,13 +216,19 @@ def _load_rows(path, delimiter=",", header=False):
     """The rows of a text file, split over ``_usable_cpus()`` as the module docstring says.
     Fields are split at ``delimiter`` (None: whitespace) and may carry spaces or tabs; ``#`` is
     not a comment; physical line 1 is a header by ``_data_lines``'s rule. Errors, NaN and inf
-    fields included, name the line; a worker that dies without a result raises ChildProcessError."""
+    fields included, are those of the file parsed as one range and name the line; a worker that
+    dies without a result raises ChildProcessError."""
     size = os.path.getsize(path)
     cuts = _cuts(path, size, min(_usable_cpus(), max(1, size // SPLIT_MIN_BYTES)))
-    with _forked(cuts, partial(_send_part, path, delimiter)) as pipes:
-        parts = itertools.chain([_parse(path, 0, cuts[1], delimiter, header)],
-                                (_receive(path, pipe) for pipe in pipes))
-        return _joined(path, cuts, parts, pipes, delimiter)
+    try:
+        A = _joined(path, cuts, delimiter, header)
+    except _NotClean:
+        _parse(path, 0, size, delimiter, header)  # raises the file's error
+        raise RuntimeError(f"{path}: a range of the split file was rejected, "
+                           "but the whole file parses") from None
+    if not A.size:
+        raise ValueError(f"{path}: no data rows")
+    return A
 
 
 def _formatted(A, begin, end, row, block):

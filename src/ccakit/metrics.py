@@ -164,6 +164,7 @@ class IterationRecord:
 # Serialized field order for trace records (wall time is deliberately omitted
 # so identical config + seed reproduce byte-identical report files).
 RECORD_FIELDS = tuple(f.name for f in fields(IterationRecord) if f.name != "wall_time")
+_RECORD_TYPES = {f.name: f.type for f in fields(IterationRecord)}
 
 
 @dataclass
@@ -220,9 +221,11 @@ class RunReport:
 
     @classmethod
     def read(cls, path):
-        solver, seed, config, records = "", 0, {}, []
+        """Columns are mapped by the ``# fields:`` line (``RECORD_FIELDS`` order if none);
+        names that are not IterationRecord fields, as an older report's ``err``, are dropped."""
+        solver, seed, config, records, names = "", 0, {}, [], RECORD_FIELDS
         with open(path) as fh:
-            for line in fh:
+            for lineno, line in enumerate(fh, start=1):
                 line = line.strip()
                 if not line:
                     continue
@@ -235,11 +238,15 @@ class RunReport:
                     elif body.startswith("config "):
                         key, _, val = body[len("config "):].partition("=")
                         config[key] = val
+                    elif body.startswith("fields:"):
+                        names = body[len("fields:"):].split()
+                        if not {"t", "flops"} <= set(names):
+                            raise ValueError(f"{path}:{lineno}: fields lack t or flops")
                     continue
                 parts = line.split()
-                rec = IterationRecord(t=int(parts[0]), flops=int(parts[1]))
-                # zip drops columns past RECORD_FIELDS: an older report's pcc_holdout and err
-                for name, raw in zip(RECORD_FIELDS[2:], parts[2:]):
-                    setattr(rec, name, float(raw))
-                records.append(rec)
+                if len(parts) != len(names):
+                    raise ValueError(f"{path}:{lineno}: {len(parts)} fields, "
+                                     f"expected {len(names)}")
+                records.append(IterationRecord(**{name: _RECORD_TYPES[name](raw) for name, raw
+                                                  in zip(names, parts) if name in _RECORD_TYPES}))
         return cls(solver=solver, seed=seed, config=config, records=records)

@@ -349,6 +349,12 @@ class TestConvergence:
         with pytest.raises(ValueError):
             run_appgrad(small_instance.x, small_instance.y, 13)
 
+    @pytest.mark.parametrize("eta", [0.0, StepSizes(0.0, 0.1), StepSizes(0.1, 0.0)])
+    def test_runner_rejects_a_step_that_cannot_move(self, small_instance, eta):
+        # a zero step leaves the random initialization in place and "converges" at once
+        with pytest.raises(ValueError, match="step sizes must be positive"):
+            run_appgrad(small_instance.x, small_instance.y, 2, eta=eta)
+
     def test_extract_model_diagonalizes(self, small_instance):
         X, Y = small_instance.x, small_instance.y
         truth = small_instance.empirical

@@ -4,13 +4,17 @@ the same results from a file cut into ranges parsed by forked workers."""
 
 import os
 import signal
+import tempfile
 import time
 import warnings
 from io import BytesIO
+from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ccakit import io
 from ccakit.linalg import DataMatrix, as_matrix
@@ -265,6 +269,17 @@ class TestSplitLoad:
         assert io._cuts(path, path.stat().st_size, 2)[1] < path.read_text().index("1,2")
         assert np.array_equal(load(path), [[1.0, 2.0], [3.0, 4.0]])
 
+    @pytest.mark.parametrize("bad, message", [
+        ("1,oops", r"x\.csv:33: non-numeric field in row$"),
+        ("1,nan", r"x\.csv:33: non-finite field in row$"),
+    ])
+    def test_an_error_in_the_only_range_with_rows(self, tmp_path, ranges, bad, message):
+        path = write(tmp_path, "a,b\n" + "\n" * 30 + "1,2\n" + bad + "\n")
+        ranges(2)
+        assert io._cuts(path, path.stat().st_size, 2)[1] < path.read_text().index("1,2")
+        with pytest.raises(ValueError, match=message):
+            load(path)
+
     def test_width_mismatch_at_a_worker_first_line(self, tmp_path, ranges):
         path = write(tmp_path, "1,2\n" * 15 + "1,2,3\n" * 10)
         ranges(2)
@@ -306,8 +321,23 @@ class TestSplitLoad:
         begin, end = io._cuts(path, path.stat().st_size, 2)[1:]
         decoded, text = [], io._text
         monkeypatch.setattr(io, "_text", lambda p, b, e: decoded.append((b, e)) or text(p, b, e))
-        io._send_part(path, ",", begin, end, BytesIO())
+        io._send_rows(path, ",", begin, end, BytesIO())
         assert decoded == [(begin, end)]
+
+    def test_a_range_rejected_in_a_clean_file_is_a_loader_bug(self, tmp_path, ranges,
+                                                              monkeypatch):
+        parse = io._parse
+
+        def rejected_in_a_worker(path, begin, *args, **kwargs):
+            if begin:
+                raise ValueError("not clean")
+            return parse(path, begin, *args, **kwargs)
+
+        monkeypatch.setattr(io, "_parse", rejected_in_a_worker)
+        path = write(tmp_path, "1,2\n" * 50)
+        ranges(2)
+        with pytest.raises(RuntimeError, match=r"x\.csv: a range of the split file was rejected"):
+            load(path)
 
     def test_a_killed_worker_raises_a_typed_error(self, tmp_path, ranges, monkeypatch):
         parse = io._parse
@@ -347,6 +377,55 @@ class TestSplitLoad:
         back, peak = peak_bytes(lambda: io.load_csv(path).values)
         assert np.array_equal(back, A)
         assert peak <= 1.25 * back.nbytes, f"peak {peak / back.nbytes:.2f}x the array"
+
+
+FIELDS = st.tuples(st.sampled_from(["", " ", "\t"]),
+                   st.floats(allow_nan=False, allow_infinity=False).map(repr),
+                   st.sampled_from(["", " "])).map("".join)
+DEFECTS = ["oops", "ragged", "nan", "inf", "1_000", "trailing comma"]
+
+
+@st.composite
+def csv_texts(draw):
+    """(A small CSV's bytes, its rows if it holds no defect): an optional header, blank,
+    whitespace-only and CRLF lines, and at most one defect."""
+    width = draw(st.integers(1, 3))
+    rows = draw(st.lists(st.lists(FIELDS, min_size=width, max_size=width),
+                         min_size=1, max_size=12))
+    defect = draw(st.sampled_from([None, *DEFECTS]))
+    if defect:
+        fields = rows[draw(st.integers(0, len(rows) - 1))]
+        if defect in ("ragged", "trailing comma"):
+            fields.append("1" if defect == "ragged" else "")
+        else:
+            fields[draw(st.integers(0, width - 1))] = defect
+    lines = [",".join("abc"[:width])] if draw(st.booleans()) else []
+    for fields in rows:
+        lines += draw(st.lists(st.sampled_from(["", " ", " \t"]), max_size=2))
+        lines.append(",".join(fields))
+    ends = draw(st.lists(st.sampled_from(["\n", "\r\n"]), min_size=len(lines),
+                         max_size=len(lines)))
+    text = "".join(line + end for line, end in zip(lines, ends))
+    text = text if draw(st.booleans()) else text.rstrip("\r\n")
+    return text.encode(), None if defect else [[float(f) for f in r] for r in rows]
+
+
+@given(csv_texts())
+@settings(max_examples=40, deadline=None, derandomize=True)
+def test_every_cut_gives_the_one_range_outcome(case):
+    # hypothesis runs one example at a time, so at most 7 workers exist at once
+    data, rows = case
+    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
+        path = Path(tmp) / "x.csv"
+        path.write_bytes(data)
+        mp.setattr(io, "SPLIT_MIN_BYTES", 1)
+        mp.setattr(io, "_usable_cpus", lambda: 1)
+        whole = outcome(path)
+        if rows is not None:
+            assert whole == np.array(rows).view(np.uint64).tolist()
+        for n in (2, 3, 5, 8):
+            mp.setattr(io, "_usable_cpus", lambda: n)
+            assert outcome(path) == whole, n
 
 
 def savetxt_bytes(A, delimiter=",", header=None):

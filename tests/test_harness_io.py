@@ -186,6 +186,14 @@ class TestConfig:
         with pytest.raises(ValueError, match="record_every"):  # 0 would divide the cadence
             SolverConfig(solver="stochastic-appgrad", record_every=0).validate()
 
+    @pytest.mark.parametrize("max_iters", [0, -5])
+    def test_a_run_without_iterations_rejected(self, small_instance, max_iters):
+        cfg = SolverConfig(max_iters=max_iters)
+        with pytest.raises(ValueError, match="max_iters must be >= 1"):
+            cfg.validate()
+        with pytest.raises(ValueError, match="max_iters must be >= 1"):
+            run_experiment(cfg, x=small_instance.x, y=small_instance.y)
+
     def test_parse_config_file(self, tmp_path):
         path = tmp_path / "run.cfg"
         path.write_text(
@@ -546,6 +554,17 @@ class TestCli:
         out = capsys.readouterr().out
         for name in ("spectral", "nw", "pca-cca"):
             assert name in out
+
+    @pytest.mark.parametrize("flag", ["--report", "--trace", "--model-prefix"])
+    def test_compare_rejects_the_output_flags(self, tmp_path, flag, monkeypatch, capsys):
+        # compare writes no report, trace or model, so it must not accept a path for one
+        monkeypatch.setattr(cli, "run_experiment", lambda *a, **kw: pytest.fail("a run started"))
+        with pytest.raises(SystemExit) as exc:
+            main(["compare", "--solvers", "spectral,nw", "--k", "2", "--x", "x.csv",
+                  "--y", "y.csv", flag, str(tmp_path / "out")])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
 
     def test_config_file_with_flag_override(self, tmp_path, capsys):
         self.generate(tmp_path)

@@ -223,6 +223,32 @@ class TestRunReport:
         # written back in the current five columns
         assert back.to_lines()[-1] == "5 500 1.1000000000000001 0.75 0.90000000000000002"
 
+    def test_reads_columns_by_the_fields_line(self, tmp_path):
+        path = tmp_path / "reordered.report"
+        path.write_text("# solver=appgrad\n# seed=3\n"
+                        "# fields: pcc_train flops t future tcc_train\n"
+                        "0.25 100 1 7 0.5\n0.75 500 5 8 1.5\n")
+        back = RunReport.read(path)
+        assert [(r.t, r.flops, r.tcc_train, r.pcc_train) for r in back.records] == [
+            (1, 100, 0.5, 0.25), (5, 500, 1.5, 0.75)]
+        assert all(np.isnan(r.tcc_holdout) for r in back.records)
+
+    def test_reads_a_report_without_a_fields_line_in_record_order(self, tmp_path):
+        path = tmp_path / "bare.report"
+        path.write_text("# solver=appgrad\n1 100 0.5 0.25 0.4\n")
+        (r,) = RunReport.read(path).records
+        assert (r.t, r.flops, r.tcc_train, r.tcc_holdout, r.pcc_train) == (1, 100, 0.5, 0.25, 0.4)
+
+    @pytest.mark.parametrize("text, message", [
+        ("# fields: t flops tcc_train\n1 100 0.5\n\n5 500\n", r":5: 2 fields, expected 3"),
+        ("# fields: t tcc_train\n1 0.5\n", r":2: fields lack t or flops"),
+    ])
+    def test_a_malformed_report_names_its_line(self, tmp_path, text, message):
+        path = tmp_path / "bad.report"
+        path.write_text("# solver=appgrad\n" + text)
+        with pytest.raises(ValueError, match=r"bad\.report" + message):
+            RunReport.read(path)
+
     def test_field_order_is_the_file_format(self):
         assert RECORD_FIELDS == ("t", "flops", "tcc_train", "tcc_holdout", "pcc_train")
 
