@@ -10,9 +10,9 @@ projections X PhiTilde, X Phi, Y PsiTilde, Y Psi, so the next step on the same X
 issues 2 products per view: the gradient (r' X)' and the new iterate's X PhiTilde, with
 X Phi = (X PhiTilde) R. A step on other rows (a new minibatch) issues 3, X Phi again from the
 carried whitener R. A cache is keyed to its X and Y objects; mutating them is unsupported.
-As iterates see the data only through X'X/n, Y'Y/n, X'Y/n, ``run_appgrad`` runs on ``solver_views``:
-``moment_pair`` when both views are dense and 4 (p1+p2) <= n, so the build's 3 (p1+p2)^2 + O(p1+p2)
-fit the data.
+As iterates see the data only through X'X/n, Y'Y/n, X'Y/n, ``run_appgrad`` runs on the moment
+pair (``metrics.Views.pair``) when both views are dense and 4 (p1+p2) <= n, so the build's
+3 (p1+p2)^2 + O(p1+p2) fit the data.
 """
 
 import time
@@ -23,7 +23,7 @@ import scipy.sparse as sp
 from scipy.linalg import eigh, svd
 
 from .linalg import DegenerateIterateError, _check_finite, as_matrix, gram
-from .metrics import RunReport, moment_pair_flops, projected_correlations, step_flops, tcc
+from .metrics import RunReport, Views, moment_pair_flops, projected_correlations, step_flops, tcc
 from .reference import CcaModel, fix_signs
 
 EIG_FLOOR_REL = 1e-10
@@ -78,9 +78,9 @@ class AppGradState:
             return Xpt, Xpt @ self.whiteners[0], Yqt, Yqt @ self.whiteners[1]
         return Xpt, np.asarray(X @ self.phi), Yqt, np.asarray(Y @ self.psi)
 
-    def tcc(self, X, Y):
-        """TCC of (X phi, Y psi), from the cached projections when made on X and Y."""
-        return float(projected_correlations(*self.projections(X, Y)[1::2]).sum())
+    def tcc(self, X, Y, k=None):
+        """TCC of (X phi, Y psi), its top k (default: all), from the cache when made on X, Y."""
+        return float(projected_correlations(*self.projections(X, Y)[1::2])[:k].sum())
 
 
 def _whiten(X, W, lam):
@@ -186,10 +186,11 @@ def estimate_gram_norm(X, seed=0):
     return ev
 
 
-def default_step(X, Y, lam=0.0, seed=0):
-    """eta = 1/(2*(L1 + lam)), L1 the larger view Gram norm: exact to p = 200, else estimated."""
-    L1 = max(estimate_gram_norm(X, seed=seed), estimate_gram_norm(Y, seed=seed)) + lam
-    return StepSizes.constant(1.0 / (2.0 * L1))
+def default_step(X, Y, lam=0.0, seed=0, L1=None):
+    """eta = 1/(2*(L1 + lam)), L1 the larger view Gram norm: given, exact to p=200, or estimated."""
+    if L1 is None:
+        L1 = max(estimate_gram_norm(X, seed=seed), estimate_gram_norm(Y, seed=seed))
+    return StepSizes.constant(1.0 / (2.0 * (L1 + lam)))
 
 
 def theoretical_step_size(lam1, lam2, L1, e0, L2=None):
@@ -258,23 +259,8 @@ def extract_model(X, Y, fit, k=None):
 
 
 def moment_pair(X, Y):
-    """[X^ Y^] = diag(sqrt(max(w, 0) (p1+p2))) V' from V diag(w) V', the joint moment of (X, Y)."""
-    (n, p1), m = X.shape, X.shape[1] + Y.shape[1]
-    S = np.zeros((m, m), order="F")  # the lower triangle of n times the joint moment
-    S[:p1, :p1], S[p1:, :p1], S[p1:, p1:] = X.T @ X, Y.T @ X, Y.T @ Y
-    _check_finite(S.diagonal())  # non-finite exactly when a view holds a non-finite entry
-    w, V = eigh(S, overwrite_a=True, driver="evd")  # V overwrites S, beside 2 m^2 + O(m) workspace
-    V *= np.sqrt(np.maximum(w, 0.0) * (m / n))
-    return V[:p1].T, V[p1:].T
-
-
-def solver_views(X, Y):
-    """(X', Y', flops): ``moment_pair(X, Y)`` and its build's FLOPs when both views are dense and
-    4 (p1+p2) <= n, else X, Y and 0. A pair has p1+p2 rows, so this leaves a pair as it is."""
-    (n, p1), p2 = X.shape, Y.shape[1]
-    if sp.issparse(X) or sp.issparse(Y) or 4 * (p1 + p2) > n:
-        return X, Y, 0
-    return *moment_pair(X, Y), moment_pair_flops(n, p1, p2)
+    """The moment pair of (X, Y) (see ``metrics.Views.pair``)."""
+    return Views(X, Y).pair
 
 
 def run_appgrad(
@@ -291,23 +277,24 @@ def run_appgrad(
     record_every=1,
     step_fn=appgrad_step,
 ):
-    """Iterate rank-k updates on ``solver_views(X, Y)`` until the
+    """Iterate rank-k updates on (X, Y), or on the ``Views`` X (Y then None), until the
     Procrustes-aligned movement of both normalized iterates is below ``tol``, or ``max_iters``.
 
-    Returns (CcaModel, RunReport). The report records in-sample total
-    correlation and, when an oracle model is given, its captured-correlation
-    ratio, at the first, every ``record_every``-th and the last iteration (none for 0).
+    Returns (CcaModel, RunReport). The report records in-sample total correlation and, when an
+    oracle model is given, its captured-correlation ratio over the iterate's top ``oracle.k``
+    correlations, at the first, every ``record_every``-th and the last iteration (none for 0).
     """
-    X, Y = as_matrix(X), as_matrix(Y)
-    p1, p2 = X.shape[1], Y.shape[1]
+    views = X if isinstance(X, Views) else Views(X, Y)
+    (n, p1), p2 = views.X.shape, views.Y.shape[1]
     if k < 1 or k > min(p1, p2):
         raise ValueError(f"rank k={k} out of range")
     if record_every < 0:
         raise ValueError("record_every must be >= 0")
-    X, Y, flops = solver_views(X, Y)  # the first record pays the pair's build
-    n = X.shape[0]
+    X, Y, flops = views.X, views.Y, 0
+    if views.narrow:  # the first record pays the pair's build
+        (X, Y), flops = views.pair, moment_pair_flops(n, p1, p2)
     if eta is None:
-        eta = default_step(X, Y, lam, seed=seed)
+        eta = default_step(X, Y, lam, seed=seed, L1=views.gram_norm)
     if isinstance(eta, (int, float)):
         eta = StepSizes.constant(float(eta))
     if eta.eta1 <= 0 or eta.eta2 <= 0:  # a zero step never moves the initialization
@@ -326,19 +313,20 @@ def run_appgrad(
         },
     )
     oracle_tcc = tcc(X, Y, oracle.phi, oracle.psi) if oracle is not None else None
+    k_score = getattr(oracle, "k", None)  # an oversampled iterate is scored over its top k
     nnz = [A.nnz if sp.issparse(A) else None for A in (X, Y)]
     t0 = time.perf_counter()
     converged = False
     for it in range(max_iters):
         cached, whitened = state.cached_on(X, Y), state.whiteners is not None
         new = step_fn(state, eta, X, Y, lam)
-        flops += step_flops(n, p1, p2, k, *nnz, cached=cached, whitened=whitened)
+        flops += step_flops(X.shape[0], p1, p2, k, *nnz, cached=cached, whitened=whitened)
         converged = max(procrustes_distance(new.phi, state.phi),
                         procrustes_distance(new.psi, state.psi)) < tol
         state = new
         if record_every and (state.t % record_every == 0 or state.t == 1
                              or converged or it == max_iters - 1):
-            report.record(state.t, flops, state.tcc(X, Y), oracle_tcc,
+            report.record(state.t, flops, state.tcc(X, Y, k_score), oracle_tcc,
                           wall_time=time.perf_counter() - t0)
         if converged:
             break

@@ -2,13 +2,14 @@
 
 import argparse
 import sys
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 
 from . import io
 from .harness import SOLVERS, SolverConfig, parse_config_file, run_experiment
 from .kernels import KernelSpec
+from .metrics import Views
 from .planted import PlantedParams, generate_planted
 from .stochastic import StepSchedule
 
@@ -38,19 +39,33 @@ def build_config(args):
             key = key.replace("-", "_")
             if key not in _CONFIG_TYPES:
                 raise ValueError(f"unknown config key {key!r}")
-            setattr(cfg, key, _CONFIG_TYPES[key](raw))
+            try:
+                setattr(cfg, key, _CONFIG_TYPES[key](raw))
+            except ValueError as exc:
+                raise ValueError(f"config key {key!r}: {exc}") from None
     for key in _CONFIG_TYPES:
         if getattr(args, key, None) is not None:  # flags, parsed already, override the file
             setattr(cfg, key, getattr(args, key))
     return cfg
 
 
-def _load_views(args):
+def _configs(args):
+    """The validated config of each run (one per ``--solvers`` name for compare); raises
+    ValueError for a rejected config or a missing data path, before any data loads."""
     if not args.x_path or not args.y_path:
-        raise SystemExit("run/compare need --x and --y data paths")
+        raise ValueError("run/compare need --x and --y data paths")
+    cfg = build_config(args)
+    names = args.solvers.split(",") if args.command == "compare" else [cfg.solver]
+    configs = [replace(cfg, solver=name.strip()) for name in names]
+    for c in configs:
+        c.validate()
+    return configs
+
+
+def _load_views(args):
     X = io.load_dataset(args.x_path, args.format)
     Y = io.load_dataset(args.y_path, args.format)
-    return X.values, Y.values
+    return Views(X.values, Y.values)
 
 
 def cmd_generate(args):
@@ -70,10 +85,9 @@ def cmd_generate(args):
 
 
 def cmd_run(args):
-    cfg = build_config(args)
-    X, Y = _load_views(args)
+    cfg = args.configs[0]
     result = run_experiment(
-        cfg, x=X, y=Y,
+        cfg, x=_load_views(args),
         report_path=args.report, trace_path=args.trace,
         model_prefix=args.model_prefix,
     )
@@ -87,13 +101,10 @@ def cmd_run(args):
 
 
 def cmd_compare(args):
-    X, Y = _load_views(args)
-    solvers = args.solvers.split(",")
+    views = _load_views(args)  # one Views: its moments and moment pair serve every solver
     print(f"{'solver':<20} {'tcc':>12} {'pcc':>12}")
-    for name in solvers:
-        cfg = build_config(args)
-        cfg.solver = name.strip()
-        result = run_experiment(cfg, x=X, y=Y)
+    for cfg in args.configs:
+        result = run_experiment(cfg, x=views)
         pcc_txt = f"{result.pcc_train:.6f}" if np.isfinite(result.pcc_train) else "-"
         print(f"{cfg.solver:<20} {result.tcc_train:>12.6f} {pcc_txt:>12}")
     return 0
@@ -130,6 +141,11 @@ def main(argv=None):
     c.set_defaults(func=cmd_compare)
 
     args = parser.parse_args(argv)
+    if args.command != "generate":
+        try:  # a rejected config is a usage error, as a rejected flag value is
+            args.configs = _configs(args)
+        except ValueError as exc:
+            sub.choices[args.command].error(str(exc))
     return args.func(args)
 
 

@@ -2,14 +2,13 @@
 evaluation, and report/model emission."""
 
 from dataclasses import dataclass, asdict
-from functools import partial
 
 from . import io
 from .appgrad import default_step, extract_model, random_init, run_appgrad
 from .baselines import dw_cca, nw_cca, pca_cca
 from .kernels import KernelSpec, kernel_gram, kernel_ridge
-from .linalg import SingularMatrixError, as_matrix
-from .metrics import RunReport, moments, pcc_of, split_holdout, tcc, tcc_evaluator
+from .linalg import SingularMatrixError
+from .metrics import RunReport, Views, pcc_of, split_holdout
 from .planted import generate_planted
 from .reference import CcaModel, als_cca, qr_cca, spectral_from_moments
 from .stochastic import MinibatchPlan, StepSchedule, run_stochastic
@@ -17,44 +16,42 @@ from .stochastic import MinibatchPlan, StepSchedule, run_stochastic
 
 @dataclass(frozen=True)
 class Solver:
-    """How run_experiment runs one solver. ``run(config, X, Y, k_run, oracle,
-    holdout, M)`` returns a CcaModel, or (model, report) when ``traced`` (the
-    report then takes the entry's name); M is ``metrics.moments(X, Y)``.
-    ``views(config, X, Y)``, if given, maps the data to the pair that the
-    solver and the metrics act on; the primal spectral oracle does not apply
-    to such views, so neither it nor M is computed."""
+    """How run_experiment runs one solver. ``run(config, views, k_run, oracle, holdout)``, on the
+    ``metrics.Views`` of the run and of its held-out rows (or None), returns a CcaModel, or
+    (model, report) when ``traced`` (the report then takes the entry's name). ``grams(config, X,
+    Y)``, if given, maps the data to the Gram pair that the solver and the metrics act on."""
 
     run: object
     traced: bool = False
-    views: object = None
+    grams: object = None
 
 
-def _als(c, X, Y, k_run, **_):
+def _als(c, v, k_run, **_):
     if c.k != 1:
         raise ValueError("als solves the leading pair only; set k=1")
-    init = random_init(X, Y, 1, c.seed, c.lam)
-    return als_cca(X, Y, (init.phi[:, 0], init.psi[:, 0]),
+    init = random_init(v.X, v.Y, 1, c.seed, c.lam)
+    return als_cca(v.X, v.Y, (init.phi[:, 0], init.psi[:, 0]),
                    max_iters=c.max_iters, tol=c.tol, lam=c.lam)
 
 
-def _appgrad(c, X, Y, k_run, oracle, **_):
-    return run_appgrad(X, Y, k_run, eta=c.eta, lam=c.lam, max_iters=c.max_iters,
+def _appgrad(c, v, k_run, oracle, **_):
+    return run_appgrad(v, None, k_run, eta=c.eta, lam=c.lam, max_iters=c.max_iters,
                        tol=c.tol, seed=c.seed, oracle=oracle,
                        record_every=c.record_every or 1)
 
 
-def _stochastic(c, X, Y, k_run, oracle, holdout, **_):
-    eta0 = c.eta if c.eta is not None else default_step(X, Y, c.lam, seed=c.seed).eta1
+def _stochastic(c, v, k_run, oracle, holdout, **_):
+    eta0 = c.eta if c.eta is not None else default_step(v.X, v.Y, c.lam, c.seed, v.gram_norm).eta1
     return run_stochastic(
-        X, Y, k_run, MinibatchPlan(m=min(c.batch_size, X.shape[0]), seed=c.seed),
+        v, None, k_run, MinibatchPlan(m=min(c.batch_size, v.X.shape[0]), seed=c.seed),
         StepSchedule(kind=c.schedule, eta0=eta0), lam=c.lam, max_iters=c.max_iters,
         seed=c.seed, oracle=oracle, record_every=c.record_every, holdout=holdout,
     )
 
 
-def _pca_cca(c, X, Y, k_run, **_):
-    m = min(4 * c.k, *X.shape, Y.shape[1])
-    return pca_cca(X, Y, k_run, m=max(m, k_run), lam=c.lam, seed=c.seed)
+def _pca_cca(c, v, k_run, **_):
+    m = min(4 * c.k, *v.X.shape, v.Y.shape[1])
+    return pca_cca(v.X, v.Y, k_run, m=max(m, k_run), lam=c.lam, seed=c.seed)
 
 
 def _grams(c, X, Y):
@@ -62,23 +59,23 @@ def _grams(c, X, Y):
     return kernel_gram(X, spec).values, kernel_gram(Y, spec).values
 
 
-def _kernel_appgrad(c, Kx, Ky, k_run, **_):
-    return run_appgrad(Kx, Ky, k_run, eta=c.eta, lam=c.lam or kernel_ridge(Kx, Ky),
+def _kernel_appgrad(c, v, k_run, **_):
+    return run_appgrad(v, None, k_run, eta=c.eta, lam=c.lam or kernel_ridge(v.X, v.Y),
                        max_iters=c.max_iters, tol=c.tol, seed=c.seed,
                        record_every=c.record_every or 1)
 
 
 SOLVERS = {
-    "spectral": Solver(lambda c, X, Y, k_run, M, **_: spectral_from_moments(M, k_run, c.lam)),
-    "qr": Solver(lambda c, X, Y, k_run, **_: qr_cca(X, Y, k_run, lam=c.lam)),
+    "spectral": Solver(lambda c, v, k_run, **_: spectral_from_moments(v.moments, k_run, c.lam)),
+    "qr": Solver(lambda c, v, k_run, **_: qr_cca(v.X, v.Y, k_run, lam=c.lam)),
     "als": Solver(_als),
     "appgrad": Solver(_appgrad, traced=True),
     "stochastic-appgrad": Solver(_stochastic, traced=True),
-    "nw": Solver(lambda c, X, Y, k_run, M, **_: nw_cca(X, Y, k_run, seed=c.seed, M=M)),
-    "dw": Solver(lambda c, X, Y, k_run, M, **_: dw_cca(X, Y, k_run, lam=c.lam, seed=c.seed,
-                                                       M=M)),
+    "nw": Solver(lambda c, v, k_run, **_: nw_cca(v.X, v.Y, k_run, seed=c.seed, M=v.moments)),
+    "dw": Solver(lambda c, v, k_run, **_: dw_cca(v.X, v.Y, k_run, lam=c.lam, seed=c.seed,
+                                                 M=v.moments)),
     "pca-cca": Solver(_pca_cca),
-    "kernel-appgrad": Solver(_kernel_appgrad, traced=True, views=_grams),
+    "kernel-appgrad": Solver(_kernel_appgrad, traced=True, grams=_grams),
 }
 
 
@@ -103,6 +100,8 @@ class SolverConfig:
     def validate(self):
         if self.solver not in SOLVERS:
             raise ValueError(f"unknown solver {self.solver!r}; choose from {', '.join(SOLVERS)}")
+        if self.schedule not in StepSchedule.KINDS:
+            raise ValueError(f"unknown schedule {self.schedule!r}")
         if self.k < 1:
             raise ValueError("k must be >= 1")
         if self.oversample < 0 or self.lam < 0:
@@ -135,22 +134,20 @@ def extract_best_k(X, Y, model, k):
     return model if model.k <= k else extract_model(X, Y, model, k)
 
 
-def _scored(X, Y, k, lam):
-    """(M, evaluate, oracle) of a pair: M = moments(X, Y), built once, ``tcc_evaluator(X, Y, M)``
-    and the rank-k spectral oracle from M, None when a view is singular at lam = 0."""
-    M = moments(X, Y)
+def _oracle(views, k, lam):
+    """The rank-k spectral oracle from ``views.moments``; None for a singular view at lam = 0."""
     try:
-        oracle = spectral_from_moments(M, k, lam)
+        return spectral_from_moments(views.moments, k, lam)
     except SingularMatrixError:
-        oracle = None
-    return M, tcc_evaluator(X, Y, M), oracle
+        return None
 
 
 def run_experiment(config, x=None, y=None, planted=None,
                    report_path=None, trace_path=None, model_prefix=None):
     """Dispatch one solver run and evaluate it.
 
-    Data comes either from (x, y) matrices or from PlantedParams. The solver
+    Data comes either from (x, y) matrices, from a ``metrics.Views`` x (y then None), whose
+    moments and moment pair then serve every run given it, or from PlantedParams. The solver
     is run at rank k + oversample and the best k directions are extracted.
     Returns an ExperimentResult; optionally writes the report, the (FLOP, PCC)
     trace, and the canonical-vector matrices.
@@ -159,28 +156,25 @@ def run_experiment(config, x=None, y=None, planted=None,
     if planted is not None:
         instance = generate_planted(planted, seed=config.seed)
         x, y = instance.x, instance.y
-    if x is None or y is None:
+    if x is None or (y is None and not isinstance(x, Views)):
         raise ValueError("provide either (x, y) or planted parameters")
-    X, Y = as_matrix(x), as_matrix(y)
-
-    holdout_pair = None
+    views, hold = x if isinstance(x, Views) else Views(x, y), None
     if config.holdout > 0:
-        (X, Y), holdout_pair = split_holdout(X, Y, config.holdout, config.seed)
+        train, hold = split_holdout(views.X, views.Y, config.holdout, config.seed)
+        views, hold = Views(*train), Views(*hold)
 
     solver = SOLVERS[config.solver]
-    if solver.views:
-        X, Y = solver.views(config, X, Y)
-    k = config.k
+    if solver.grams:
+        views = Views(*solver.grams(config, views.X, views.Y))
+    X, Y, k = views.X, views.Y, config.k
     k_run = min(k + config.oversample, X.shape[1], Y.shape[1])
     if k_run < k:
         raise ValueError(f"k={k} exceeds the view widths {X.shape[1]}, {Y.shape[1]}")
-    if solver.views:
-        M, evaluate, oracle = None, partial(tcc, X, Y), None
-    else:  # the exact oracle is affordable at desk scale
-        M, evaluate, oracle = _scored(X, Y, k, config.lam)
-    oracle_tcc = None if oracle is None else evaluate(oracle.phi, oracle.psi)
+    # the exact oracle is affordable at desk scale; it does not apply to a Gram pair
+    oracle = None if solver.grams else _oracle(views, k, config.lam)
+    oracle_tcc = None if oracle is None else views.evaluate(oracle.phi, oracle.psi)
 
-    model = solver.run(config, X, Y, k_run, oracle=oracle, holdout=holdout_pair, M=M)
+    model = solver.run(config, views, k_run, oracle=oracle, holdout=hold)
     if solver.traced:
         model, report = model
     else:
@@ -192,16 +186,15 @@ def run_experiment(config, x=None, y=None, planted=None,
 
     model = extract_best_k(X, Y, model, k)
     result = ExperimentResult(model=model, report=report, oracle=oracle)
-    result.tcc_train = evaluate(model.phi, model.psi)
+    result.tcc_train = views.evaluate(model.phi, model.psi)
     if not solver.traced:  # the one row scores the returned rank-k model
         report.record(1, 0, result.tcc_train, oracle_tcc)
     if oracle is not None:
         result.pcc_train = pcc_of(result.tcc_train, oracle_tcc)
-        if holdout_pair is not None:
-            _, evaluate_h, oracle_h = _scored(*holdout_pair, k, config.lam)
-            if oracle_h is not None:
-                result.pcc_holdout = pcc_of(evaluate_h(model.phi, model.psi),
-                                            evaluate_h(oracle_h.phi, oracle_h.psi))
+        oracle_h = None if hold is None else _oracle(hold, k, config.lam)
+        if oracle_h is not None:
+            result.pcc_holdout = pcc_of(hold.evaluate(model.phi, model.psi),
+                                        hold.evaluate(oracle_h.phi, oracle_h.psi))
     report.validate()
     if report_path:
         report.write(report_path)

@@ -19,11 +19,10 @@ class DegenerateIterateError(RuntimeError):
     """An iterate collapsed below the normalization floor; restart with a new init."""
 
 
-def _check_finite(A):
-    """A, after raising ValueError if the dense or sparse matrix stores a non-finite entry."""
-    if not np.all(np.isfinite(A.data if sp.issparse(A) else A)):
+def _check_finite(*arrays):
+    """Raise ValueError if one of the dense or sparse matrices stores a non-finite entry."""
+    if not all(np.all(np.isfinite(A.data if sp.issparse(A) else A)) for A in arrays):
         raise ValueError("matrix contains non-finite entries")
-    return A
 
 
 def as_matrix(X):
@@ -67,18 +66,16 @@ class DataMatrix:
 
 
 def gram(X, lam=0.0):
-    """Empirical second-moment matrix  X'X/n + lam*I,  symmetrized.
-
-    Sparse inputs accumulate only over stored entries (the sparse product).
-    """
+    """Empirical second-moment matrix  X'X/n + lam*I,  symmetrized (a sparse X accumulates over
+    its stored entries only). X is scanned for non-finite entries only if X'X is non-finite."""
     if lam < 0:
         raise ValueError(f"regularization must be nonnegative, got {lam}")
-    X = _check_finite(as_matrix(X))
+    X = as_matrix(X)
     n, p = X.shape
-    if sp.issparse(X):
-        S = np.asarray((X.T @ X).todense()) / n
-    else:
-        S = (X.T @ X) / n
+    S = X.T @ X
+    S = (np.asarray(S.todense()) if sp.issparse(S) else S) / n
+    if not np.all(np.isfinite(S)):
+        _check_finite(X)
     S = 0.5 * (S + S.T)
     if lam:
         S = S + lam * np.eye(p)
@@ -97,19 +94,17 @@ def gram_diagonal(X, lam=0.0):
 
 
 def cross_covariance(X, Y):
-    """Cross second-moment matrix  X'Y/n."""
+    """Cross second-moment matrix  X'Y/n; the views are scanned for non-finite entries if it is."""
     X, Y = as_matrix(X), as_matrix(Y)
-    _check_finite(X)
-    _check_finite(Y)
     if X.shape[0] != Y.shape[0]:
         raise ValueError(
             f"row-count mismatch: X has {X.shape[0]} rows, Y has {Y.shape[0]}"
         )
-    n = X.shape[0]
     S = X.T @ Y
-    if sp.issparse(S):
-        S = np.asarray(S.todense())
-    return np.asarray(S) / n
+    S = np.asarray(S.todense() if sp.issparse(S) else S) / X.shape[0]
+    if not np.all(np.isfinite(S)):
+        _check_finite(X, Y)
+    return S
 
 
 def induced_norm(S, u):

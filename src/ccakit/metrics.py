@@ -13,18 +13,19 @@ products per view:
     4   uncached from a hand-built state, which carries no whitener
   + 8*m*k^2 + 24*k^3       k-by-k Grams, re-projections, eigendecompositions
   + 2*(p1+p2)*k^2          applying the k-by-k whitener
-A run on a moment pair pays 2*n*(p1^2 + p1*p2 + p2^2) + 4*(p1+p2)^3 (syevd) once, then m = p1+p2.
+A run on a moment pair pays 2*n*(p1^2 + p1*p2 + p2^2) for the moments and 4*(p1+p2)^3 (syevd)
+for the pair built from them, once (also when its ``Views`` already held them), then m = p1+p2.
 A minibatch attempt that fails as degenerate and is resampled is charged as one uncached step
 on its own rows, besides the step that replaces it.
 
-Evaluation: a rank-k TCC on n rows costs 2*n*(p1+p2)*k projected, or O((p1+p2)^2*k)
-from the moments X'X/n, Y'Y/n, X'Y/n (n*(p1+p2)^2 once). ``tcc_evaluator`` is the one rule:
-dense nonsingular views from the moments, sparse and singular ones projected; the two agree
-to ~eps*cond(X)^2 relative.
+Evaluation: a rank-k TCC on m rows costs 2*m*(p1+p2)*k. ``Views`` holds the one route rule: a
+narrow pair (dense views, 4*(p1+p2) <= n) is solved on its moment pair, p1+p2 rows built from
+``moments`` at the charge above, and evaluated there unless a view Gram is singular; every other
+pair is solved and evaluated on its n rows.
 """
 
 from dataclasses import dataclass, field, fields
-from functools import partial
+from functools import cached_property, partial
 
 import numpy as np
 import scipy.sparse as sp
@@ -32,7 +33,7 @@ from scipy.linalg import eigh, svd
 
 from .linalg import as_matrix, cross_covariance, gram, singular_floor, sym_inv_sqrt
 
-RIDGE_SCALE = 1e-10  # of the k-by-k moments in ``_correlations``, relative to their trace
+RIDGE_SCALE = 1e-10  # of each k-by-k Gram in ``projected_correlations``, relative to its trace
 
 
 def step_flops(m, p1, p2, k, nnz1=None, nnz2=None, cached=False, whitened=True):
@@ -49,33 +50,29 @@ def moment_pair_flops(n, p1, p2):
     return 2 * n * (p1 * p1 + p1 * p2 + p2 * p2) + 4 * (p1 + p2)**3
 
 
-def _correlations(Su, Sv, Suv):
-    """Canonical correlations from k-by-k moments, trace-scaled ridge for unwhitened ones."""
-    lam_u = RIDGE_SCALE * max(np.trace(Su) / max(Su.shape[0], 1), 1e-300)
-    lam_v = RIDGE_SCALE * max(np.trace(Sv) / max(Sv.shape[0], 1), 1e-300)
-    Ru = sym_inv_sqrt(Su + lam_u * np.eye(Su.shape[0]), floor=lam_u * 1e-6)
-    Rv = sym_inv_sqrt(Sv + lam_v * np.eye(Sv.shape[0]), floor=lam_v * 1e-6)
-    s = svd(Ru @ Suv @ Rv, compute_uv=False)
-    return np.minimum(s, 1.0 + 1e-9)
-
-
 def projected_correlations(U, V):
-    """Canonical correlations of two n-by-k matrices (see ``_correlations``)."""
+    """Canonical correlations of two n-by-k matrices, nonincreasing (ridge: see RIDGE_SCALE)."""
     U, V = np.asarray(U, dtype=float), np.asarray(V, dtype=float)
     if U.shape[0] != V.shape[0]:
         raise ValueError("projected views must have the same number of rows")
     n = U.shape[0]
-    return _correlations(U.T @ U / n, V.T @ V / n, U.T @ V / n)
+    Su, Sv = U.T @ U / n, V.T @ V / n
+    lam_u = RIDGE_SCALE * max(np.trace(Su) / max(Su.shape[0], 1), 1e-300)
+    lam_v = RIDGE_SCALE * max(np.trace(Sv) / max(Sv.shape[0], 1), 1e-300)
+    Ru = sym_inv_sqrt(Su + lam_u * np.eye(Su.shape[0]), floor=lam_u * 1e-6)
+    Rv = sym_inv_sqrt(Sv + lam_v * np.eye(Sv.shape[0]), floor=lam_v * 1e-6)
+    s = svd(Ru @ (U.T @ V / n) @ Rv, compute_uv=False)
+    return np.minimum(s, 1.0 + 1e-9)
 
 
-def tcc(X, Y, A, B):
-    """Total correlations captured by the direction matrices A (p1 x k), B (p2 x k):
-    sum of canonical correlations of (XA, YB). Invariant to invertible
+def tcc(X, Y, A, B, k=None):
+    """Total correlations captured by the direction matrices A (p1 x k'), B (p2 x k'): the sum
+    of the top k (default: all) canonical correlations of (XA, YB). Invariant to invertible
     right-multiplication of A or B."""
     X, Y = as_matrix(X), as_matrix(Y)
     U = np.asarray(X @ np.asarray(A, dtype=float))
     V = np.asarray(Y @ np.asarray(B, dtype=float))
-    return float(projected_correlations(U, V).sum())
+    return float(projected_correlations(U, V)[:k].sum())
 
 
 def moments(X, Y, lam=0.0):
@@ -83,20 +80,53 @@ def moments(X, Y, lam=0.0):
     return gram(X, lam), gram(Y, lam), cross_covariance(X, Y)
 
 
-def moment_tcc(M, A, B):
-    """``tcc`` from M = moments(X, Y), through A'SxA, B'SyB and A'SxyB: no n-sized cost."""
+def _joint_pair(M):
+    """[X^ Y^] = diag(sqrt(max(w, 0) (p1+p2))) V' from V diag(w) V', the joint moment in M."""
     Sx, Sy, Sxy = M
-    return float(_correlations(A.T @ Sx @ A, B.T @ Sy @ B, A.T @ Sxy @ B).sum())
+    p1, m = Sx.shape[0], Sx.shape[0] + Sy.shape[0]
+    S = np.zeros((m, m), order="F")  # the lower triangle of the joint moment
+    S[:p1, :p1], S[p1:, :p1], S[p1:, p1:] = Sx, Sxy.T, Sy
+    w, V = eigh(S, overwrite_a=True, driver="evd")  # V overwrites S, beside 2 m^2 + O(m) workspace
+    V *= np.sqrt(np.maximum(w, 0.0) * m)
+    return V[:p1].T, V[p1:].T
 
 
-def tcc_evaluator(X, Y, M=None):
-    """(A, B) -> TCC on (X, Y): ``moment_tcc`` for dense nonsingular views, from M = moments(X, Y)
-    when given (else formed here), and ``tcc`` otherwise."""
-    if not (sp.issparse(as_matrix(X)) or sp.issparse(as_matrix(Y))):
-        M = moments(X, Y) if M is None else M
-        if all(w[0] >= singular_floor(w) for w in map(np.linalg.eigvalsh, M[:2])):
-            return partial(moment_tcc, M)
-    return partial(tcc, X, Y)
+def moment_tcc(M, A, B):
+    """``tcc`` of the views whose moments are M = moments(X, Y), on their moment pair."""
+    return tcc(*_joint_pair(M), A, B)
+
+
+class Views:
+    """A view pair (X, Y) and what runs derive from it, each built once, on first use: the
+    moments, the moment pair, the Gram eigenvalues and the TCC evaluator (see the module doc)."""
+
+    def __init__(self, X, Y):
+        self.X, self.Y = as_matrix(X), as_matrix(Y)
+        (n, p1), p2 = self.X.shape, self.Y.shape[1]
+        self.narrow = not (sp.issparse(self.X) or sp.issparse(self.Y)) and 4 * (p1 + p2) <= n
+
+    @cached_property
+    def moments(self):
+        return moments(self.X, self.Y)
+
+    @cached_property
+    def pair(self):
+        return _joint_pair(self.moments)
+
+    @cached_property
+    def gram_eigvals(self):  # ascending, of X'X/n and Y'Y/n
+        return tuple(eigh(S, eigvals_only=True) for S in self.moments[:2])
+
+    @property
+    def gram_norm(self):  # the larger view Gram norm of a narrow pair, else None
+        return max(w[-1] for w in self.gram_eigvals) if self.narrow else None
+
+    @cached_property
+    def evaluate(self):
+        """(A, B[, k]) -> ``tcc``: on the pair if narrow with nonsingular Grams, else the rows."""
+        if self.narrow and all(w[0] >= singular_floor(w) for w in self.gram_eigvals):
+            return partial(tcc, *self.pair)
+        return partial(tcc, self.X, self.Y)
 
 
 def pcc_of(tcc_est, tcc_oracle):

@@ -18,10 +18,9 @@ from .appgrad import (  # noqa: F401  normalize_columns is looked up here by per
     normalize_columns,
     random_init,
     run_appgrad,
-    solver_views,
 )
 from .linalg import DegenerateIterateError, as_matrix
-from .metrics import RunReport, split_holdout, step_flops, tcc, tcc_evaluator
+from .metrics import RunReport, Views, split_holdout, step_flops, tcc
 
 
 @dataclass
@@ -135,18 +134,19 @@ def run_stochastic(
     record_every=None,
     holdout=None,
 ):
-    """Run minibatch iterations for ``max_iters`` steps (or one pass of the
-    data in sequential-stream mode). Degenerate batches are resampled once,
-    then the run fails.
+    """Run minibatch iterations on (X, Y), or on the ``Views`` X (Y then None), for
+    ``max_iters`` steps (or one pass of the data in sequential-stream mode). Degenerate batches
+    are resampled once, then the run fails.
 
     ``record_every`` defaults to once per epoch-equivalent, ceil(n/m); 0 records nothing.
-    ``holdout`` is an optional (X_h, Y_h) pair for out-of-sample TCC.
+    ``holdout`` is an optional (X_h, Y_h) pair or ``Views`` for out-of-sample TCC. Records are
+    scored by ``Views.evaluate`` over the iterate's top ``oracle.k`` correlations.
     Returns (CcaModel, RunReport); the model's ``converged`` is False, since
     the run has no stopping test.
     """
-    X, Y = as_matrix(X), as_matrix(Y)
-    n, p1 = X.shape
-    p2 = Y.shape[1]
+    views = X if isinstance(X, Views) else Views(X, Y)
+    X, Y = views.X, views.Y
+    (n, p1), p2 = X.shape, Y.shape[1]
     sampler = plan.make_sampler(n)
     if record_every is None:
         record_every = max(1, int(np.ceil(n / plan.m)))
@@ -166,16 +166,17 @@ def run_stochastic(
             "max_iters": max_iters,
         },
     )
-    evaluate = tcc_evaluator(X, Y)
-    evaluate_holdout = tcc_evaluator(*holdout) if holdout is not None else lambda A, B: np.nan
-    oracle_tcc = evaluate(oracle.phi, oracle.psi) if oracle is not None else None
+    holdout = holdout if holdout is None or isinstance(holdout, Views) else Views(*holdout)
+    oracle_tcc = views.evaluate(oracle.phi, oracle.psi) if oracle is not None else None
+    k_score = getattr(oracle, "k", None)  # an oversampled iterate is scored over its top k
     flops = 0
     t0 = time.perf_counter()
 
     def record():
-        report.record(state.t, flops, evaluate(state.phi, state.psi), oracle_tcc,
+        report.record(state.t, flops, views.evaluate(state.phi, state.psi, k_score), oracle_tcc,
                       wall_time=time.perf_counter() - t0,
-                      tcc_holdout=evaluate_holdout(state.phi, state.psi))
+                      tcc_holdout=np.nan if holdout is None
+                      else holdout.evaluate(state.phi, state.psi, k_score))
     streaming = plan.mode == "sequential-stream"
 
     def rows(idx):  # np.take gathers dense rows faster than X[idx]
@@ -231,12 +232,12 @@ def cross_validate_step(
         raise ValueError("candidate grid is empty")
     if not (0.0 < holdout_fraction <= 0.5):
         raise ValueError("holdout fraction must be in (0, 0.5]")
-    (X_tr, Y_tr), (X_h, Y_h) = split_holdout(as_matrix(X), as_matrix(Y), holdout_fraction, seed)
-    X_tr, Y_tr, _ = solver_views(X_tr, Y_tr)  # one build serves every candidate
+    train, (X_h, Y_h) = split_holdout(as_matrix(X), as_matrix(Y), holdout_fraction, seed)
+    train = Views(*train)  # one moment pair serves every candidate
     best_eta, best_score = None, -np.inf
     for eta in sorted(grid):
         try:
-            model, _ = run_appgrad(X_tr, Y_tr, k, eta=float(eta), max_iters=budget, tol=0.0,
+            model, _ = run_appgrad(train, None, k, eta=float(eta), max_iters=budget, tol=0.0,
                                    seed=seed, record_every=0)
             score = tcc(X_h, Y_h, model.phi, model.psi)
         except DegenerateIterateError:

@@ -89,12 +89,16 @@ class TestDwCca:
         _, peak = peak_bytes(lambda: dw_cca(X, Y, 2))
         assert peak <= 0.5 * X.nbytes, f"peak {peak / X.nbytes:.2f}x one view"
 
-    def test_scans_each_view_once(self, monkeypatch):
+    def test_scans_a_view_only_when_it_is_not_finite(self, monkeypatch):
         X, Y = np.random.default_rng(5).standard_normal((2, 300, 6))
         scanned, check = [], linalg._check_finite
-        monkeypatch.setattr(linalg, "_check_finite", lambda A: scanned.append(A) or check(A))
+        monkeypatch.setattr(linalg, "_check_finite", lambda *A: scanned.append(A) or check(*A))
         dw_cca(X, Y, 2)
-        assert len(scanned) == 2 and scanned[0] is X and scanned[1] is Y
+        assert scanned == []  # finite views give finite products, so no view is scanned
+        for bad in (np.nan, np.inf):
+            X[7, 3] = bad
+            with pytest.raises(ValueError, match="non-finite entries"):
+                dw_cca(X, Y, 2)
 
 
 class TestPcaCca:

@@ -10,7 +10,7 @@ import pytest
 import scipy.sparse as sp
 from scipy.linalg import qr
 
-from ccakit import baselines, cli, harness, io, metrics, reference
+from ccakit import appgrad, baselines, cli, io, linalg, metrics, reference
 from ccakit.cli import _CONFIG_TYPES, _add_run_flags, build_config, main
 from ccakit.harness import (
     SOLVERS,
@@ -22,7 +22,7 @@ from ccakit.harness import (
 from ccakit.appgrad import default_step, run_appgrad
 from ccakit.kernels import KernelSpec, kernel_gram, kernel_ridge
 from ccakit.linalg import DegenerateIterateError, SingularMatrixError
-from ccakit.metrics import RunReport, moments, tcc
+from ccakit.metrics import RunReport, Views, moment_pair_flops, moments, step_flops, tcc
 from ccakit.planted import PlantedParams, _mixing, generate_planted
 from ccakit.reference import spectral_cca
 from conftest import peak_bytes
@@ -468,7 +468,7 @@ class TestRunExperiment:
             calls.append((A.shape, B.shape))
             return moments(A, B, lam)
 
-        for module in (metrics, reference, harness):  # every module that binds the name
+        for module in (metrics, reference):  # every module that binds the name
             monkeypatch.setattr(module, "moments", counted)
         result = run_experiment(SolverConfig(solver="spectral", k=3), x=X, y=Y)
         assert calls == [(X.shape, Y.shape)]  # one build serves solver, oracle and evaluator
@@ -516,6 +516,83 @@ class TestRunExperiment:
                                 x=inst.x, y=inst.y)
         assert np.isnan(result.pcc_holdout)
         assert abs(result.pcc_train - 1.0) < 1e-8
+
+
+class TestViews:
+    """One ``metrics.Views`` per view pair: each moment is formed once, and one rule routes both
+    solving and evaluation."""
+
+    SOLVERS = ["appgrad", "stochastic-appgrad", "spectral", "qr", "nw", "dw"]
+
+    @staticmethod
+    def count_products(monkeypatch):
+        """Calls of ``gram`` and ``cross_covariance`` as (name, shapes), wherever they are bound."""
+        calls, gram, cross_covariance = [], linalg.gram, linalg.cross_covariance
+        for module in (metrics, appgrad, reference, baselines):
+            if hasattr(module, "gram"):
+                monkeypatch.setattr(module, "gram", lambda A, lam=0.0: calls.append(
+                    ("gram", A.shape)) or gram(A, lam))
+            if hasattr(module, "cross_covariance"):
+                monkeypatch.setattr(module, "cross_covariance", lambda A, B: calls.append(
+                    ("cross", A.shape, B.shape)) or cross_covariance(A, B))
+        return calls
+
+    @pytest.mark.parametrize("name, holdout", [(name, 0.0) for name in SOLVERS]
+                             + [("stochastic-appgrad", 0.2)])
+    def test_a_run_forms_each_moment_once(self, small_instance, monkeypatch, name, holdout):
+        X, Y = small_instance.x, small_instance.y
+        calls = self.count_products(monkeypatch)
+        run_experiment(SolverConfig(solver=name, k=2, holdout=holdout, max_iters=50), x=X, y=Y)
+        rows = [400] if not holdout else [320, 80]  # the training pair, then the held-out one
+        want = [call for n in rows
+                for call in (("gram", (n, 12)), ("gram", (n, 15)), ("cross", (n, 12), (n, 15)))]
+        assert sorted(calls) == sorted(want)
+
+    def test_compare_forms_each_moment_once(self, small_instance, monkeypatch):
+        X, Y = small_instance.x, small_instance.y
+        views, calls = Views(X, Y), self.count_products(monkeypatch)
+        for name in self.SOLVERS:
+            run_experiment(SolverConfig(solver=name, k=2, max_iters=50), x=views)
+        assert sorted(calls) == [("cross", X.shape, Y.shape), ("gram", X.shape), ("gram", Y.shape)]
+
+    def test_solving_and_evaluation_switch_routes_together(self, small_instance, monkeypatch):
+        X, Y = small_instance.x, small_instance.y
+        p1, p2 = X.shape[1], Y.shape[1]
+        rows, score = [], metrics.tcc
+        monkeypatch.setattr(metrics, "tcc", lambda A, *a: rows.append(len(A)) or score(A, *a))
+        for n, narrow in ((4 * (p1 + p2), True), (4 * (p1 + p2) - 1, False)):
+            rows.clear()
+            cfg = SolverConfig(solver="appgrad", k=2, max_iters=5)
+            result = run_experiment(cfg, x=X[:n], y=Y[:n])
+            m = p1 + p2 if narrow else n  # the rows both solving and evaluation read
+            build = moment_pair_flops(n, p1, p2) if narrow else 0
+            assert result.report.records[0].flops == build + step_flops(m, p1, p2, 2)
+            assert rows and set(rows) == {m}
+
+    @pytest.mark.parametrize("shape", [(400, 12, 15), (150, 30, 25)])
+    def test_stochastic_step_is_the_default_step(self, shape):
+        # narrow (p1 + p2 = 27 <= 100) and wide (55 > 37) dense views with p <= 200
+        n, p1, p2 = shape
+        inst = generate_planted(PlantedParams(n=n, p1=p1, p2=p2, correlations=(0.9, 0.6),
+                                              noise=0.3), seed=1)
+        cfg = SolverConfig(solver="stochastic-appgrad", k=2, max_iters=5, seed=4)
+        result = run_experiment(cfg, x=inst.x, y=inst.y)
+        assert result.report.config["eta0"] == default_step(inst.x, inst.y, seed=4).eta1
+
+    @pytest.mark.parametrize("name", ["appgrad", "stochastic-appgrad"])
+    def test_oversampled_rows_score_the_top_k(self, name):
+        inst = generate_planted(PlantedParams(n=400, p1=12, p2=15, correlations=(0.9, 0.6, 0.3),
+                                              noise=0.5), seed=3)
+        cfg = SolverConfig(solver=name, k=2, oversample=2, seed=3, max_iters=150)
+        result = run_experiment(cfg, x=inst.x, y=inst.y)
+        assert all(r.pcc_train <= 1.0 + 1e-12 for r in result.report.records)
+        if name == "appgrad":  # a whitened iterate's top 2 are its extracted model's
+            assert abs(result.report.records[-1].pcc_train - result.pcc_train) <= 1e-12
+
+    def test_rows_without_oversampling_sum_every_correlation(self, small_instance):
+        X, Y, oracle = small_instance.x, small_instance.y, small_instance.empirical
+        runs = [run_appgrad(X, Y, 3, seed=1, max_iters=40, oracle=o)[1] for o in (oracle, None)]
+        assert [r.tcc_train for r in runs[0].records] == [r.tcc_train for r in runs[1].records]
 
 
 class TestCli:
@@ -596,6 +673,36 @@ class TestCli:
         with pytest.raises(SystemExit) as exc:
             main(["run", *flag, "--x", "x.csv", "--y", "y.csv"])
         assert exc.value.code == 2
+
+    REJECTED = {  # case: (config file, extra flags, message)
+        "unknown-key": ("colour = red\n", [], "unknown config key 'colour'"),
+        "bad-value": ("k = two\n", [], "config key 'k': invalid literal"),
+        "bad-schedule": ("schedule = linear\n", [], "unknown schedule 'linear'"),
+        "max-iters": ("", ["--max-iters", "-5"], "max_iters must be >= 1"),
+    }
+
+    @pytest.mark.parametrize("command", ["run", "compare"])
+    @pytest.mark.parametrize("case", [*REJECTED, "no-data"])
+    def test_rejected_config_is_a_usage_error(self, tmp_path, monkeypatch, capsys, command,
+                                              case):
+        monkeypatch.setattr(io, "load_dataset", lambda *a: pytest.fail("data loaded"))
+        text, flags, message = self.REJECTED.get(case, ("", [], "need --x and --y"))
+        (tmp_path / "run.cfg").write_text(text)
+        argv = [command, "--config", str(tmp_path / "run.cfg"), *flags]
+        argv += ["--solvers", "spectral,nw"] if command == "compare" else []
+        argv += [] if case == "no-data" else ["--x", "x.csv", "--y", "y.csv"]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"cca-bench {command}: error: " in err and message in err
+
+    def test_compare_rejects_an_unknown_solver_before_any_run(self, monkeypatch, capsys):
+        monkeypatch.setattr(io, "load_dataset", lambda *a: pytest.fail("data loaded"))
+        with pytest.raises(SystemExit) as exc:
+            main(["compare", "--solvers", "spectral,svd", "--x", "x.csv", "--y", "y.csv"])
+        assert exc.value.code == 2
+        assert "unknown solver 'svd'" in capsys.readouterr().err
 
     def test_kernel_flag_parsing(self, tmp_path, capsys):
         self.generate(tmp_path)

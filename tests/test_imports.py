@@ -1,9 +1,14 @@
 """Every name imported by the package and its tests is referenced (pyflakes' F401, by ``ast``),
 every private module-level helper of the package is used somewhere in it, every public function
 and method of the package is referenced somewhere in the package, tests, scripts or benchmark,
-and every defaulted parameter of the package is passed by some call in them."""
+every defaulted parameter of the package is passed by some call in them, and every double-backtick
+name in a docstring or comment of the package names something that it defines or imports."""
 
 import ast
+import builtins
+import io
+import re
+import tokenize
 from pathlib import Path
 
 import pytest
@@ -179,3 +184,60 @@ def test_no_dead_parameters():
                for p in sorted(ROOT.glob(f"{d}/*.py"))]
     package = {p.stem: p.read_text() for p in SRC}
     assert dead_parameters(package, callers) == DEAD_PARAMETER_ALLOWLIST
+
+
+def stale_doc_names(package):
+    """Sorted (module, name) of each double-backtick name in a docstring or comment of ``package``
+    ({module: source}) that names nothing the package defines or imports. A name is the dotted
+    identifier that opens the quoted text; past a module or class of the package, each further
+    part must be defined there too, while the attributes of a variable or an imported module
+    (``X.T``, ``np.take``) are not checked."""
+    defined, scopes, texts = set(dir(builtins)) | set(package), set(package), {}
+    for module, source in package.items():
+        tree = ast.parse(source)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ClassDef):
+                defined.add(node.name)
+                scopes.add(node.name)
+            elif isinstance(node, ast.FunctionDef):
+                defined.add(node.name)
+            elif isinstance(node, ast.arg):
+                defined.add(node.arg)
+            elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+                defined.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store):
+                defined.add(node.attr)
+            elif isinstance(node, ast.ExceptHandler) and node.name:
+                defined.add(node.name)
+            elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                defined.update(alias.asname or alias.name.split(".")[0] for alias in node.names)
+                defined.update(alias.name for alias in node.names)
+            if isinstance(node, (ast.Module, ast.FunctionDef, ast.ClassDef)):
+                texts.setdefault(module, []).append(ast.get_docstring(node) or "")
+        texts[module] += [tok.string for tok in tokenize.generate_tokens(io.StringIO(source).readline)
+                          if tok.type == tokenize.COMMENT]
+    stale = set()
+    for module, chunks in texts.items():
+        for quoted in re.findall(r"``([^`]+)``", "\n".join(chunks)):
+            name = re.match(r"[\w.]*", quoted).group().strip(".")
+            if not name or name[0].isdigit():
+                continue
+            head, *rest = name.split(".")
+            if head not in defined or (head in scopes and not set(rest) <= defined):
+                stale.add((module, name))
+    return sorted(stale)
+
+
+def test_stale_doc_name_checker_sees_what_it_must():
+    package = {"a": '"""Uses ``b.f``, ``b.gone``, ``C.m``, ``x.T``, ``np.take`` and ``lost``."""\n'
+                    "import numpy as np\nclass C:\n    def m(self, x):\n        pass  # ``C.n``\n",
+               "b": "def f():\n    pass\n"}
+    assert stale_doc_names(package) == [("a", "C.n"), ("a", "b.gone"), ("a", "lost")]
+
+
+# names quoted on purpose: a method of the standard library's FileIO, and a removed report field
+STALE_DOC_NAME_ALLOWLIST = [("io", "readall"), ("metrics", "err")]
+
+
+def test_no_stale_doc_names():
+    assert stale_doc_names({p.stem: p.read_text() for p in SRC}) == STALE_DOC_NAME_ALLOWLIST

@@ -373,7 +373,7 @@ class TestEvaluation:
                                   holdout=hold)[1].records
 
         by_moments = run()
-        monkeypatch.setattr(stochastic, "tcc_evaluator", lambda X, Y: partial(tcc, X, Y))
+        monkeypatch.setattr(metrics.Views, "evaluate", property(lambda v: partial(tcc, v.X, v.Y)))
         projected = run()
         for a, b in zip(by_moments, projected, strict=True):
             for name in ("tcc_train", "tcc_holdout", "pcc_train"):
@@ -514,8 +514,8 @@ class TestCrossValidation:
                                            seed=seed, record_every=0)
             want.append(tcc(X_h, Y_h, model.phi, model.psi))
         builds, scores = [], []
-        pair, score = appgrad.moment_pair, stochastic.tcc
-        monkeypatch.setattr(appgrad, "moment_pair", lambda *a: builds.append(a) or pair(*a))
+        pair, score = metrics._joint_pair, stochastic.tcc
+        monkeypatch.setattr(metrics, "_joint_pair", lambda *a: builds.append(a) or pair(*a))
         monkeypatch.setattr(stochastic, "tcc", lambda *a: scores.append(score(*a)) or scores[-1])
         got = cross_validate_step(X, Y, 2, grid, budget=budget, seed=seed)
         assert len(builds) == 1
