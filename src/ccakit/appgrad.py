@@ -20,14 +20,14 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg import eigh, svd
+from scipy.linalg import svd
 
-from .linalg import DegenerateIterateError, _check_finite, as_matrix, gram
-from .metrics import RunReport, Views, moment_pair_flops, projected_correlations, step_flops, tcc
+from .linalg import DegenerateIterateError, _check_finite, as_matrix
+from .metrics import (POWER_ITERS, RunReport, Views, moment_pair_flops, projected_correlations,
+                      step_flops, tcc)
 from .reference import CcaModel, fix_signs
 
 EIG_FLOOR_REL = 1e-10
-POWER_ITERS = 50  # of estimate_gram_norm
 
 
 @dataclass
@@ -164,18 +164,13 @@ def appgrad_step_rank1(state, eta, X, Y, lam=0.0):
 
 
 def estimate_gram_norm(X, seed=0):
-    """Largest eigenvalue of X'X/n: exact from the Gram for dense X with p <= 4*POWER_ITERS (200),
-    where its n*p^2 FLOPs are at most the power loop's; else a POWER_ITERS-step power estimate."""
+    """Largest eigenvalue of X'X/n by a seeded POWER_ITERS-step power estimate."""
     X = as_matrix(X)
-    n, p = X.shape
-    if not sp.issparse(X) and p <= 4 * POWER_ITERS:
-        return float(eigh(gram(X), eigvals_only=True)[-1])
-    rng = np.random.default_rng(seed)
-    v = rng.standard_normal(p)
+    v = np.random.default_rng(seed).standard_normal(X.shape[1])
     v /= np.linalg.norm(v)
     ev = 0.0
     for _ in range(POWER_ITERS):
-        w = np.asarray(X.T @ np.asarray(X @ v)) / n
+        w = np.asarray(X.T @ np.asarray(X @ v)) / X.shape[0]
         nw = np.linalg.norm(w)
         if nw == 0.0:
             return 0.0
@@ -186,10 +181,12 @@ def estimate_gram_norm(X, seed=0):
     return ev
 
 
-def default_step(X, Y, lam=0.0, seed=0, L1=None):
-    """eta = 1/(2*(L1 + lam)), L1 the larger view Gram norm: given, exact to p=200, or estimated."""
-    if L1 is None:
-        L1 = max(estimate_gram_norm(X, seed=seed), estimate_gram_norm(Y, seed=seed))
+def default_step(X, Y, lam=0.0, seed=0):
+    """eta = 1/(2*(L1 + lam)), L1 the larger view Gram norm of (X, Y), or of the ``Views`` X
+    (Y then None): exact where ``Views.gram_norm`` has it, else ``estimate_gram_norm``."""
+    views = Views.of(X, Y)
+    L1 = max(estimate_gram_norm(A, seed=seed) if L is None else L
+             for L, A in zip(views.gram_norm, (views.X, views.Y)))
     return StepSizes.constant(1.0 / (2.0 * (L1 + lam)))
 
 
@@ -240,21 +237,20 @@ def procrustes_distance(A, B):
     return float(np.linalg.norm(A - B @ R))
 
 
-def extract_model(X, Y, fit, k=None):
-    """Rotate the normalized pair of ``fit`` (a state or a CcaModel) to
-    diagonalize the captured correlations, keep the k directions (default:
-    all) that capture the most, and return a sorted, sign-fixed model. An
-    unwhitened heuristic model is truncated without rotation."""
+def extract_model(X, Y, fit, k=None, lam=0.0):
+    """Whiten the normalized pair of ``fit`` (a state or a CcaModel) in the metric
+    X'X/n + lam I on all rows of X and Y, rotate it to diagonalize the captured correlations,
+    keep the k directions (default: all) that capture the most, and return a sorted,
+    sign-fixed model. An unwhitened heuristic model is truncated without rotation."""
     k = fit.k if k is None else k
     converged = getattr(fit, "converged", True)
     if not getattr(fit, "whitened", True):
         return CcaModel(fit.phi[:, :k], fit.psi[:, :k], fit.lam[:k],
                         whitened=False, converged=converged)
     X, Y = as_matrix(X), as_matrix(Y)
-    n = X.shape[0]
-    C = np.asarray(X @ fit.phi).T @ np.asarray(Y @ fit.psi) / n
-    U, s, Vt = svd(C, full_matrices=False)
-    Phi, Psi = fix_signs(fit.phi @ U[:, :k], fit.psi @ Vt[:k].T)
+    (_, U, Rx), (_, V, Ry) = _whiten(X, fit.phi, lam), _whiten(Y, fit.psi, lam)
+    Us, s, Vt = svd(U.T @ V / X.shape[0], full_matrices=False)
+    Phi, Psi = fix_signs(fit.phi @ Rx @ Us[:, :k], fit.psi @ Ry @ Vt[:k].T)
     return CcaModel(Phi, Psi, s[:k].copy(), converged=converged)
 
 
@@ -284,7 +280,7 @@ def run_appgrad(
     oracle model is given, its captured-correlation ratio over the iterate's top ``oracle.k``
     correlations, at the first, every ``record_every``-th and the last iteration (none for 0).
     """
-    views = X if isinstance(X, Views) else Views(X, Y)
+    views = Views.of(X, Y)
     (n, p1), p2 = views.X.shape, views.Y.shape[1]
     if k < 1 or k > min(p1, p2):
         raise ValueError(f"rank k={k} out of range")
@@ -294,7 +290,7 @@ def run_appgrad(
     if views.narrow:  # the first record pays the pair's build
         (X, Y), flops = views.pair, moment_pair_flops(n, p1, p2)
     if eta is None:
-        eta = default_step(X, Y, lam, seed=seed, L1=views.gram_norm)
+        eta = default_step(views, None, lam, seed=seed)
     if isinstance(eta, (int, float)):
         eta = StepSizes.constant(float(eta))
     if eta.eta1 <= 0 or eta.eta2 <= 0:  # a zero step never moves the initialization
@@ -330,7 +326,7 @@ def run_appgrad(
                           wall_time=time.perf_counter() - t0)
         if converged:
             break
-    model = extract_model(X, Y, state)
+    model = extract_model(X, Y, state, lam=lam)
     model.converged = converged
     # a copy without the cache, so the report does not keep X and Y alive
     report.final_state = replace(state)

@@ -2,12 +2,14 @@
 
 All three skip the full whitening step in different ways: NW ignores it,
 DW whitens only the diagonal, PCA-CCA whitens inside a principal subspace.
+NW and DW read the cross moment X'Y/n of a ``metrics.Views``.
 """
 
 import numpy as np
 from scipy.linalg import qr
 
-from .linalg import as_matrix, cross_covariance, gram_diagonal, randomized_svd
+from .linalg import as_matrix, gram_diagonal, randomized_svd
+from .metrics import Views
 from .reference import CcaModel, fix_signs, spectral_cca
 
 OVERSAMPLE, POWER_ITERS = 10, 2  # of every randomized_svd taken here
@@ -22,27 +24,23 @@ def _top_pairs(S, k, seed):
     return *fix_signs(U, V), s.copy()
 
 
-def nw_cca(X, Y, k, seed=0, M=None):
-    """No whitening: truncated SVD of the raw cross-covariance X'Y/n, read from M =
-    ``metrics.moments(X, Y)`` when given, else formed here.
-
-    Returned directions are not S-orthonormal (``whitened`` is False)."""
-    Sxy = cross_covariance(X, Y) if M is None else M[2]
-    return CcaModel(*_top_pairs(Sxy, k, seed), whitened=False)
+def nw_cca(X, Y, k, seed=0):
+    """No whitening: truncated SVD of the raw cross-covariance X'Y/n of (X, Y), or of the
+    ``Views`` X (Y then None). Returned directions are not S-orthonormal (``whitened`` is False)."""
+    return CcaModel(*_top_pairs(Views.of(X, Y).cross, k, seed), whitened=False)
 
 
-def dw_cca(X, Y, k, lam=0.0, seed=0, M=None):
-    """Diagonal whitening: truncated SVD of diag(sx) X'Y/n diag(sy), sx and sy the
-    inverse root column variances, with the directions mapped back by the same scales.
-    X'Y/n is read from M = ``metrics.moments(X, Y)`` when given, else formed here."""
-    X, Y = as_matrix(X), as_matrix(Y)
-    dx, dy = gram_diagonal(X, lam), gram_diagonal(Y, lam)
+def dw_cca(X, Y, k, lam=0.0, seed=0):
+    """Diagonal whitening of (X, Y), or of the ``Views`` X (Y then None): truncated SVD of
+    diag(sx) X'Y/n diag(sy), sx and sy the inverse root column variances, with the directions
+    mapped back by the same scales."""
+    views = Views.of(X, Y)
+    dx, dy = gram_diagonal(views.X, lam), gram_diagonal(views.Y, lam)
     if dx.min() <= 0 or dy.min() <= 0:
         raise ValueError("zero-variance column; set lam > 0")
     sx = 1.0 / np.sqrt(dx)
     sy = 1.0 / np.sqrt(dy)
-    Sxy = cross_covariance(X, Y) if M is None else M[2]
-    U, V, s = _top_pairs(sx[:, None] * Sxy * sy, k, seed)
+    U, V, s = _top_pairs(sx[:, None] * views.cross * sy, k, seed)
     Phi, Psi = fix_signs(U * sx[:, None], V * sy[:, None])
     return CcaModel(Phi, Psi, s, whitened=False)
 

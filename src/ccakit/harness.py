@@ -8,9 +8,9 @@ from .appgrad import default_step, extract_model, random_init, run_appgrad
 from .baselines import dw_cca, nw_cca, pca_cca
 from .kernels import KernelSpec, kernel_gram, kernel_ridge
 from .linalg import SingularMatrixError
-from .metrics import RunReport, Views, pcc_of, split_holdout
+from .metrics import RunReport, Views, pcc_of
 from .planted import generate_planted
-from .reference import CcaModel, als_cca, qr_cca, spectral_from_moments
+from .reference import CcaModel, als_cca, qr_cca, spectral_cca
 from .stochastic import MinibatchPlan, StepSchedule, run_stochastic
 
 
@@ -30,7 +30,7 @@ def _als(c, v, k_run, **_):
     if c.k != 1:
         raise ValueError("als solves the leading pair only; set k=1")
     init = random_init(v.X, v.Y, 1, c.seed, c.lam)
-    return als_cca(v.X, v.Y, (init.phi[:, 0], init.psi[:, 0]),
+    return als_cca(v, None, (init.phi[:, 0], init.psi[:, 0]),
                    max_iters=c.max_iters, tol=c.tol, lam=c.lam)
 
 
@@ -41,7 +41,7 @@ def _appgrad(c, v, k_run, oracle, **_):
 
 
 def _stochastic(c, v, k_run, oracle, holdout, **_):
-    eta0 = c.eta if c.eta is not None else default_step(v.X, v.Y, c.lam, c.seed, v.gram_norm).eta1
+    eta0 = c.eta if c.eta is not None else default_step(v, None, c.lam, c.seed).eta1
     return run_stochastic(
         v, None, k_run, MinibatchPlan(m=min(c.batch_size, v.X.shape[0]), seed=c.seed),
         StepSchedule(kind=c.schedule, eta0=eta0), lam=c.lam, max_iters=c.max_iters,
@@ -66,14 +66,13 @@ def _kernel_appgrad(c, v, k_run, **_):
 
 
 SOLVERS = {
-    "spectral": Solver(lambda c, v, k_run, **_: spectral_from_moments(v.moments, k_run, c.lam)),
+    "spectral": Solver(lambda c, v, k_run, **_: spectral_cca(v, None, k_run, c.lam)),
     "qr": Solver(lambda c, v, k_run, **_: qr_cca(v.X, v.Y, k_run, lam=c.lam)),
     "als": Solver(_als),
     "appgrad": Solver(_appgrad, traced=True),
     "stochastic-appgrad": Solver(_stochastic, traced=True),
-    "nw": Solver(lambda c, v, k_run, **_: nw_cca(v.X, v.Y, k_run, seed=c.seed, M=v.moments)),
-    "dw": Solver(lambda c, v, k_run, **_: dw_cca(v.X, v.Y, k_run, lam=c.lam, seed=c.seed,
-                                                 M=v.moments)),
+    "nw": Solver(lambda c, v, k_run, **_: nw_cca(v, None, k_run, seed=c.seed)),
+    "dw": Solver(lambda c, v, k_run, **_: dw_cca(v, None, k_run, lam=c.lam, seed=c.seed)),
     "pca-cca": Solver(_pca_cca),
     "kernel-appgrad": Solver(_kernel_appgrad, traced=True, grams=_grams),
 }
@@ -129,15 +128,16 @@ class ExperimentResult:
     pcc_holdout: float = float("nan")
 
 
-def extract_best_k(X, Y, model, k):
-    """The k directions of a (k+l)-rank model that capture the most correlation."""
-    return model if model.k <= k else extract_model(X, Y, model, k)
+def extract_best_k(X, Y, model, k, lam=0.0):
+    """The k directions of a (k+l)-rank model, fit at ridge lam, that capture the most
+    correlation."""
+    return model if model.k <= k else extract_model(X, Y, model, k, lam)
 
 
 def _oracle(views, k, lam):
-    """The rank-k spectral oracle from ``views.moments``; None for a singular view at lam = 0."""
+    """The rank-k spectral oracle of ``views``; None for a singular view at lam = 0."""
     try:
-        return spectral_from_moments(views.moments, k, lam)
+        return spectral_cca(views, None, k, lam)
     except SingularMatrixError:
         return None
 
@@ -147,7 +147,8 @@ def run_experiment(config, x=None, y=None, planted=None,
     """Dispatch one solver run and evaluate it.
 
     Data comes either from (x, y) matrices, from a ``metrics.Views`` x (y then None), whose
-    moments and moment pair then serve every run given it, or from PlantedParams. The solver
+    moments, moment pair and holdout splits then serve every run given it, or from
+    PlantedParams. Every solver and the oracle read the run's ``Views``. The solver
     is run at rank k + oversample and the best k directions are extracted.
     Returns an ExperimentResult; optionally writes the report, the (FLOP, PCC)
     trace, and the canonical-vector matrices.
@@ -158,10 +159,8 @@ def run_experiment(config, x=None, y=None, planted=None,
         x, y = instance.x, instance.y
     if x is None or (y is None and not isinstance(x, Views)):
         raise ValueError("provide either (x, y) or planted parameters")
-    views, hold = x if isinstance(x, Views) else Views(x, y), None
-    if config.holdout > 0:
-        train, hold = split_holdout(views.X, views.Y, config.holdout, config.seed)
-        views, hold = Views(*train), Views(*hold)
+    views = Views.of(x, y)
+    views, hold = views.split(config.holdout, config.seed) if config.holdout else (views, None)
 
     solver = SOLVERS[config.solver]
     if solver.grams:
@@ -184,7 +183,7 @@ def run_experiment(config, x=None, y=None, planted=None,
                 if key in report.config}
     report.solver, report.config = config.solver, config.snapshot() | resolved
 
-    model = extract_best_k(X, Y, model, k)
+    model = extract_best_k(X, Y, model, k, report.config["lam"])
     result = ExperimentResult(model=model, report=report, oracle=oracle)
     result.tcc_train = views.evaluate(model.phi, model.psi)
     if not solver.traced:  # the one row scores the returned rank-k model

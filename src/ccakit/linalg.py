@@ -119,8 +119,9 @@ def induced_norm(S, u):
 
 
 def singular_floor(w):
-    """1e-12 * max(w[-1], 1): a Gram with ascending eigenvalues w is singular if w[0] is below."""
-    return 1e-12 * max(w[-1], 1.0)
+    """max(1e-12 * w[-1], the smallest normal float): a Gram with ascending eigenvalues w is
+    singular if w[0] is below, judged against its own scale; a zero Gram is singular."""
+    return max(1e-12 * w[-1], np.finfo(float).tiny)
 
 
 def sym_inv_sqrt(M, floor=1e-12):

@@ -34,6 +34,7 @@ from scipy.linalg import eigh, svd
 from .linalg import as_matrix, cross_covariance, gram, singular_floor, sym_inv_sqrt
 
 RIDGE_SCALE = 1e-10  # of each k-by-k Gram in ``projected_correlations``, relative to its trace
+POWER_ITERS = 50  # of ``appgrad.estimate_gram_norm``
 
 
 def step_flops(m, p1, p2, k, nnz1=None, nnz2=None, cached=False, whitened=True):
@@ -75,9 +76,9 @@ def tcc(X, Y, A, B, k=None):
     return float(projected_correlations(U, V)[:k].sum())
 
 
-def moments(X, Y, lam=0.0):
-    """The second moments (X'X/n + lam*I, Y'Y/n + lam*I, X'Y/n) of a pair of views."""
-    return gram(X, lam), gram(Y, lam), cross_covariance(X, Y)
+def moments(X, Y):
+    """The second moments (X'X/n, Y'Y/n, X'Y/n) of a pair of views."""
+    return Views(X, Y).moments
 
 
 def _joint_pair(M):
@@ -97,17 +98,32 @@ def moment_tcc(M, A, B):
 
 
 class Views:
-    """A view pair (X, Y) and what runs derive from it, each built once, on first use: the
-    moments, the moment pair, the Gram eigenvalues and the TCC evaluator (see the module doc)."""
+    """A view pair (X, Y) and what runs derive from it, each built once, on first use: the view
+    Grams, the cross moment, the moment pair, the Gram eigenvalues, the TCC evaluator and the
+    (train, held-out) splits (see the module doc). Every moment reader takes one."""
 
     def __init__(self, X, Y):
         self.X, self.Y = as_matrix(X), as_matrix(Y)
         (n, p1), p2 = self.X.shape, self.Y.shape[1]
         self.narrow = not (sp.issparse(self.X) or sp.issparse(self.Y)) and 4 * (p1 + p2) <= n
+        self._grams, self._splits = [None, None], {}
+
+    @classmethod
+    def of(cls, X, Y):  # the Views X itself (Y then None), else the Views of (X, Y)
+        return X if isinstance(X, cls) else cls(X, Y)
+
+    def view_gram(self, i):  # X'X/n (i = 0) or Y'Y/n (i = 1)
+        if self._grams[i] is None:
+            self._grams[i] = gram((self.X, self.Y)[i])
+        return self._grams[i]
+
+    @property
+    def moments(self):  # (X'X/n, Y'Y/n, X'Y/n)
+        return self.view_gram(0), self.view_gram(1), self.cross
 
     @cached_property
-    def moments(self):
-        return moments(self.X, self.Y)
+    def cross(self):  # X'Y/n
+        return cross_covariance(self.X, self.Y)
 
     @cached_property
     def pair(self):
@@ -115,11 +131,17 @@ class Views:
 
     @cached_property
     def gram_eigvals(self):  # ascending, of X'X/n and Y'Y/n
-        return tuple(eigh(S, eigvals_only=True) for S in self.moments[:2])
+        return tuple(eigh(self.view_gram(i), eigvals_only=True) for i in (0, 1))
 
-    @property
-    def gram_norm(self):  # the larger view Gram norm of a narrow pair, else None
-        return max(w[-1] for w in self.gram_eigvals) if self.narrow else None
+    @cached_property
+    def gram_norm(self):
+        """Per view, the exact top eigenvalue of its Gram on a narrow pair and on a dense view of at
+        most 4 * POWER_ITERS columns, whose Gram costs no more than a power estimate; else None."""
+        if self.narrow:
+            return tuple(w[-1] for w in self.gram_eigvals)
+        return tuple(None if sp.issparse(A) or A.shape[1] > 4 * POWER_ITERS
+                     else float(eigh(self.view_gram(i), eigvals_only=True)[-1])
+                     for i, A in enumerate((self.X, self.Y)))
 
     @cached_property
     def evaluate(self):
@@ -127,6 +149,13 @@ class Views:
         if self.narrow and all(w[0] >= singular_floor(w) for w in self.gram_eigvals):
             return partial(tcc, *self.pair)
         return partial(tcc, self.X, self.Y)
+
+    def split(self, fraction, seed):
+        """The (train, held-out) ``Views`` of ``split_holdout``, made once per (fraction, seed)."""
+        if (fraction, seed) not in self._splits:
+            halves = split_holdout(self.X, self.Y, fraction, seed)
+            self._splits[fraction, seed] = tuple(Views(*half) for half in halves)
+        return self._splits[fraction, seed]
 
 
 def pcc_of(tcc_est, tcc_oracle):

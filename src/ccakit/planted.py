@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import qr
 
+from .metrics import Views
 from .reference import CcaModel, fix_signs, spectral_cca
 
 
@@ -68,11 +69,7 @@ class PlantedInstance:
     def conditioning(self):
         """(L1, L2) bounds measured from the view Grams: L1 >= largest
         eigenvalue of either Gram, 1/L2 <= smallest. Both clamped to >= 1."""
-        from .linalg import gram
-        from scipy.linalg import eigh
-
-        wx = eigh(gram(self.x), eigvals_only=True)
-        wy = eigh(gram(self.y), eigvals_only=True)
+        wx, wy = Views(self.x, self.y).gram_eigvals
         L1 = max(wx[-1], wy[-1], 1.0)
         L2 = max(1.0 / min(wx[0], wy[0]), 1.0)
         return L1, L2

@@ -3,7 +3,8 @@
 These are the oracles and baselines every other solver is measured against:
 the spectral solver (whiten, then SVD), the QR-whitening variant, alternating
 least squares for the leading pair, and the naive projected-gradient update
-kept only as a negative control.
+kept only as a negative control. The spectral solver and ALS read the moments
+of a ``metrics.Views``; only the negative control forms its own Grams.
 """
 
 from dataclasses import dataclass
@@ -13,7 +14,7 @@ import scipy.sparse as sp
 from scipy.linalg import cho_factor, cho_solve, eigh, qr, solve_triangular, svd
 
 from .linalg import SingularMatrixError, as_matrix, gram, induced_norm, singular_floor
-from .metrics import moments
+from .metrics import Views
 
 
 @dataclass
@@ -61,17 +62,10 @@ def _inv_sqrt_full(S, lam, side):
 
 
 def spectral_cca(X, Y, k, lam=0.0):
-    """Ground-truth CCA: whiten both views fully, then SVD the whitened cross-covariance.
-
-    Returns the top-k canonical pairs. Quadratic in p1, p2 -- intended as the
-    exact oracle at desk scale, not a scalable solver.
-    """
-    return spectral_from_moments(moments(X, Y), k, lam)
-
-
-def spectral_from_moments(M, k, lam=0.0):
-    """``spectral_cca`` from the moments M = metrics.moments(X, Y)."""
-    Sx, Sy, Sxy = M
+    """Ground-truth CCA of (X, Y), or of the ``Views`` X (Y then None): whiten both views
+    fully, then SVD the whitened cross-covariance. Returns the top-k canonical pairs. Quadratic
+    in p1, p2 -- intended as the exact oracle at desk scale, not a scalable solver."""
+    Sx, Sy, Sxy = Views.of(X, Y).moments
     p1, p2 = Sxy.shape
     if k < 1 or k > min(p1, p2):
         raise ValueError(f"rank k={k} out of range for views of widths {p1}, {p2}")
@@ -114,7 +108,7 @@ def qr_cca(X, Y, k, lam=0.0):
     (Qx, Rx_), (Qy, Ry_) = factors
     for R, side in ((Rx_, "x"), (Ry_, "y")):
         d = np.abs(np.diag(R))
-        if d.min() < 1e-12 * max(d.max(), 1.0):
+        if d.min() <= 1e-12 * d.max():
             raise SingularMatrixError(
                 f"view {side} is numerically rank-deficient; set lam > 0"
             )
@@ -126,13 +120,17 @@ def qr_cca(X, Y, k, lam=0.0):
 
 
 def als_cca(X, Y, init, max_iters=1000, tol=1e-8, lam=0.0):
-    """Leading canonical pair by alternating least squares.
+    """Leading canonical pair of (X, Y), or of the ``Views`` X (Y then None), by alternating
+    least squares on its moments.
 
     Each sweep solves the two exact least-squares problems against the
     partner's previous iterate and renormalizes in the induced norms. Stops
     when both iterates move by less than ``tol`` in induced norm.
     """
-    Sx, Sy, Sxy = moments(X, Y, lam)
+    Sx, Sy, Sxy = Views.of(X, Y).moments
+    if lam < 0:
+        raise ValueError(f"regularization must be nonnegative, got {lam}")
+    Sx, Sy = Sx + lam * np.eye(len(Sx)), Sy + lam * np.eye(len(Sy))
     try:
         cx = cho_factor(Sx)
         cy = cho_factor(Sy)

@@ -144,7 +144,7 @@ def run_stochastic(
     Returns (CcaModel, RunReport); the model's ``converged`` is False, since
     the run has no stopping test.
     """
-    views = X if isinstance(X, Views) else Views(X, Y)
+    views = Views.of(X, Y)
     X, Y = views.X, views.Y
     (n, p1), p2 = X.shape, Y.shape[1]
     sampler = plan.make_sampler(n)
@@ -208,7 +208,7 @@ def run_stochastic(
             record()
     if it and record_every and state.t % record_every:  # the last iterate, off the cadence
         record()
-    model = extract_model(X, Y, state)
+    model = extract_model(X, Y, state, lam=lam)
     model.converged = False
     # a copy without the cache, so the report does not keep the last batch alive
     report.final_state = replace(state)

@@ -239,7 +239,7 @@ class TestDefaultStep:
         def no_gram(*_):
             raise AssertionError("a 250-column Gram was formed")
 
-        monkeypatch.setattr(appgrad, "gram", no_gram)
+        monkeypatch.setattr(metrics, "gram", no_gram)  # the Grams are formed in metrics.Views
         eta = default_step(X, X, seed=4)
         assert eta.eta1 == 1.0 / (2.0 * power_iteration(X, seed=4))
 

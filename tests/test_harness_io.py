@@ -22,7 +22,7 @@ from ccakit.harness import (
 from ccakit.appgrad import default_step, run_appgrad
 from ccakit.kernels import KernelSpec, kernel_gram, kernel_ridge
 from ccakit.linalg import DegenerateIterateError, SingularMatrixError
-from ccakit.metrics import RunReport, Views, moment_pair_flops, moments, step_flops, tcc
+from ccakit.metrics import RunReport, Views, moment_pair_flops, step_flops, tcc
 from ccakit.planted import PlantedParams, _mixing, generate_planted
 from ccakit.reference import spectral_cca
 from conftest import peak_bytes
@@ -408,16 +408,15 @@ class TestRunExperiment:
     def test_heuristic_reads_the_cross_covariance_of_the_moments(self, small_instance, monkeypatch,
                                                                  name, solve):
         X, Y = small_instance.x, small_instance.y
-        want, cross_covariance, calls = solve(X, Y, 2, seed=4), baselines.cross_covariance, []
+        want, cross_covariance, calls = solve(X, Y, 2, seed=4), metrics.cross_covariance, []
 
         def counted(A, B):
             calls.append((A.shape, B.shape))
             return cross_covariance(A, B)
 
-        for module in (metrics, baselines):  # every module that calls the name
-            monkeypatch.setattr(module, "cross_covariance", counted)
+        monkeypatch.setattr(metrics, "cross_covariance", counted)  # the one module that calls it
         result = run_experiment(SolverConfig(solver=name, k=2, seed=4), x=X, y=Y)
-        assert calls == [(X.shape, Y.shape)]  # metrics.moments' one product serves the solver
+        assert calls == [(X.shape, Y.shape)]  # Views.cross' one product serves the solver
         for attr in ("phi", "psi", "lam"):
             assert np.array_equal(getattr(result.model, attr), getattr(want, attr))
 
@@ -462,16 +461,14 @@ class TestRunExperiment:
 
     def test_spectral_forms_the_training_moments_once(self, small_instance, monkeypatch):
         X, Y = small_instance.x, small_instance.y
-        calls = []
-
-        def counted(A, B, lam=0.0):
-            calls.append((A.shape, B.shape))
-            return moments(A, B, lam)
-
-        for module in (metrics, reference):  # every module that binds the name
-            monkeypatch.setattr(module, "moments", counted)
+        calls, gram, cross_covariance = [], metrics.gram, metrics.cross_covariance
+        # metrics.Views forms every moment, through the names metrics binds
+        monkeypatch.setattr(metrics, "gram", lambda A: calls.append(A.shape) or gram(A))
+        monkeypatch.setattr(metrics, "cross_covariance",
+                            lambda A, B: calls.append((A.shape, B.shape)) or cross_covariance(A, B))
         result = run_experiment(SolverConfig(solver="spectral", k=3), x=X, y=Y)
-        assert calls == [(X.shape, Y.shape)]  # one build serves solver, oracle and evaluator
+        # one build serves solver, oracle and evaluator
+        assert calls == [X.shape, Y.shape, (X.shape, Y.shape)]
         want = spectral_cca(X, Y, 3)
         for name in ("phi", "psi", "lam"):
             assert np.array_equal(getattr(result.model, name), getattr(want, name))
@@ -593,6 +590,71 @@ class TestViews:
         X, Y, oracle = small_instance.x, small_instance.y, small_instance.empirical
         runs = [run_appgrad(X, Y, 3, seed=1, max_iters=40, oracle=o)[1] for o in (oracle, None)]
         assert [r.tcc_train for r in runs[0].records] == [r.tcc_train for r in runs[1].records]
+
+
+class TestMomentReaders:
+    """Every moment-reading entry takes the run's ``Views`` and reads only what it needs."""
+
+    count_products = staticmethod(TestViews.count_products)
+
+    def test_als_run_forms_each_moment_once(self, small_instance, monkeypatch):
+        X, Y = small_instance.x, small_instance.y
+        calls = self.count_products(monkeypatch)
+        run_experiment(SolverConfig(solver="als", k=1, max_iters=50), x=X, y=Y)
+        assert sorted(calls) == [("cross", X.shape, Y.shape), ("gram", X.shape), ("gram", Y.shape)]
+
+    def test_default_step_forms_the_grams_and_no_cross_moment(self, small_instance, monkeypatch):
+        X, Y = small_instance.x, small_instance.y
+        calls = self.count_products(monkeypatch)
+        default_step(X, Y)
+        assert sorted(calls) == [("gram", X.shape), ("gram", Y.shape)]
+
+    @pytest.mark.parametrize("solve", [baselines.nw_cca, baselines.dw_cca, reference.spectral_cca])
+    def test_a_solver_given_views_reads_their_moments(self, small_instance, monkeypatch, solve):
+        X, Y = small_instance.x, small_instance.y
+        views, want = Views(X, Y), solve(X, Y, 2)
+        views.moments  # formed before counting
+        calls = self.count_products(monkeypatch)
+        got = solve(views, None, 2)
+        assert calls == []
+        for name in ("phi", "psi", "lam"):
+            assert np.array_equal(getattr(got, name), getattr(want, name))
+
+    def test_als_given_views_reads_their_moments(self, small_instance, monkeypatch):
+        X, Y = small_instance.x, small_instance.y
+        init = appgrad.random_init(X, Y, 1, seed=2)
+        init = init.phi[:, 0], init.psi[:, 0]
+        views, want = Views(X, Y), reference.als_cca(X, Y, init, lam=0.01)
+        views.moments  # formed before counting
+        calls = self.count_products(monkeypatch)
+        got = reference.als_cca(views, None, init, lam=0.01)
+        assert calls == []
+        for name in ("phi", "psi", "lam"):
+            assert np.array_equal(getattr(got, name), getattr(want, name))
+
+    def test_compare_with_holdout_shares_one_split(self, small_instance, monkeypatch):
+        X, Y = small_instance.x, small_instance.y
+        views, calls = Views(X, Y), self.count_products(monkeypatch)
+        results = [run_experiment(SolverConfig(solver=name, k=2, holdout=0.2, max_iters=50),
+                                  x=views) for name in ("appgrad", "spectral", "qr")]
+        want = [call for n in (320, 80)  # the training pair, then the held-out one
+                for call in (("gram", (n, 12)), ("gram", (n, 15)), ("cross", (n, 12), (n, 15)))]
+        assert sorted(calls) == sorted(want)
+        alone = run_experiment(SolverConfig(solver="spectral", k=2, holdout=0.2), x=X, y=Y)
+        assert (results[1].pcc_train, results[1].pcc_holdout) == (alone.pcc_train,
+                                                                 alone.pcc_holdout)
+
+    def test_oversampled_stochastic_model_keeps_its_iterates_top_k(self):
+        # the rank-4 iterate is whitened on its last batch; the rank-2 model on every row
+        inst = generate_planted(PlantedParams(n=400, p1=12, p2=15, correlations=(0.9, 0.6, 0.3),
+                                              noise=0.5), seed=0)
+        cfg = SolverConfig(solver="stochastic-appgrad", k=2, oversample=2, seed=3, max_iters=150)
+        result = run_experiment(cfg, x=inst.x, y=inst.y)
+        model = result.model
+        for A, W in ((inst.x, model.phi), (inst.y, model.psi)):
+            assert np.abs(W.T @ (A.T @ A / len(A)) @ W - np.eye(2)).max() <= 1e-9
+        assert result.pcc_train == pytest.approx(result.report.records[-1].pcc_train, rel=1e-9)
+        assert model.lam.sum() == pytest.approx(result.tcc_train, rel=1e-9)
 
 
 class TestCli:

@@ -1,8 +1,9 @@
 """Every name imported by the package and its tests is referenced (pyflakes' F401, by ``ast``),
 every private module-level helper of the package is used somewhere in it, every public function
 and method of the package is referenced somewhere in the package, tests, scripts or benchmark,
-every defaulted parameter of the package is passed by some call in them, and every double-backtick
-name in a docstring or comment of the package names something that it defines or imports."""
+every defaulted parameter of the package is passed by some call in them, every double-backtick
+name in a docstring or comment of the package names something that it defines or imports, and
+only ``metrics`` (and the negative control) calls ``gram``, ``cross_covariance`` or ``moments``."""
 
 import ast
 import builtins
@@ -241,3 +242,48 @@ STALE_DOC_NAME_ALLOWLIST = [("io", "readall"), ("metrics", "err")]
 
 def test_no_stale_doc_names():
     assert stale_doc_names({p.stem: p.read_text() for p in SRC}) == STALE_DOC_NAME_ALLOWLIST
+
+
+MOMENT_FORMERS = ("gram", "cross_covariance", "moments")
+
+
+def moment_calls(package):
+    """Sorted (module, scope) of each call of a MOMENT_FORMERS name, as ``f(...)`` or
+    ``obj.f(...)``, in a module of ``package`` ({module: source}) other than ``metrics``. The scope
+    is the module-level function, the class method (``C.m``), the rest of a class (``C``) or the
+    rest of the module (``<module>``) that holds the call."""
+    found = set()
+    for module, source in package.items():
+        if module == "metrics":
+            continue
+        scopes = []
+        for node in ast.parse(source).body:
+            if isinstance(node, ast.FunctionDef):
+                scopes.append((node.name, node))
+            elif isinstance(node, ast.ClassDef):
+                scopes += [(f"{node.name}.{f.name}" if isinstance(f, ast.FunctionDef)
+                            else node.name, f) for f in node.body]
+            else:
+                scopes.append(("<module>", node))
+        found.update((module, scope) for scope, node in scopes for call in ast.walk(node)
+                     if isinstance(call, ast.Call) and (getattr(call.func, "id", None)
+                                                        or getattr(call.func, "attr", None))
+                     in MOMENT_FORMERS)
+    return sorted(found)
+
+
+def test_moment_call_checker_sees_what_it_must():
+    package = {"a": "def f(X):\n    return gram(X)\nclass C:\n    def m(self, X, Y):\n"
+                    "        return linalg.cross_covariance(X, Y)\n    S = moments(X, Y)\n"
+                    "def g(X):\n    return kernel_gram(X), X.view_gram(0), gram\n",
+               "b": "M = moments(X, Y)\n",
+               "metrics": "def h(X, Y):\n    return gram(X), cross_covariance(X, Y)\n"}
+    assert moment_calls(package) == [("a", "C"), ("a", "C.m"), ("a", "f"), ("b", "<module>")]
+
+
+# the negative control forms its own Grams; every other reader takes a metrics.Views
+MOMENT_CALL_ALLOWLIST = [("reference", "naive_gradient_step")]
+
+
+def test_moments_are_formed_in_metrics_only():
+    assert moment_calls({p.stem: p.read_text() for p in SRC}) == MOMENT_CALL_ALLOWLIST

@@ -12,6 +12,7 @@ from ccakit.linalg import (
     gram_diagonal,
     induced_norm,
     randomized_svd,
+    singular_floor,
     sym_inv_sqrt,
 )
 
@@ -142,6 +143,18 @@ class TestInducedNorm:
         lhs = induced_norm(gram(X), u) ** 2 + induced_norm(gram(Y), v) ** 2
         rhs = (np.linalg.norm(X @ u) ** 2 + np.linalg.norm(Y @ v) ** 2) / 10
         assert lhs == pytest.approx(rhs, abs=1e-10)
+
+
+class TestSingularFloor:
+    @pytest.mark.parametrize("scale", [1e-14, 1.0, 1e10])
+    def test_scales_with_the_gram(self, scale):
+        w = scale * np.array([1e-13, 1e-11, 1.0])  # ascending eigenvalues
+        assert singular_floor(w) == 1e-12 * w[-1]
+        assert w[0] < singular_floor(w) < w[1]
+
+    def test_a_zero_gram_is_singular(self):
+        w = np.zeros(3)
+        assert 0.0 < singular_floor(w) and w[0] < singular_floor(w)
 
 
 class TestSymInvSqrt:

@@ -5,6 +5,7 @@ from scipy.linalg import qr, solve_triangular, svd
 
 from ccakit import reference
 from ccakit.linalg import SingularMatrixError, cross_covariance, gram, induced_norm
+from ccakit.harness import SolverConfig, run_experiment
 from ccakit.metrics import principal_angles
 from ccakit.planted import PlantedParams, generate_planted
 from ccakit.reference import als_cca, fix_signs, naive_gradient_step, qr_cca, spectral_cca
@@ -242,3 +243,31 @@ class TestStructuralIdentities:
             phi /= induced_norm(Sx, phi)
             psi /= induced_norm(Sy, psi)
             assert objective(phi, psi) >= best - 1e-10
+
+
+class TestUnits:
+    """A Gram is judged singular against its own scale, so the data's units change no result."""
+
+    @pytest.fixture(scope="class")
+    def instance(self):
+        params = PlantedParams(n=2000, p1=20, p2=20, correlations=(0.9, 0.6, 0.3), noise=0.3)
+        return generate_planted(params, seed=0)
+
+    @pytest.mark.parametrize("scale", [1e-9, 1e-7, 1e-3, 1e3, 1e6])
+    def test_solvers_and_oracle_ignore_the_units(self, instance, scale):
+        X, Y = instance.x, instance.y
+        for solve in (spectral_cca, qr_cca):
+            want = solve(X, Y, 3).lam
+            assert np.abs(solve(scale * X, scale * Y, 3).lam / want - 1.0).max() <= 1e-9
+        for name in ("dw", "nw", "appgrad"):
+            cfg = SolverConfig(solver=name, k=2, seed=1, max_iters=200)
+            got = run_experiment(cfg, x=scale * X, y=scale * Y).pcc_train
+            assert np.isfinite(got)  # the oracle exists at every scale
+            if name != "appgrad":  # its stopping test reads phi in the data's units
+                assert got == pytest.approx(run_experiment(cfg, x=X, y=Y).pcc_train, rel=1e-9)
+
+    @pytest.mark.parametrize("solve", [spectral_cca, qr_cca])
+    def test_a_zero_view_is_still_singular(self, solve):
+        Y = np.random.default_rng(0).standard_normal((50, 2))
+        with pytest.raises(SingularMatrixError):
+            solve(np.zeros((50, 3)), Y, 1)

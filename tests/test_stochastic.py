@@ -279,6 +279,27 @@ class TestRunner:
             run_stochastic(X, Y, 2, MinibatchPlan(m=50, seed=0), StepSchedule(eta0=0.1),
                            max_iters=5, oracle=oracle)
 
+    @pytest.mark.parametrize("lam", [0.0, 0.05])
+    def test_model_is_whitened_and_canonical_on_every_row(self, lam):
+        # the last iterate is whitened on its last batch only; the model is on all n rows
+        inst = generate_planted(PlantedParams(n=400, p1=12, p2=15, correlations=(0.9, 0.6, 0.3),
+                                              noise=0.5), seed=0)
+        X, Y = inst.x, inst.y
+        sched = StepSchedule("constant", eta0=default_step(X, Y, lam, seed=3).eta1)
+        model, report = run_stochastic(X, Y, 4, MinibatchPlan(m=100, seed=3), sched, lam=lam,
+                                       max_iters=150, seed=3)
+        Sx, Sy = gram(X, lam), gram(Y, lam)
+        assert np.abs(model.phi.T @ Sx @ model.phi - np.eye(4)).max() <= 1e-9
+        assert np.abs(model.psi.T @ Sy @ model.psi - np.eye(4)).max() <= 1e-9
+        C = model.phi.T @ (X.T @ Y / len(X)) @ model.psi
+        assert np.abs(C - np.diag(model.lam)).max() <= 1e-9
+        final = report.final_state  # the records and final state stay the last iterate
+        assert report.records[-1].tcc_train == pytest.approx(tcc(X, Y, final.phi, final.psi),
+                                                             rel=1e-12)
+        if lam == 0.0:  # the model captures what the iterate does
+            assert model.lam.sum() == pytest.approx(tcc(X, Y, model.phi, model.psi), rel=1e-9)
+            assert model.lam.sum() == pytest.approx(report.records[-1].tcc_train, rel=1e-9)
+
     def test_model_is_never_marked_converged(self, small_instance):
         # the runner stops on its iteration budget, never on a convergence test
         X, Y = small_instance.x, small_instance.y
@@ -389,7 +410,8 @@ class TestEvaluation:
         def no_moments(*_):
             raise AssertionError("moments formed for sparse views")
 
-        monkeypatch.setattr(metrics, "moments", no_moments)
+        for name in ("gram", "cross_covariance"):  # metrics.Views forms every moment
+            monkeypatch.setattr(metrics, name, no_moments)
         SizedCSR.sizes = []
         _, report = run_stochastic(X, Y, 2, MinibatchPlan(m=30, seed=0),
                                    StepSchedule("constant", eta0=0.1), max_iters=40,
