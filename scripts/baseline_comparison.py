@@ -10,9 +10,8 @@ import argparse
 
 import numpy as np
 
-from ccakit.appgrad import run_appgrad
-from ccakit.baselines import dw_cca, nw_cca, pca_cca
-from ccakit.metrics import pcc
+from ccakit.harness import SolverConfig, run_experiment
+from ccakit.metrics import Views
 from ccakit.planted import PlantedParams, generate_planted
 
 
@@ -32,17 +31,10 @@ def main():
     scores = {name: [] for name in ("appgrad", "nw", "dw", "pca-cca")}
     for seed in range(args.seeds):
         inst = generate_planted(params, seed=seed)
-        X, Y = inst.x, inst.y
-        oracle = (inst.empirical.phi, inst.empirical.psi)
-
-        model, _ = run_appgrad(X, Y, 5, seed=seed, record_every=0)
-        scores["appgrad"].append(pcc(X, Y, (model.phi, model.psi), oracle))
-        for name, m in (
-            ("nw", nw_cca(X, Y, 5)),
-            ("dw", dw_cca(X, Y, 5)),
-            ("pca-cca", pca_cca(X, Y, 5, m=min(4 * 5, args.p))),
-        ):
-            scores[name].append(pcc(X, Y, (m.phi, m.psi), oracle))
+        views = Views(inst.x, inst.y)  # its moments serve every solver and the oracle
+        for name in scores:
+            result = run_experiment(SolverConfig(solver=name, k=5, seed=seed), x=views)
+            scores[name].append(result.pcc_train)
 
     print(f"{'solver':<10} {'median PCC':>12} {'min':>8} {'max':>8}")
     for name, vals in scores.items():

@@ -273,8 +273,9 @@ def run_appgrad(
     record_every=1,
     step_fn=appgrad_step,
 ):
-    """Iterate rank-k updates on (X, Y), or on the ``Views`` X (Y then None), until the
-    Procrustes-aligned movement of both normalized iterates is below ``tol``, or ``max_iters``.
+    """Iterate rank-k updates on (X, Y), or on the ``Views`` X (Y then None), until the RMS
+    movement of X phi and Y psi over the solver's m rows is below ``tol``, or ``max_iters``:
+    the unit-free movement ``als_cca`` stops on, tested when both states cache X phi, Y psi.
 
     Returns (CcaModel, RunReport). The report records in-sample total correlation and, when an
     oracle model is given, its captured-correlation ratio over the iterate's top ``oracle.k``
@@ -310,15 +311,15 @@ def run_appgrad(
     )
     oracle_tcc = tcc(X, Y, oracle.phi, oracle.psi) if oracle is not None else None
     k_score = getattr(oracle, "k", None)  # an oversampled iterate is scored over its top k
-    nnz = [A.nnz if sp.issparse(A) else None for A in (X, Y)]
+    nnz, root_m = [A.nnz if sp.issparse(A) else None for A in (X, Y)], np.sqrt(X.shape[0])
     t0 = time.perf_counter()
     converged = False
     for it in range(max_iters):
         cached, whitened = state.cached_on(X, Y), state.whiteners is not None
         new = step_fn(state, eta, X, Y, lam)
         flops += step_flops(X.shape[0], p1, p2, k, *nnz, cached=cached, whitened=whitened)
-        converged = max(procrustes_distance(new.phi, state.phi),
-                        procrustes_distance(new.psi, state.psi)) < tol
+        converged = cached and new.cached_on(X, Y) and bool(max(np.linalg.norm(a - b) / root_m
+            for a, b in zip(new.cache[2][1::2], state.cache[2][1::2])) < tol)
         state = new
         if record_every and (state.t % record_every == 0 or state.t == 1
                              or converged or it == max_iters - 1):

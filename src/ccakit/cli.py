@@ -68,13 +68,19 @@ def _load_views(args):
     return Views(X.values, Y.values)
 
 
-def cmd_generate(args):
+def _params(args):
+    """The validated PlantedParams of `cca-bench generate`; raises ValueError for rejected ones."""
     rho = tuple(float(v) for v in args.correlations.split(","))
     params = PlantedParams(
         n=args.n, p1=args.p1, p2=args.p2, correlations=rho,
         noise=args.noise, cond_x=args.cond, cond_y=args.cond,
     )
-    inst = generate_planted(params, seed=args.seed)
+    params.validate()
+    return params
+
+
+def cmd_generate(args):
+    inst = generate_planted(args.params, seed=args.seed)
     io.save_csv(args.x_out, inst.x)
     io.save_csv(args.y_out, inst.y)
     if args.truth_prefix:
@@ -141,11 +147,13 @@ def main(argv=None):
     c.set_defaults(func=cmd_compare)
 
     args = parser.parse_args(argv)
-    if args.command != "generate":
-        try:  # a rejected config is a usage error, as a rejected flag value is
+    try:  # a rejected input is a usage error, as a rejected flag value is
+        if args.command == "generate":
+            args.params = _params(args)
+        else:
             args.configs = _configs(args)
-        except ValueError as exc:
-            sub.choices[args.command].error(str(exc))
+    except ValueError as exc:
+        sub.choices[args.command].error(str(exc))
     return args.func(args)
 
 

@@ -90,7 +90,7 @@ class SolverConfig:
     schedule: str = "constant"
     batch_size: int = 100
     max_iters: int = 2000
-    tol: float = 1e-7
+    tol: float = 1e-7            # bound on the RMS movement of X phi, Y psi per step; unit-free
     seed: int = 0
     holdout: float = 0.0
     kernel: KernelSpec = None
@@ -111,6 +111,10 @@ class SolverConfig:
             raise ValueError("record_every must be >= 1")
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
+        if self.batch_size < 1:
+            raise ValueError("batch_size must be >= 1")
+        if self.eta is not None and self.eta <= 0:  # a zero step never moves the initialization
+            raise ValueError("eta must be positive")
 
     def snapshot(self):
         """The set fields, the kernel as the text ``KernelSpec.parse`` reads."""

@@ -147,6 +147,8 @@ def run_stochastic(
     views = Views.of(X, Y)
     X, Y = views.X, views.Y
     (n, p1), p2 = X.shape, Y.shape[1]
+    if k < 1 or k > min(p1, p2):
+        raise ValueError(f"rank k={k} out of range")
     sampler = plan.make_sampler(n)
     if record_every is None:
         record_every = max(1, int(np.ceil(n / plan.m)))

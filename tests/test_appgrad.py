@@ -21,10 +21,12 @@ from ccakit.appgrad import (
     extract_model,
     moment_pair,
     normalize_columns,
+    procrustes_distance,
     random_init,
     run_appgrad,
     theoretical_step_size,
 )
+from ccakit.harness import SolverConfig, run_experiment
 from ccakit.linalg import DegenerateIterateError, as_matrix, gram, induced_norm
 from ccakit.planted import PlantedParams, generate_planted
 from ccakit.metrics import moment_pair_flops, moments, step_flops, tcc
@@ -401,6 +403,47 @@ class TestConvergence:
         assert final.t == 7
         assert report.records[-1].tcc_train == pytest.approx(
             tcc(X, Y, final.phi, final.psi), rel=1e-12)
+
+
+class TestStoppingRule:
+    """The run stops when the whitened projections X phi, Y psi move less than ``tol`` RMS."""
+
+    @pytest.fixture(scope="class")
+    def instance(self):
+        params = PlantedParams(n=2000, p1=20, p2=20, correlations=(0.9, 0.6, 0.3), noise=0.3)
+        return generate_planted(params, seed=0)
+
+    @pytest.fixture(scope="class")
+    def unit_run(self, instance):
+        return run_experiment(SolverConfig(solver="appgrad", k=2, seed=1, max_iters=200),
+                              x=instance.x, y=instance.y)
+
+    @pytest.mark.parametrize("scale", [1e-9, 1e-7, 1e-6, 1e-3, 1.0, 1e3, 1e6, 1e7])
+    def test_the_stop_ignores_the_data_scale(self, instance, unit_run, scale):
+        # phi scales as 1/scale, so a test on phi itself stopped after 200 .. 1 iterations
+        cfg = SolverConfig(solver="appgrad", k=2, seed=1, max_iters=200)
+        got = run_experiment(cfg, x=scale * instance.x, y=scale * instance.y)
+        assert got.report.final_state.t == unit_run.report.final_state.t > 1
+        assert got.model.converged is unit_run.model.converged is True
+        assert got.pcc_train == pytest.approx(unit_run.pcc_train, rel=1e-9)
+
+    def test_the_first_cached_step_is_the_first_tested(self, small_instance):
+        X, Y = small_instance.x, small_instance.y
+        model, report = run_appgrad(X, Y, 2, seed=0, tol=1.0, max_iters=30)
+        assert (report.final_state.t, model.converged) == (2, True)
+
+    def test_a_step_that_drops_the_cache_never_stops_early(self, small_instance):
+        X, Y = small_instance.x, small_instance.y
+        model, report = run_appgrad(X, Y, 2, seed=0, tol=1.0, max_iters=30,
+                                    step_fn=lambda *a: replace(appgrad_step(*a)))
+        assert report.final_state.t == 30
+        assert model.converged is False
+
+    def test_procrustes_distance_is_blind_to_an_orthogonal_rotation(self):
+        rng = np.random.default_rng(4)
+        A, Q = rng.standard_normal((10, 3)), random_orthogonal(3, rng)
+        assert procrustes_distance(A, A @ Q) == pytest.approx(0.0, abs=1e-12)
+        assert procrustes_distance(A, 2.0 * A @ Q) == pytest.approx(np.linalg.norm(A))
 
 
 class CountingCSR(sp.csr_matrix):

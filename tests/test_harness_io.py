@@ -741,6 +741,10 @@ class TestCli:
         "bad-value": ("k = two\n", [], "config key 'k': invalid literal"),
         "bad-schedule": ("schedule = linear\n", [], "unknown schedule 'linear'"),
         "max-iters": ("", ["--max-iters", "-5"], "max_iters must be >= 1"),
+        "batch-size": ("", ["--solver", "stochastic-appgrad", "--batch-size", "0"],
+                       "batch_size must be >= 1"),
+        "negative-eta": ("", ["--solver", "appgrad", "--eta", "-1"], "eta must be positive"),
+        "zero-eta": ("", ["--solver", "stochastic-appgrad", "--eta", "0"], "eta must be positive"),
     }
 
     @pytest.mark.parametrize("command", ["run", "compare"])
@@ -758,6 +762,23 @@ class TestCli:
         assert exc.value.code == 2
         err = capsys.readouterr().err
         assert f"cca-bench {command}: error: " in err and message in err
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--cond", "0.5"], "conditioning >= 1 required"),
+        (["--n", "5", "--p1", "4", "--p2", "4"], "need n >= p1 + p2"),
+        (["--correlations", "0.5,0.9"], "correlations must be strictly decreasing"),
+    ])
+    def test_rejected_planted_params_are_a_usage_error(self, tmp_path, monkeypatch, capsys,
+                                                       flags, message):
+        monkeypatch.setattr(cli, "generate_planted", lambda *a, **kw: pytest.fail("generated"))
+        argv = ["generate", "--n", "200", "--p1", "8", "--p2", "8", "--correlations", "0.9,0.5",
+                "--x", str(tmp_path / "x.csv"), "--y", str(tmp_path / "y.csv"), *flags]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "cca-bench generate: error: " in err and message in err
+        assert not list(tmp_path.iterdir())
 
     def test_compare_rejects_an_unknown_solver_before_any_run(self, monkeypatch, capsys):
         monkeypatch.setattr(io, "load_dataset", lambda *a: pytest.fail("data loaded"))

@@ -261,10 +261,12 @@ class TestUnits:
             assert np.abs(solve(scale * X, scale * Y, 3).lam / want - 1.0).max() <= 1e-9
         for name in ("dw", "nw", "appgrad"):
             cfg = SolverConfig(solver=name, k=2, seed=1, max_iters=200)
-            got = run_experiment(cfg, x=scale * X, y=scale * Y).pcc_train
-            assert np.isfinite(got)  # the oracle exists at every scale
-            if name != "appgrad":  # its stopping test reads phi in the data's units
-                assert got == pytest.approx(run_experiment(cfg, x=X, y=Y).pcc_train, rel=1e-9)
+            got, want = (run_experiment(cfg, x=c * X, y=c * Y) for c in (scale, 1.0))
+            assert np.isfinite(got.pcc_train)  # the oracle exists at every scale
+            assert got.pcc_train == pytest.approx(want.pcc_train, rel=1e-9)
+            assert got.model.converged == want.model.converged
+            if name == "appgrad":  # its stopping test reads the whitened projections
+                assert got.report.final_state.t == want.report.final_state.t
 
     @pytest.mark.parametrize("solve", [spectral_cca, qr_cca])
     def test_a_zero_view_is_still_singular(self, solve):

@@ -218,6 +218,16 @@ class TestRunner:
         assert np.allclose(model.lam, want.lam)
         assert report.final_state.t == 0
 
+    @pytest.mark.parametrize("k", [0, 6])
+    def test_rank_out_of_range_fails_before_any_work(self, k, monkeypatch):
+        # as in run_appgrad; k=0 died in an IndexError, k=6 in a degenerate whitening
+        inst = generate_planted(PlantedParams(n=200, p1=6, p2=5, correlations=(0.9, 0.5)), seed=0)
+        monkeypatch.setattr(MinibatchPlan, "make_sampler", lambda *a: pytest.fail("sampled"))
+        monkeypatch.setattr(stochastic, "random_init", lambda *a: pytest.fail("initialized"))
+        with pytest.raises(ValueError, match=f"rank k={k} out of range"):
+            run_stochastic(inst.x, inst.y, k, MinibatchPlan(m=50, seed=0),
+                           StepSchedule("constant", eta0=0.1))
+
     def test_trace_is_deterministic(self, small_instance):
         X, Y = small_instance.x, small_instance.y
         plan = MinibatchPlan(m=80, seed=3)
