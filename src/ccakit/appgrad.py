@@ -17,6 +17,7 @@ pair (``metrics.Views.pair``) when both views are dense and 4 (p1+p2) <= n, so t
 
 import time
 from dataclasses import dataclass, field, replace
+from functools import partial
 
 import numpy as np
 import scipy.sparse as sp
@@ -259,6 +260,80 @@ def moment_pair(X, Y):
     return Views(X, Y).pair
 
 
+def _check_run(views, k, record_every):
+    """Reject a rank outside [1, min(p1, p2)] and a negative ``record_every``, before any work."""
+    if k < 1 or k > min(views.X.shape[1], views.Y.shape[1]):
+        raise ValueError(f"rank k={k} out of range")
+    if record_every < 0:
+        raise ValueError("record_every must be >= 0")
+
+
+def _same_rows(X, Y):
+    """The batch row source: the same X and Y objects on every iteration, so the step cache
+    hits. A degenerate step's error thrown into it propagates: a batch run does not resample."""
+    while True:
+        yield X, Y
+
+
+def _drive(solver, config, seed, rows, batches, eta_at, step_fn, evaluate, state, flops,
+           oracle, record_every, tol=0.0, record_first=False, holdout=None):
+    """The loop behind ``run_appgrad`` and ``run_stochastic``: from ``state``, charged ``flops``,
+    at the k, lam and max_iters of ``config``, iteration ``it`` steps at ``eta_at(it)`` on the
+    (X, Y) of ``next(batches)``; None ends the run. A ``DegenerateIterateError`` is charged as a
+    step and thrown into ``batches``, which raises it or gives one replacement. The run stops at
+    an RMS movement of X phi, Y psi below ``tol``, tested when both states cache the step's rows.
+    A record scores the top ``oracle.k`` correlations from the iterate's cache when that is on
+    ``rows``, where the model is extracted, else by ``evaluate``; records fall at every
+    ``record_every``-th t, at t = 1 if ``record_first``, and at the final iterate."""
+    X, Y = rows
+    k, lam, max_iters = config["k"], config["lam"], config["max_iters"]
+    report = RunReport(solver=solver, seed=seed, config=config)
+    oracle_tcc = evaluate(oracle.phi, oracle.psi) if oracle is not None else None
+    k_score = getattr(oracle, "k", None)  # an oversampled iterate is scored over its top k
+    t0 = time.perf_counter()
+
+    def record():
+        tcc_train = (state.tcc(X, Y, k_score) if state.cached_on(X, Y)
+                     else evaluate(state.phi, state.psi, k_score))
+        report.record(state.t, flops, tcc_train, oracle_tcc, wall_time=time.perf_counter() - t0,
+                      tcc_holdout=np.nan if holdout is None
+                      else holdout.evaluate(state.phi, state.psi, k_score))
+
+    def cost(X_b, Y_b, cached):  # of one step from ``state`` on these rows
+        nnz = [A.nnz if sp.issparse(A) else None for A in (X_b, Y_b)]
+        return step_flops(X_b.shape[0], X.shape[1], Y.shape[1], k, *nnz, cached=cached,
+                          whitened=state.whiteners is not None)
+    converged, recorded = False, state.t  # t of the last iterate recorded
+    for it in range(max_iters):
+        if (batch := next(batches)) is None:
+            break
+        eta, cached = eta_at(it), state.cached_on(*batch)
+        try:
+            new = step_fn(state, eta, *batch, lam)
+        except DegenerateIterateError as exc:
+            flops += cost(*batch, cached)  # the discarded attempt did the work of a step
+            if (batch := batches.throw(exc)) is None:  # a replacement is never cached rows
+                break
+            new = step_fn(state, eta, *batch, lam)
+        flops += cost(*batch, cached)
+        converged = cached and new.cached_on(*batch) and bool(max(
+            np.linalg.norm(a - b) for a, b in zip(new.cache[2][1::2], state.cache[2][1::2]))
+            / np.sqrt(batch[0].shape[0]) < tol)
+        state = new
+        if record_every and (state.t % record_every == 0 or record_first and state.t == 1):
+            record()
+            recorded = state.t
+        if converged:
+            break
+    if record_every and recorded != state.t:  # the final iterate, off the cadence
+        record()
+    model = extract_model(X, Y, state, lam=lam)
+    model.converged = converged
+    # a copy without the cache, so the report keeps neither the views nor a batch alive
+    report.final_state = replace(state)
+    return model, report
+
+
 def run_appgrad(
     X,
     Y,
@@ -283,52 +358,19 @@ def run_appgrad(
     """
     views = Views.of(X, Y)
     (n, p1), p2 = views.X.shape, views.Y.shape[1]
-    if k < 1 or k > min(p1, p2):
-        raise ValueError(f"rank k={k} out of range")
-    if record_every < 0:
-        raise ValueError("record_every must be >= 0")
-    X, Y, flops = views.X, views.Y, 0
+    _check_run(views, k, record_every)
+    rows, flops = (views.X, views.Y), 0
     if views.narrow:  # the first record pays the pair's build
-        (X, Y), flops = views.pair, moment_pair_flops(n, p1, p2)
+        rows, flops = views.pair, moment_pair_flops(n, p1, p2)
     if eta is None:
         eta = default_step(views, None, lam, seed=seed)
     if isinstance(eta, (int, float)):
         eta = StepSizes.constant(float(eta))
     if eta.eta1 <= 0 or eta.eta2 <= 0:  # a zero step never moves the initialization
         raise ValueError("step sizes must be positive")
-    state = init if init is not None else random_init(X, Y, k, seed, lam)
-    report = RunReport(
-        solver="appgrad",
-        seed=seed,
-        config={
-            "k": k,
-            "eta1": eta.eta1,
-            "eta2": eta.eta2,
-            "lam": lam,
-            "max_iters": max_iters,
-            "tol": tol,
-        },
-    )
-    oracle_tcc = tcc(X, Y, oracle.phi, oracle.psi) if oracle is not None else None
-    k_score = getattr(oracle, "k", None)  # an oversampled iterate is scored over its top k
-    nnz, root_m = [A.nnz if sp.issparse(A) else None for A in (X, Y)], np.sqrt(X.shape[0])
-    t0 = time.perf_counter()
-    converged = False
-    for it in range(max_iters):
-        cached, whitened = state.cached_on(X, Y), state.whiteners is not None
-        new = step_fn(state, eta, X, Y, lam)
-        flops += step_flops(X.shape[0], p1, p2, k, *nnz, cached=cached, whitened=whitened)
-        converged = cached and new.cached_on(X, Y) and bool(max(np.linalg.norm(a - b) / root_m
-            for a, b in zip(new.cache[2][1::2], state.cache[2][1::2])) < tol)
-        state = new
-        if record_every and (state.t % record_every == 0 or state.t == 1
-                             or converged or it == max_iters - 1):
-            report.record(state.t, flops, state.tcc(X, Y, k_score), oracle_tcc,
-                          wall_time=time.perf_counter() - t0)
-        if converged:
-            break
-    model = extract_model(X, Y, state, lam=lam)
-    model.converged = converged
-    # a copy without the cache, so the report does not keep X and Y alive
-    report.final_state = replace(state)
-    return model, report
+    state = init if init is not None else random_init(*rows, k, seed, lam)
+    config = {"k": k, "eta1": eta.eta1, "eta2": eta.eta2, "lam": lam, "max_iters": max_iters,
+              "tol": tol}
+    return _drive("appgrad", config, seed, rows, _same_rows(*rows), lambda it: eta, step_fn,
+                  partial(tcc, *rows), state, flops, oracle, record_every, tol=tol,
+                  record_first=True)

@@ -27,8 +27,6 @@ class Solver:
 
 
 def _als(c, v, k_run, **_):
-    if c.k != 1:
-        raise ValueError("als solves the leading pair only; set k=1")
     init = random_init(v.X, v.Y, 1, c.seed, c.lam)
     return als_cca(v, None, (init.phi[:, 0], init.psi[:, 0]),
                    max_iters=c.max_iters, tol=c.tol, lam=c.lam)
@@ -103,6 +101,8 @@ class SolverConfig:
             raise ValueError(f"unknown schedule {self.schedule!r}")
         if self.k < 1:
             raise ValueError("k must be >= 1")
+        if self.solver == "als" and self.k != 1:
+            raise ValueError("als solves the leading pair only; set k=1")
         if self.oversample < 0 or self.lam < 0:
             raise ValueError("oversample and lam must be nonnegative")
         if not (0.0 <= self.holdout <= 0.5):

@@ -5,22 +5,22 @@ residual, and whitens with the sampled k-by-k Gram matrix; the concentration
 of that k-by-k matrix is what lets m stay on the order of k.
 """
 
-import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
 
 from .appgrad import (  # noqa: F401  normalize_columns is looked up here by perfbench
     StepSizes,
+    _check_run,
+    _drive,
     _step,
-    extract_model,
     normalize_columns,
     random_init,
     run_appgrad,
 )
 from .linalg import DegenerateIterateError, as_matrix
-from .metrics import RunReport, Views, split_holdout, step_flops, tcc
+from .metrics import Views, split_holdout, tcc
 
 
 @dataclass
@@ -72,6 +72,19 @@ class _Sampler:
         out = np.arange(self._pos, min(self._pos + m, self.n))
         self._pos += m
         return out
+
+    def batches(self, X, Y):
+        """The minibatch row source of ``appgrad._drive``: the rows of X and Y at each next batch,
+        None at the end of a stream, and one replacement batch when a degenerate step's error
+        is thrown in (the loop lets a failed replacement raise)."""
+        def rows(idx):  # np.take gathers dense rows faster than X[idx]
+            return None if idx.size == 0 else [
+                A[idx] if sp.issparse(A) else np.take(A, idx, axis=0) for A in (X, Y)]
+        while True:
+            try:
+                yield rows(self.next_batch())
+            except DegenerateIterateError:
+                yield rows(self.next_batch())
 
 
 def sample_minibatch(plan, t, n):
@@ -145,76 +158,18 @@ def run_stochastic(
     the run has no stopping test.
     """
     views = Views.of(X, Y)
-    X, Y = views.X, views.Y
-    (n, p1), p2 = X.shape, Y.shape[1]
-    if k < 1 or k > min(p1, p2):
-        raise ValueError(f"rank k={k} out of range")
-    sampler = plan.make_sampler(n)
+    n = views.X.shape[0]
     if record_every is None:
         record_every = max(1, int(np.ceil(n / plan.m)))
-    if record_every < 0:
-        raise ValueError("record_every must be >= 0")
-    state = init if init is not None else random_init(X, Y, k, seed, lam)
-    report = RunReport(
-        solver="stochastic-appgrad",
-        seed=seed,
-        config={
-            "k": k,
-            "m": plan.m,
-            "mode": plan.mode,
-            "schedule": schedule.kind,
-            "eta0": schedule.eta0,
-            "lam": lam,
-            "max_iters": max_iters,
-        },
-    )
+    _check_run(views, k, record_every)
+    batches = plan.make_sampler(n).batches(views.X, views.Y)
+    state = init if init is not None else random_init(views.X, views.Y, k, seed, lam)
+    config = {"k": k, "m": plan.m, "mode": plan.mode, "schedule": schedule.kind,
+              "eta0": schedule.eta0, "lam": lam, "max_iters": max_iters}
     holdout = holdout if holdout is None or isinstance(holdout, Views) else Views(*holdout)
-    oracle_tcc = views.evaluate(oracle.phi, oracle.psi) if oracle is not None else None
-    k_score = getattr(oracle, "k", None)  # an oversampled iterate is scored over its top k
-    flops = 0
-    t0 = time.perf_counter()
-
-    def record():
-        report.record(state.t, flops, views.evaluate(state.phi, state.psi, k_score), oracle_tcc,
-                      wall_time=time.perf_counter() - t0,
-                      tcc_holdout=np.nan if holdout is None
-                      else holdout.evaluate(state.phi, state.psi, k_score))
-    streaming = plan.mode == "sequential-stream"
-
-    def rows(idx):  # np.take gathers dense rows faster than X[idx]
-        return [A[idx] if sp.issparse(A) else np.take(A, idx, axis=0) for A in (X, Y)]
-
-    def step_cost(X_I, Y_I):  # of one step from ``state`` on these rows
-        nnz = [A.nnz if sp.issparse(A) else None for A in (X_I, Y_I)]
-        return step_flops(X_I.shape[0], p1, p2, k, *nnz, whitened=state.whiteners is not None)
-    it = 0
-    while it < max_iters:
-        idx = sampler.next_batch()
-        if streaming and idx.size == 0:
-            break
-        X_I, Y_I = rows(idx)
-        eta = schedule.at(it)
-        try:
-            new = stochastic_appgrad_step(state, eta, X_I, Y_I, lam)
-        except DegenerateIterateError:
-            flops += step_cost(X_I, Y_I)  # the discarded attempt did the work of a step
-            idx = sampler.next_batch()
-            if streaming and idx.size == 0:
-                break
-            X_I, Y_I = rows(idx)
-            new = stochastic_appgrad_step(state, eta, X_I, Y_I, lam)
-        flops += step_cost(X_I, Y_I)
-        state = new
-        it += 1
-        if record_every and state.t % record_every == 0:
-            record()
-    if it and record_every and state.t % record_every:  # the last iterate, off the cadence
-        record()
-    model = extract_model(X, Y, state, lam=lam)
-    model.converged = False
-    # a copy without the cache, so the report does not keep the last batch alive
-    report.final_state = replace(state)
-    return model, report
+    return _drive("stochastic-appgrad", config, seed, (views.X, views.Y), batches, schedule.at,
+                  stochastic_appgrad_step, views.evaluate, state, 0, oracle, record_every,
+                  holdout=holdout)
 
 
 def cross_validate_step(

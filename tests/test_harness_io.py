@@ -787,6 +787,17 @@ class TestCli:
         assert exc.value.code == 2
         assert "unknown solver 'svd'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["run", "compare"])
+    def test_als_beyond_rank_one_is_a_usage_error(self, monkeypatch, capsys, command):
+        monkeypatch.setattr(io, "load_dataset", lambda *a: pytest.fail("data loaded"))
+        argv = [command, "--k", "2", "--x", "x.csv", "--y", "y.csv"]
+        argv += ["--solvers", "spectral,als"] if command == "compare" else ["--solver", "als"]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == "" and f"cca-bench {command}: error: " in err and "k=1" in err
+
     def test_kernel_flag_parsing(self, tmp_path, capsys):
         self.generate(tmp_path)
         code = main([

@@ -2,8 +2,9 @@
 every private module-level helper of the package is used somewhere in it, every public function
 and method of the package is referenced somewhere in the package, tests, scripts or benchmark,
 every defaulted parameter of the package is passed by some call in them, every double-backtick
-name in a docstring or comment of the package names something that it defines or imports, and
-only ``metrics`` (and the negative control) calls ``gram``, ``cross_covariance`` or ``moments``."""
+name in a docstring or comment of the package names something that it defines or imports,
+only ``metrics`` (and the negative control) calls ``gram``, ``cross_covariance`` or ``moments``,
+and the batch and minibatch drivers share one loop."""
 
 import ast
 import builtins
@@ -287,3 +288,38 @@ MOMENT_CALL_ALLOWLIST = [("reference", "naive_gradient_step")]
 
 def test_moments_are_formed_in_metrics_only():
     assert moment_calls({p.stem: p.read_text() for p in SRC}) == MOMENT_CALL_ALLOWLIST
+
+
+LOOP_CALLS = ("RunReport", "extract_model", "replace")
+
+
+def loop_call_scopes(package):
+    """{name: sorted (module, scope)} of the calls of each LOOP_CALLS name, as ``f(...)`` or
+    ``obj.f(...)``, in ``package`` ({module: source}). The scope is the module-level function or
+    class that holds the call (its nested functions included), or ``<module>`` outside one."""
+    found = {name: set() for name in LOOP_CALLS}
+    for module, source in package.items():
+        for node in ast.parse(source).body:
+            for call in ast.walk(node):
+                name = isinstance(call, ast.Call) and (getattr(call.func, "id", None)
+                                                       or getattr(call.func, "attr", None))
+                if name in found:
+                    found[name].add((module, getattr(node, "name", "<module>")))
+    return {name: sorted(scopes) for name, scopes in found.items()}
+
+
+def test_loop_call_checker_sees_what_it_must():
+    package = {"a": "def _drive(s):\n    RunReport()\n    def last():\n        return replace(s)\n"
+                    "def run(s):\n    return appgrad.extract_model(s)\nr = RunReport()\n",
+               "b": "class C:\n    def m(self, s):\n        return replace(s)\n"}
+    assert loop_call_scopes(package) == {"RunReport": [("a", "<module>"), ("a", "_drive")],
+                                         "extract_model": [("a", "run")],
+                                         "replace": [("a", "_drive"), ("b", "C")]}
+
+
+def test_the_drivers_share_one_loop():
+    sources = {p.stem: p.read_text() for p in SRC if p.stem in ("appgrad", "stochastic")}
+    assert loop_call_scopes(sources) == {name: [("appgrad", "_drive")] for name in LOOP_CALLS}
+    for module, driver in (("appgrad", "run_appgrad"), ("stochastic", "run_stochastic")):
+        node = next(n for n in ast.parse(sources[module]).body if getattr(n, "name", "") == driver)
+        assert not [n for n in ast.walk(node) if isinstance(n, (ast.For, ast.While))], driver

@@ -340,6 +340,45 @@ class TestRunner:
         assert score >= 0.9
 
 
+class TestDriversAgree:
+    """``run_stochastic`` whose every batch is all n rows, reordered, is ``run_appgrad``."""
+
+    def test_a_full_batch_step_at_a_ridge_is_the_batch_step(self, small_instance):
+        X, Y = small_instance.x, small_instance.y
+        state, eta = random_init(X, Y, 3, seed=1, lam=0.05), StepSizes.constant(0.2)
+        perm = np.random.default_rng(0).permutation(X.shape[0])
+        mini = stochastic_appgrad_step(state, eta, X[perm], Y[perm], lam=0.05)
+        batch = appgrad_step(state, eta, X, Y, lam=0.05)
+        for a, b in ((mini.phi, batch.phi), (mini.psi, batch.psi),
+                     (mini.phi_tilde, batch.phi_tilde), (mini.psi_tilde, batch.psi_tilde)):
+            assert np.max(np.abs(a - b)) < 1e-12
+
+    @pytest.mark.parametrize("n", [40, 400])  # 4 (p1 + p2) = 56: solved on the rows, then the pair
+    def test_full_batches_reproduce_the_batch_run(self, n):
+        inst = generate_planted(PlantedParams(n=n, p1=8, p2=6, correlations=(0.9, 0.6, 0.3),
+                                              noise=0.3), seed=4)
+        X, Y, iters = inst.x, inst.y, 40
+        eta, oracle = default_step(X, Y).eta1, spectral_cca(X, Y, 2)
+        batch, b_report = appgrad.run_appgrad(X, Y, 2, eta=eta, max_iters=iters, tol=0.0, seed=3,
+                                              oracle=oracle, record_every=1)
+        mini, m_report = run_stochastic(X, Y, 2, MinibatchPlan(m=n, seed=5),
+                                        StepSchedule("constant", eta0=eta), max_iters=iters,
+                                        seed=3, oracle=oracle, record_every=1)
+        assert [r.t for r in m_report.records] == [r.t for r in b_report.records] == list(
+            range(1, iters + 1))
+        for field in ("tcc_train", "pcc_train"):
+            got, want = ([getattr(r, field) for r in rep.records] for rep in (m_report, b_report))
+            assert np.max(np.abs(np.subtract(got, want))) < 1e-10
+        m_state, b_state = m_report.final_state, b_report.final_state
+        for a, b in ((m_state.phi, b_state.phi), (m_state.psi, b_state.psi),
+                     (mini.phi, batch.phi), (mini.psi, batch.psi), (mini.lam, batch.lam)):
+            assert np.max(np.abs(a - b)) < 1e-10
+        # every step is charged uncached on its gathered rows; random_init carries whiteners
+        assert [r.flops for r in m_report.records] == [
+            t * metrics.step_flops(n, 8, 6, 2) for t in range(1, iters + 1)]
+        assert not mini.converged
+
+
 class SizedArray(np.ndarray):
     """Dense view that records the larger dimension of every product taken
     with it, either side; full-data products record n."""
