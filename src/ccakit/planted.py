@@ -1,20 +1,22 @@
 """Synthetic two-view instances with known canonical structure.
 
-Construction: draw n-by-(p1+p2) orthonormal latent columns scaled by sqrt(n)
-so their empirical Gram is the identity. The first k latents are shared by
-both views with prescribed per-pair correlations; the rest are view-private
-fillers. Each view is the latent block times an invertible mixing matrix
-C = R diag(s), so S = C C' exactly (noise 0), the true canonical directions
-are columns of R diag(1/s), and the singular-value profile s controls
-conditioning. By default s is ascending, which puts the canonical latents on
-the *smallest* feature scales -- the regime where approximate whitening
-heuristics break down.
+Construction: n-by-(p1+p2) orthonormal latent columns scaled by sqrt(n), so
+their empirical Gram is the identity, from the Cholesky QR of a Gaussian draw.
+The draw is made and mapped row block by row block inside the output views, so
+a build's working memory is O(block (p1+p2) + (p1+p2)^2) beyond them, with no
+n-sized QR. The first k latents are shared by both views with prescribed
+per-pair correlations; the rest are view-private fillers. Each view is the
+latent block times an invertible mixing matrix C = R diag(s), so S = C C'
+exactly (noise 0), the true canonical directions are columns of R diag(1/s),
+and the singular-value profile s controls conditioning. By default s is
+ascending, which puts the canonical latents on the *smallest* feature scales
+-- the regime where approximate whitening heuristics break down.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import qr
+from scipy.linalg import cholesky, qr, solve_triangular
 
 from .metrics import Views
 from .reference import CcaModel, fix_signs, spectral_cca
@@ -75,6 +77,9 @@ class PlantedInstance:
         return L1, L2
 
 
+_BLOCK_BYTES = 1 << 20  # Z per row block of a build
+
+
 def _mixing(p, cond, rng, rotate, canonical_scale="low", latent_rotate=False):
     s = np.geomspace(1.0, cond, p) if cond > 1 else np.ones(p)
     if canonical_scale == "high":
@@ -92,30 +97,57 @@ def _mixing(p, cond, rng, rotate, canonical_scale="low", latent_rotate=False):
 def generate_planted(params, seed=0):
     """Build a PlantedInstance; reproducible from (params, seed).
 
-    Working memory beyond the returned views is two latent-sized n-by-(p1+p2)
-    buffers: the Gaussian draw and its Fortran copy, which becomes Q in place."""
+    The latent basis is the Cholesky QR of one standard_normal((n, p1+p2))
+    draw Z, built inside the returned views: Z is drawn in row blocks into X
+    (its first p1 columns) and Y (the rest), R is the upper Cholesky factor of
+    Z'Z = R'R, and each row block is then mapped in place to
+    X = Z W[:, :p1] Cx' and Y = Z W[:, p1:] Cy', where W is sqrt(n) R^-1 with
+    the canonical mixing applied to its y columns. Cholesky QR is accurate to
+    about eps cond(Z)^2, and a tall Gaussian Z is well conditioned. Working
+    memory beyond the views is O(block (p1+p2) + (p1+p2)^2): one row block of
+    about 1 MiB and the (p1+p2)-square factors."""
     params.validate()
     rng = np.random.default_rng(seed)
     n, p1, p2, k = params.n, params.p1, params.p2, params.k
+    p = p1 + p2
     rho = np.asarray(params.correlations, dtype=float)
+    rows = max(1, _BLOCK_BYTES // (8 * p))
+    blocks = [slice(r, min(r + rows, n)) for r in range(0, n, rows)]
+    buf = np.empty(min(rows, n) * p)
 
-    # One latent buffer: the C-ordered draw is freed once its Fortran copy exists, which
-    # LAPACK factors in place; the y latents Q[:, p1:] get their canonical columns in place.
-    Q = qr(np.asfortranarray(rng.standard_normal((n, p1 + p2))), mode="economic",
-           overwrite_a=True)[0]
-    Q *= np.sqrt(n)
-    Q[:, p1 : p1 + k] = Q[:, :k] * rho + Q[:, p1 : p1 + k] * np.sqrt(1.0 - rho**2)
+    def scratch(b, width):
+        """The block buffer as a C-ordered (rows of b)-by-width array."""
+        return buf[: (b.stop - b.start) * width].reshape(-1, width)
+
+    X, Y = np.empty((n, p1)), np.empty((n, p2))
+    for b in blocks:
+        z = rng.standard_normal(out=scratch(b, p))
+        X[b], Y[b] = z[:, :p1], z[:, p1:]
+    XY = X.T @ Y
+    G = np.block([[X.T @ X, XY], [XY.T, Y.T @ Y]])
+    # Z W has orthonormal columns scaled by sqrt(n); the y latents' first k
+    # columns mix in the x latents' so pair j correlates at rho_j.
+    W = solve_triangular(cholesky(G), np.eye(p)) * np.sqrt(n)
+    W[:, p1 : p1 + k] = W[:, :k] * rho + W[:, p1 : p1 + k] * np.sqrt(1.0 - rho**2)
 
     Cx = _mixing(p1, params.cond_x, rng, params.rotate, params.canonical_scale,
                  params.latent_rotate)
     Cy = _mixing(p2, params.cond_y, rng, params.rotate, params.canonical_scale,
                  params.latent_rotate)
-    X = Q[:, :p1] @ Cx.T               # x latents: k canonical + fillers
-    Y = Q[:, p1:] @ Cy.T
-    del Q
-    if params.noise > 0:
-        X += params.noise * rng.standard_normal((n, p1))
-        Y += params.noise * rng.standard_normal((n, p2))
+    Mx = W[:p1, :p1] @ Cx.T            # W is upper triangular: X reads only Zx
+    My = W[:, p1:] @ Cy.T
+    for b in blocks:                   # Y first: it reads the block's Zx too
+        zx, zy = X[b], Y[b]
+        t = np.matmul(zy, My[p1:], out=scratch(b, p2))
+        np.matmul(zx, My[:p1], out=zy)
+        zy += t
+        zx[...] = np.matmul(zx, Mx, out=scratch(b, p1))
+    if params.noise > 0:               # X's noise is drawn whole before Y's
+        for V in (X, Y):
+            for b in blocks:
+                e = rng.standard_normal(out=scratch(b, V.shape[1]))
+                e *= params.noise
+                V[b] += e
 
     Phi = np.linalg.solve(Cx, np.eye(p1)).T[:, :k]
     Psi = np.linalg.solve(Cy, np.eye(p2)).T[:, :k]

@@ -8,9 +8,9 @@ from dataclasses import fields
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from scipy.linalg import qr
+from scipy.linalg import cholesky, solve_triangular
 
-from ccakit import appgrad, baselines, cli, io, linalg, metrics, reference
+from ccakit import appgrad, baselines, cli, io, linalg, metrics, planted, reference
 from ccakit.cli import _CONFIG_TYPES, _add_run_flags, build_config, main
 from ccakit.harness import (
     SOLVERS,
@@ -29,17 +29,20 @@ from conftest import peak_bytes
 
 
 def planted_views(params, seed):
-    """The planted construction with plain copies: x, y and the two mixings."""
+    """The planted construction as whole arrays: x, y and the two mixings."""
     rng = np.random.default_rng(seed)
     n, p1, p2, k = params.n, params.p1, params.p2, params.k
     rho = np.asarray(params.correlations, dtype=float)
-    Q = qr(rng.standard_normal((n, p1 + p2)), mode="economic")[0] * np.sqrt(n)
-    Zy = np.empty((n, p2))
-    Zy[:, :k] = Q[:, :k] * rho + Q[:, p1 : p1 + k] * np.sqrt(1.0 - rho**2)
-    Zy[:, k:] = Q[:, p1 + k :]
+    Z = rng.standard_normal((n, p1 + p2))
+    Zx, Zy = np.ascontiguousarray(Z[:, :p1]), np.ascontiguousarray(Z[:, p1:])
+    ZxZy = Zx.T @ Zy
+    G = np.block([[Zx.T @ Zx, ZxZy], [ZxZy.T, Zy.T @ Zy]])
+    W = solve_triangular(cholesky(G), np.eye(p1 + p2)) * np.sqrt(n)
+    W[:, p1 : p1 + k] = W[:, :k] * rho + W[:, p1 : p1 + k] * np.sqrt(1.0 - rho**2)
     Cx, Cy = (_mixing(p, cond, rng, params.rotate, params.canonical_scale, params.latent_rotate)
               for p, cond in ((p1, params.cond_x), (p2, params.cond_y)))
-    X, Y = Q[:, :p1] @ Cx.T, Zy @ Cy.T
+    Mx, My = W[:p1, :p1] @ Cx.T, W[:, p1:] @ Cy.T
+    X, Y = Zx @ Mx, Zx @ My[:p1] + Zy @ My[p1:]
     if params.noise > 0:
         X = X + params.noise * rng.standard_normal((n, p1))
         Y = Y + params.noise * rng.standard_normal((n, p2))
@@ -69,6 +72,41 @@ class TestPlanted:
         latent = 4000 * 40 * 8
         assert inst.x.nbytes + inst.y.nbytes == latent
         assert peak <= 2.5 * latent, f"peak {peak / latent:.2f}x one latent buffer"
+
+    def test_build_works_inside_its_views(self):
+        params = PlantedParams(n=20000, p1=20, p2=20, correlations=(0.9, 0.5), noise=0.1)
+        assert params.n * (params.p1 + params.p2) * 8 > 4 * planted._BLOCK_BYTES
+        inst, peak = peak_bytes(lambda: generate_planted(params, seed=1))
+        views = inst.x.nbytes + inst.y.nbytes
+        assert peak <= 1.25 * views, f"peak {peak / views:.2f}x the returned views"
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_square_draw_plants_exact_structure(self, seed):
+        # n = p1 + p2 makes the Gaussian draw square, Cholesky QR's worst case
+        params = PlantedParams(n=200, p1=110, p2=90, correlations=(0.9, 0.6, 0.3),
+                               cond_x=5.0, cond_y=3.0, latent_rotate=True)
+        inst = generate_planted(params, seed=seed)
+        X, Y, (phi, psi, lam) = inst.x, inst.y, (inst.model.phi, inst.model.psi, inst.model.lam)
+        n = params.n
+        for got, want in ((phi.T @ (X.T @ X / n) @ phi, np.eye(3)),
+                          (psi.T @ (Y.T @ Y / n) @ psi, np.eye(3)),
+                          (phi.T @ (X.T @ Y / n) @ psi, np.diag(lam))):
+            assert np.abs(got - want).max() <= 1e-12
+
+    @pytest.mark.parametrize("n, block_bytes", [(15000, None), (300, 1)])
+    def test_row_blocks_do_not_change_the_build(self, monkeypatch, n, block_bytes):
+        params = PlantedParams(n=n, p1=12, p2=9, correlations=(0.9, 0.6), noise=0.2,
+                               cond_x=4.0, cond_y=2.0)
+        if block_bytes is not None:
+            monkeypatch.setattr(planted, "_BLOCK_BYTES", block_bytes)
+        assert planted._BLOCK_BYTES < n * (params.p1 + params.p2) * 8
+        blocked = generate_planted(params, seed=6)
+        monkeypatch.setattr(planted, "_BLOCK_BYTES", n * (params.p1 + params.p2) * 8)
+        whole = generate_planted(params, seed=6)
+        assert np.array_equal(blocked.mixing_x, whole.mixing_x)
+        assert np.array_equal(blocked.mixing_y, whole.mixing_y)
+        for got, want in ((blocked.x, whole.x), (blocked.y, whole.y)):
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
     def test_same_seed_is_bitwise_identical(self):
         params = PlantedParams(n=100, p1=6, p2=7, correlations=(0.8, 0.4))
