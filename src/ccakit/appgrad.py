@@ -26,7 +26,7 @@ from scipy.linalg import svd
 from .linalg import DegenerateIterateError, _check_finite, as_matrix
 from .metrics import (POWER_ITERS, RunReport, Views, moment_pair_flops, projected_correlations,
                       step_flops, tcc)
-from .reference import CcaModel, fix_signs
+from .reference import canonical_pairs
 
 EIG_FLOOR_REL = 1e-10
 
@@ -238,21 +238,14 @@ def procrustes_distance(A, B):
     return float(np.linalg.norm(A - B @ R))
 
 
-def extract_model(X, Y, fit, k=None, lam=0.0):
-    """Whiten the normalized pair of ``fit`` (a state or a CcaModel) in the metric
-    X'X/n + lam I on all rows of X and Y, rotate it to diagonalize the captured correlations,
-    keep the k directions (default: all) that capture the most, and return a sorted,
-    sign-fixed model. An unwhitened heuristic model is truncated without rotation."""
-    k = fit.k if k is None else k
-    converged = getattr(fit, "converged", True)
-    if not getattr(fit, "whitened", True):
-        return CcaModel(fit.phi[:, :k], fit.psi[:, :k], fit.lam[:k],
-                        whitened=False, converged=converged)
+def extract_model(X, Y, state, lam=0.0):
+    """Whiten the normalized pair of ``state`` in the metric X'X/n + lam I on all rows of X and Y,
+    from the two n-sized products it rotates with, and rotate it onto canonical pairs
+    (``reference.canonical_pairs``): a model of rank ``state.k``, sorted and canonical on X, Y."""
     X, Y = as_matrix(X), as_matrix(Y)
-    (_, U, Rx), (_, V, Ry) = _whiten(X, fit.phi, lam), _whiten(Y, fit.psi, lam)
-    Us, s, Vt = svd(U.T @ V / X.shape[0], full_matrices=False)
-    Phi, Psi = fix_signs(fit.phi @ Rx @ Us[:, :k], fit.psi @ Ry @ Vt[:k].T)
-    return CcaModel(Phi, Psi, s[:k].copy(), converged=converged)
+    (_, U, Rx), (_, V, Ry) = _whiten(X, state.phi, lam), _whiten(Y, state.psi, lam)
+    phi, psi = state.phi @ Rx, state.psi @ Ry
+    return canonical_pairs(lambda B: phi @ B, lambda B: psi @ B, U.T @ V / X.shape[0], state.k)
 
 
 def moment_pair(X, Y):

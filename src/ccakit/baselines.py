@@ -16,18 +16,18 @@ OVERSAMPLE, POWER_ITERS = 10, 2  # of every randomized_svd taken here
 
 
 def _top_pairs(S, k, seed):
-    """(Phi, Psi, lam): the rank-k truncated SVD of the cross-moment S, signs fixed."""
+    """(U, s, V): the rank-k truncated SVD of the cross-moment S."""
     p1, p2 = S.shape
     if k < 1 or k > min(p1, p2):
         raise ValueError(f"rank k={k} out of range")
-    U, s, V = randomized_svd(S, k, oversample=OVERSAMPLE, power_iters=POWER_ITERS, seed=seed)
-    return *fix_signs(U, V), s.copy()
+    return randomized_svd(S, k, oversample=OVERSAMPLE, power_iters=POWER_ITERS, seed=seed)
 
 
 def nw_cca(X, Y, k, seed=0):
     """No whitening: truncated SVD of the raw cross-covariance X'Y/n of (X, Y), or of the
     ``Views`` X (Y then None). Returned directions are not S-orthonormal (``whitened`` is False)."""
-    return CcaModel(*_top_pairs(Views.of(X, Y).cross, k, seed), whitened=False)
+    U, s, V = _top_pairs(Views.of(X, Y).cross, k, seed)
+    return CcaModel(*fix_signs(U, V), s.copy(), whitened=False)
 
 
 def dw_cca(X, Y, k, lam=0.0, seed=0):
@@ -40,9 +40,9 @@ def dw_cca(X, Y, k, lam=0.0, seed=0):
         raise ValueError("zero-variance column; set lam > 0")
     sx = 1.0 / np.sqrt(dx)
     sy = 1.0 / np.sqrt(dy)
-    U, V, s = _top_pairs(sx[:, None] * views.cross * sy, k, seed)
+    U, s, V = _top_pairs(sx[:, None] * views.cross * sy, k, seed)
     Phi, Psi = fix_signs(U * sx[:, None], V * sy[:, None])
-    return CcaModel(Phi, Psi, s, whitened=False)
+    return CcaModel(Phi, Psi, s.copy(), whitened=False)
 
 
 def pca_cca(X, Y, k, m, lam=0.0, seed=0):

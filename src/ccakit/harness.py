@@ -1,10 +1,10 @@
 """Experiment driver: configuration, solver dispatch, oversampling, holdout
 evaluation, and report/model emission."""
 
-from dataclasses import dataclass, asdict
+from dataclasses import asdict, dataclass, replace
 
 from . import io
-from .appgrad import default_step, extract_model, random_init, run_appgrad
+from .appgrad import default_step, random_init, run_appgrad
 from .baselines import dw_cca, nw_cca, pca_cca
 from .kernels import KernelSpec, kernel_gram, kernel_ridge
 from .linalg import SingularMatrixError
@@ -132,10 +132,10 @@ class ExperimentResult:
     pcc_holdout: float = float("nan")
 
 
-def extract_best_k(X, Y, model, k, lam=0.0):
-    """The k directions of a (k+l)-rank model, fit at ridge lam, that capture the most
-    correlation."""
-    return model if model.k <= k else extract_model(X, Y, model, k, lam)
+def extract_best_k(model, k):
+    """The k directions of a (k+l)-rank model that capture the most correlation: its leading k,
+    as every solver sorts its directions so (see ``reference.CcaModel``)."""
+    return replace(model, phi=model.phi[:, :k], psi=model.psi[:, :k], lam=model.lam[:k])
 
 
 def _oracle(views, k, lam):
@@ -153,7 +153,8 @@ def run_experiment(config, x=None, y=None, planted=None,
     Data comes either from (x, y) matrices, from a ``metrics.Views`` x (y then None), whose
     moments, moment pair and holdout splits then serve every run given it, or from
     PlantedParams. Every solver and the oracle read the run's ``Views``. The solver
-    is run at rank k + oversample and the best k directions are extracted.
+    is run at rank k + oversample and returns its directions sorted by the correlation they
+    capture, so the best k are its leading k, kept by truncation (``extract_best_k``).
     Returns an ExperimentResult; optionally writes the report, the (FLOP, PCC)
     trace, and the canonical-vector matrices.
     """
@@ -187,7 +188,7 @@ def run_experiment(config, x=None, y=None, planted=None,
                 if key in report.config}
     report.solver, report.config = config.solver, config.snapshot() | resolved
 
-    model = extract_best_k(X, Y, model, k, report.config["lam"])
+    model = extract_best_k(model, k)
     result = ExperimentResult(model=model, report=report, oracle=oracle)
     result.tcc_train = views.evaluate(model.phi, model.psi)
     if not solver.traced:  # the one row scores the returned rank-k model

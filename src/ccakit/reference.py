@@ -19,10 +19,12 @@ from .metrics import Views
 
 @dataclass
 class CcaModel:
-    """Estimated canonical vectors and correlations for a rank-k subspace.
+    """Estimated canonical vectors and correlations for a rank-k subspace, the directions sorted
+    by the correlation they capture, so its leading k' columns are the best rank-k' model.
 
     ``whitened`` is False for heuristics (NW/DW) whose directions are not
-    S-orthonormal; metric code must not assert normalization on those.
+    S-orthonormal; metric code must not assert normalization on those. A whitened model is
+    canonical: Phi'(Sx + lam I)Phi = I, Psi'(Sy + lam I)Psi = I and Phi' Sxy Psi = diag(lam).
     """
 
     phi: np.ndarray
@@ -46,6 +48,15 @@ def fix_signs(Phi, Psi):
             Phi[:, j] = -Phi[:, j]
             Psi[:, j] = -Psi[:, j]
     return Phi, Psi
+
+
+def canonical_pairs(map_x, map_y, C, k):
+    """The rank-k whitened model of C = U diag(s) V', the cross moment of two bases orthonormal
+    in their views' metrics: directions map_x(U[:, :k]) and map_y(V[:, :k]), the bases' maps
+    applied to the singular vectors, signs fixed, and correlations s[:k]."""
+    U, s, Vt = svd(C, full_matrices=False)
+    Phi, Psi = fix_signs(map_x(U[:, :k]), map_y(Vt[:k].T))
+    return CcaModel(Phi, Psi, s[:k].copy())
 
 
 def _inv_sqrt_full(S, lam, side):
@@ -73,11 +84,7 @@ def spectral_cca(X, Y, k, lam=0.0):
         raise ValueError(f"regularization must be nonnegative, got {lam}")
     Rx = _inv_sqrt_full(Sx + lam * np.eye(p1), lam, "x")
     Ry = _inv_sqrt_full(Sy + lam * np.eye(p2), lam, "y")
-    U, s, Vt = svd(Rx @ Sxy @ Ry, full_matrices=False)
-    Phi = Rx @ U[:, :k]
-    Psi = Ry @ Vt[:k].T
-    Phi, Psi = fix_signs(Phi, Psi)
-    return CcaModel(Phi, Psi, s[:k].copy())
+    return canonical_pairs(lambda U: Rx @ U, lambda V: Ry @ V, Rx @ Sxy @ Ry, k)
 
 
 def qr_cca(X, Y, k, lam=0.0):
@@ -112,11 +119,8 @@ def qr_cca(X, Y, k, lam=0.0):
             raise SingularMatrixError(
                 f"view {side} is numerically rank-deficient; set lam > 0"
             )
-    U, s, Vt = svd(Qx.T @ Qy, full_matrices=False)
-    Phi = np.sqrt(n) * solve_triangular(Rx_, U[:, :k])
-    Psi = np.sqrt(n) * solve_triangular(Ry_, Vt[:k].T)
-    Phi, Psi = fix_signs(Phi, Psi)
-    return CcaModel(Phi, Psi, s[:k].copy())
+    return canonical_pairs(lambda U: np.sqrt(n) * solve_triangular(Rx_, U),
+                           lambda V: np.sqrt(n) * solve_triangular(Ry_, V), Qx.T @ Qy, k)
 
 
 def als_cca(X, Y, init, max_iters=1000, tol=1e-8, lam=0.0):
@@ -152,12 +156,11 @@ def als_cca(X, Y, init, max_iters=1000, tol=1e-8, lam=0.0):
         if change < tol:
             converged = True
             break
-    lam1 = float(phi @ (Sxy @ psi))
-    if lam1 < 0:
-        psi = -psi
-        lam1 = -lam1
-    Phi, Psi = fix_signs(phi[:, None], psi[:, None])
-    return CcaModel(Phi, Psi, np.array([lam1]), converged=converged)
+    # the 1-by-1 SVD of phi' Sxy psi flips one side's sign when it is negative
+    model = canonical_pairs(lambda u: phi[:, None] * u, lambda v: psi[:, None] * v,
+                            np.array([[phi @ (Sxy @ psi)]]), 1)
+    model.converged = converged
+    return model
 
 
 def naive_gradient_step(phi, psi, eta1, eta2, X, Y):

@@ -39,7 +39,11 @@ def random_orthogonal(k, rng):
 
 
 def peak_bytes(fn):
-    """(fn(), the peak bytes traced during the call above what was held before it)."""
+    """(fn(), the peak bytes traced during the call above what was held before it).
+
+    tracemalloc sees only allocations made through Python's allocators, not the LAPACK
+    workspace that ``np.linalg`` routines allocate, so a bound measured with it on a path
+    through them is a lower bound on the true peak."""
     tracemalloc.start()
     try:
         tracemalloc.reset_peak()

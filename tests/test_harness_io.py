@@ -10,7 +10,7 @@ import pytest
 import scipy.sparse as sp
 from scipy.linalg import cholesky, solve_triangular
 
-from ccakit import appgrad, baselines, cli, io, linalg, metrics, planted, reference
+from ccakit import appgrad, baselines, cli, harness, io, linalg, metrics, planted, reference
 from ccakit.cli import _CONFIG_TYPES, _add_run_flags, build_config, main
 from ccakit.harness import (
     SOLVERS,
@@ -19,7 +19,7 @@ from ccakit.harness import (
     parse_config_file,
     run_experiment,
 )
-from ccakit.appgrad import default_step, run_appgrad
+from ccakit.appgrad import AppGradState, default_step, extract_model, run_appgrad
 from ccakit.kernels import KernelSpec, kernel_gram, kernel_ridge
 from ccakit.linalg import DegenerateIterateError, SingularMatrixError
 from ccakit.metrics import RunReport, Views, moment_pair_flops, step_flops, tcc
@@ -292,9 +292,52 @@ class TestRunExperiment:
     def test_oversampling_never_hurts_truncation(self, small_instance):
         X, Y = small_instance.x, small_instance.y
         full = spectral_cca(X, Y, 6)
-        best = extract_best_k(X, Y, full, 3)
+        best = extract_best_k(full, 3)
         truncated = tcc(X, Y, full.phi[:, :3], full.psi[:, :3])
         assert tcc(X, Y, best.phi, best.psi) >= truncated - 1e-10
+
+    @pytest.mark.parametrize("lam", [0.0, 0.1])
+    @pytest.mark.parametrize("name", list(SOLVERS))
+    def test_every_solver_sorts_its_pairs_and_whitened_ones_are_canonical(self, name, lam):
+        # run_experiment keeps the best k of a rank k + oversample model by truncation,
+        # which holds only if every solver returns its directions in this order
+        cfg = SolverConfig(solver=name, k=2, oversample=2, lam=lam, seed=3, max_iters=300)
+        inst = self.noisy_instance()  # noisy: no rank-4 pair of zero correlation to degenerate
+        solver, views = SOLVERS[name], Views(inst.x, inst.y)
+        if solver.grams:
+            views = Views(*solver.grams(cfg, views.X, views.Y))
+        model = solver.run(cfg, views, cfg.k + cfg.oversample, oracle=None, holdout=None)
+        if solver.traced:
+            model, report = model
+            lam = report.config["lam"]  # the ridge the run applied
+        assert np.all(np.diff(model.lam) <= 0)
+        if model.whitened:
+            Sx, Sy, Sxy = views.moments
+            for A, S in ((model.phi, Sx), (model.psi, Sy)):
+                assert np.abs(A.T @ (S + lam * np.eye(len(S))) @ A
+                              - np.eye(model.k)).max() <= 1e-10
+            assert np.abs(model.phi.T @ Sxy @ model.psi - np.diag(model.lam)).max() <= 1e-10
+
+    @pytest.mark.parametrize("name", ["appgrad", "stochastic-appgrad"])
+    def test_an_oversampled_run_extracts_once(self, monkeypatch, name):
+        inst = self.noisy_instance()
+        X, Y = inst.x, inst.y
+        models = []
+
+        def counted(*args, **kwargs):
+            models.append(extract_model(*args, **kwargs))
+            return models[-1]
+        monkeypatch.setattr(appgrad, "extract_model", counted)
+        # counted too if harness binds the name for a second pass after the run
+        monkeypatch.setattr(harness, "extract_model", counted, raising=False)
+        cfg = SolverConfig(solver=name, k=2, oversample=2, seed=3, max_iters=300)
+        model = run_experiment(cfg, x=X, y=Y).model
+        [full] = models
+        # rotating the rank-4 model a second time, then truncating, moves it by rounding only
+        again = extract_model(X, Y, AppGradState(full.phi, full.psi, full.phi, full.psi))
+        for a, b in zip((model.phi, model.psi, model.lam),
+                        (again.phi[:, :2], again.psi[:, :2], again.lam[:2])):
+            assert np.linalg.norm(a - b) <= 1e-12 * np.linalg.norm(b)
 
     def test_oversampled_stochastic_run(self, small_instance):
         # l = 5 extra directions, best 3 extracted; scores at least as well

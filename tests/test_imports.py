@@ -248,15 +248,12 @@ def test_no_stale_doc_names():
 MOMENT_FORMERS = ("gram", "cross_covariance", "moments")
 
 
-def moment_calls(package):
-    """Sorted (module, scope) of each call of a MOMENT_FORMERS name, as ``f(...)`` or
-    ``obj.f(...)``, in a module of ``package`` ({module: source}) other than ``metrics``. The scope
-    is the module-level function, the class method (``C.m``), the rest of a class (``C``) or the
-    rest of the module (``<module>``) that holds the call."""
-    found = set()
+def scoped_calls(package, names):
+    """(module, scope, call) of each call of a ``names`` name, as ``f(...)`` or ``obj.f(...)``, in
+    ``package`` ({module: source}). The scope is the module-level function, the class method
+    (``C.m``), the rest of a class (``C``) or the rest of the module (``<module>``) that holds the
+    call."""
     for module, source in package.items():
-        if module == "metrics":
-            continue
         scopes = []
         for node in ast.parse(source).body:
             if isinstance(node, ast.FunctionDef):
@@ -266,11 +263,17 @@ def moment_calls(package):
                             else node.name, f) for f in node.body]
             else:
                 scopes.append(("<module>", node))
-        found.update((module, scope) for scope, node in scopes for call in ast.walk(node)
-                     if isinstance(call, ast.Call) and (getattr(call.func, "id", None)
-                                                        or getattr(call.func, "attr", None))
-                     in MOMENT_FORMERS)
-    return sorted(found)
+        yield from ((module, scope, call) for scope, node in scopes for call in ast.walk(node)
+                    if isinstance(call, ast.Call) and (getattr(call.func, "id", None)
+                                                       or getattr(call.func, "attr", None))
+                    in names)
+
+
+def moment_calls(package):
+    """Sorted (module, scope) of each call of a MOMENT_FORMERS name (see ``scoped_calls``) in a
+    module of ``package`` other than ``metrics``."""
+    return sorted({(module, scope) for module, scope, _ in scoped_calls(
+        {m: source for m, source in package.items() if m != "metrics"}, MOMENT_FORMERS)})
 
 
 def test_moment_call_checker_sees_what_it_must():
@@ -288,6 +291,32 @@ MOMENT_CALL_ALLOWLIST = [("reference", "naive_gradient_step")]
 
 def test_moments_are_formed_in_metrics_only():
     assert moment_calls({p.stem: p.read_text() for p in SRC}) == MOMENT_CALL_ALLOWLIST
+
+
+def svd_vector_calls(package):
+    """Sorted (module, scope) of each ``svd`` call (see ``scoped_calls``) in ``package`` that
+    computes singular vectors, that is, one not passed ``compute_uv=False``."""
+    return sorted({(module, scope) for module, scope, call in scoped_calls(package, ("svd",))
+                   if not any(kw.arg == "compute_uv" and getattr(kw.value, "value", True) is False
+                              for kw in call.keywords)})
+
+
+def test_svd_vector_checker_sees_what_it_must():
+    package = {"a": "def f(C):\n    return svd(C, full_matrices=False)\nclass C:\n"
+                    "    def m(self, A):\n        return linalg.svd(A, compute_uv=True)\n"
+                    "def g(A):\n    return svd(A, compute_uv=False), randomized_svd(A, 2), svd\n",
+               "b": "U, s, Vt = np.linalg.svd(M)\n"}
+    assert svd_vector_calls(package) == [("a", "C.m"), ("a", "f"), ("b", "<module>")]
+
+
+# a rotation onto canonical pairs goes through reference.canonical_pairs; the other two
+# factor a sketch (randomized_svd) or align two iterates (procrustes_distance)
+SVD_VECTOR_ALLOWLIST = [("appgrad", "procrustes_distance"), ("linalg", "randomized_svd"),
+                        ("reference", "canonical_pairs")]
+
+
+def test_singular_vectors_are_taken_in_canonical_pairs_only():
+    assert svd_vector_calls({p.stem: p.read_text() for p in SRC}) == SVD_VECTOR_ALLOWLIST
 
 
 LOOP_CALLS = ("RunReport", "extract_model", "replace")
