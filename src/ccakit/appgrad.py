@@ -23,7 +23,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.linalg import svd
 
-from .linalg import DegenerateIterateError, _check_finite, as_matrix
+from .linalg import DegenerateIterateError, SingularMatrixError, _check_finite, as_matrix
 from .metrics import (POWER_ITERS, RunReport, Views, moment_pair_flops, projected_correlations,
                       step_flops, tcc)
 from .reference import canonical_pairs
@@ -184,10 +184,13 @@ def estimate_gram_norm(X, seed=0):
 
 def default_step(X, Y, lam=0.0, seed=0):
     """eta = 1/(2*(L1 + lam)), L1 the larger view Gram norm of (X, Y), or of the ``Views`` X
-    (Y then None): exact where ``Views.gram_norm`` has it, else ``estimate_gram_norm``."""
+    (Y then None): exact where ``Views.gram_norm`` has it, else ``estimate_gram_norm``. Two zero
+    views at lam = 0 give no step: SingularMatrixError."""
     views = Views.of(X, Y)
     L1 = max(estimate_gram_norm(A, seed=seed) if L is None else L
              for L, A in zip(views.gram_norm, (views.X, views.Y)))
+    if L1 + lam <= 0.0:
+        raise SingularMatrixError("both view Grams are zero; set a positive regularization lam")
     return StepSizes.constant(1.0 / (2.0 * (L1 + lam)))
 
 
@@ -272,9 +275,10 @@ def _drive(solver, config, seed, rows, batches, eta_at, step_fn, evaluate, state
            oracle, record_every, tol=0.0, record_first=False, holdout=None):
     """The loop behind ``run_appgrad`` and ``run_stochastic``: from ``state``, charged ``flops``,
     at the k, lam and max_iters of ``config``, iteration ``it`` steps at ``eta_at(it)`` on the
-    (X, Y) of ``next(batches)``; None ends the run. A ``DegenerateIterateError`` is charged as a
-    step and thrown into ``batches``, which raises it or gives one replacement. The run stops at
-    an RMS movement of X phi, Y psi below ``tol``, tested when both states cache the step's rows.
+    (X, Y) of ``next(batches)``; None ends the run. A ``DegenerateIterateError`` is thrown into
+    ``batches``, which raises it, gives one replacement (the attempt is then charged as a step) or
+    None (the attempt uncharged). The run stops at an RMS movement of X phi, Y psi below ``tol``,
+    tested when both states cache the step's rows.
     A record scores the top ``oracle.k`` correlations from the iterate's cache when that is on
     ``rows``, where the model is extracted, else by ``evaluate``; records fall at every
     ``record_every``-th t, at t = 1 if ``record_first``, and at the final iterate."""
@@ -304,9 +308,10 @@ def _drive(solver, config, seed, rows, batches, eta_at, step_fn, evaluate, state
         try:
             new = step_fn(state, eta, *batch, lam)
         except DegenerateIterateError as exc:
-            flops += cost(*batch, cached)  # the discarded attempt did the work of a step
+            attempt = cost(*batch, cached)  # the discarded attempt did the work of a step
             if (batch := batches.throw(exc)) is None:  # a replacement is never cached rows
                 break
+            flops += attempt
             new = step_fn(state, eta, *batch, lam)
         flops += cost(*batch, cached)
         converged = cached and new.cached_on(*batch) and bool(max(

@@ -7,7 +7,6 @@ from . import io
 from .appgrad import default_step, random_init, run_appgrad
 from .baselines import dw_cca, nw_cca, pca_cca
 from .kernels import KernelSpec, kernel_gram, kernel_ridge
-from .linalg import SingularMatrixError
 from .metrics import RunReport, Views, pcc_of
 from .planted import generate_planted
 from .reference import CcaModel, als_cca, qr_cca, spectral_cca
@@ -139,11 +138,9 @@ def extract_best_k(model, k):
 
 
 def _oracle(views, k, lam):
-    """The rank-k spectral oracle of ``views``; None for a singular view at lam = 0."""
-    try:
-        return spectral_cca(views, None, k, lam)
-    except SingularMatrixError:
-        return None
+    """The rank-k spectral oracle of ``views``; None at lam = 0 when ``Views.singular`` judges a
+    view Gram singular, as ``spectral_cca`` would then raise."""
+    return None if lam == 0 and any(views.singular) else spectral_cca(views, None, k, lam)
 
 
 def run_experiment(config, x=None, y=None, planted=None,

@@ -21,7 +21,9 @@ on its own rows, besides the step that replaces it.
 Evaluation: a rank-k TCC on m rows costs 2*m*(p1+p2)*k. ``Views`` holds the one route rule: a
 narrow pair (dense views, 4*(p1+p2) <= n) is solved on its moment pair, p1+p2 rows built from
 ``moments`` at the charge above, and evaluated there unless a view Gram is singular; every other
-pair is solved and evaluated on its n rows.
+pair is solved and evaluated on its n rows. ``Views`` also holds each view Gram's spectrum, one
+eigensolve, and from it the one verdict that a Gram is singular (``Views.singular``), which the
+evaluator, the spectral solver and the oracle read.
 """
 
 from dataclasses import dataclass, field, fields
@@ -106,7 +108,7 @@ class Views:
         self.X, self.Y = as_matrix(X), as_matrix(Y)
         (n, p1), p2 = self.X.shape, self.Y.shape[1]
         self.narrow = not (sp.issparse(self.X) or sp.issparse(self.Y)) and 4 * (p1 + p2) <= n
-        self._grams, self._splits = [None, None], {}
+        self._grams, self._eigvals, self._splits = [None, None], [None, None], {}
 
     @classmethod
     def of(cls, X, Y):  # the Views X itself (Y then None), else the Views of (X, Y)
@@ -129,24 +131,30 @@ class Views:
     def pair(self):
         return _joint_pair(self.moments)
 
-    @cached_property
+    def view_eigvals(self, i):  # ascending, of view_gram(i): its one eigensolve
+        if self._eigvals[i] is None:
+            self._eigvals[i] = eigh(self.view_gram(i), eigvals_only=True)
+        return self._eigvals[i]
+
+    @property
     def gram_eigvals(self):  # ascending, of X'X/n and Y'Y/n
-        return tuple(eigh(self.view_gram(i), eigvals_only=True) for i in (0, 1))
+        return self.view_eigvals(0), self.view_eigvals(1)
+
+    @property
+    def singular(self):  # per view, w[0] < singular_floor(w): the one verdict of a singular Gram
+        return tuple(bool(w[0] < singular_floor(w)) for w in self.gram_eigvals)
 
     @cached_property
     def gram_norm(self):
         """Per view, the exact top eigenvalue of its Gram on a narrow pair and on a dense view of at
         most 4 * POWER_ITERS columns, whose Gram costs no more than a power estimate; else None."""
-        if self.narrow:
-            return tuple(w[-1] for w in self.gram_eigvals)
-        return tuple(None if sp.issparse(A) or A.shape[1] > 4 * POWER_ITERS
-                     else float(eigh(self.view_gram(i), eigvals_only=True)[-1])
-                     for i, A in enumerate((self.X, self.Y)))
+        return tuple(None if not self.narrow and (sp.issparse(A) or A.shape[1] > 4 * POWER_ITERS)
+                     else float(self.view_eigvals(i)[-1]) for i, A in enumerate((self.X, self.Y)))
 
     @cached_property
     def evaluate(self):
         """(A, B[, k]) -> ``tcc``: on the pair if narrow with nonsingular Grams, else the rows."""
-        if self.narrow and all(w[0] >= singular_floor(w) for w in self.gram_eigvals):
+        if self.narrow and not any(self.singular):
             return partial(tcc, *self.pair)
         return partial(tcc, self.X, self.Y)
 

@@ -4,16 +4,17 @@ These are the oracles and baselines every other solver is measured against:
 the spectral solver (whiten, then SVD), the QR-whitening variant, alternating
 least squares for the leading pair, and the naive projected-gradient update
 kept only as a negative control. The spectral solver and ALS read the moments
-of a ``metrics.Views``; only the negative control forms its own Grams.
+of a ``metrics.Views``, the spectral solver also its view spectra and singularity verdict
+(``Views.singular``); only the negative control forms its own Grams.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg import cho_factor, cho_solve, eigh, qr, solve_triangular, svd
+from scipy.linalg import cho_factor, cho_solve, qr, solve_triangular, svd
 
-from .linalg import SingularMatrixError, as_matrix, gram, induced_norm, singular_floor
+from .linalg import SingularMatrixError, as_matrix, gram, induced_norm, singular_floor, sym_inv_sqrt
 from .metrics import Views
 
 
@@ -59,31 +60,24 @@ def canonical_pairs(map_x, map_y, C, k):
     return CcaModel(Phi, Psi, s[:k].copy())
 
 
-def _inv_sqrt_full(S, lam, side):
-    """Full symmetric inverse square root of a Gram matrix, with a singularity check."""
-    w, V = eigh(S)
-    if w[0] < (tol := singular_floor(w)):
-        if lam == 0.0:
-            raise SingularMatrixError(
-                f"S_{side} is numerically singular (min eig {w[0]:.3e}); "
-                "set a positive regularization lam"
-            )
-        w = np.maximum(w, tol)
-    return (V / np.sqrt(w)) @ V.T
-
-
 def spectral_cca(X, Y, k, lam=0.0):
     """Ground-truth CCA of (X, Y), or of the ``Views`` X (Y then None): whiten both views
     fully, then SVD the whitened cross-covariance. Returns the top-k canonical pairs. Quadratic
-    in p1, p2 -- intended as the exact oracle at desk scale, not a scalable solver."""
-    Sx, Sy, Sxy = Views.of(X, Y).moments
+    in p1, p2 -- intended as the exact oracle at desk scale, not a scalable solver. At lam = 0,
+    a view that ``Views.singular`` judges singular raises SingularMatrixError."""
+    views = Views.of(X, Y)
+    Sx, Sy, Sxy = views.moments
     p1, p2 = Sxy.shape
     if k < 1 or k > min(p1, p2):
         raise ValueError(f"rank k={k} out of range for views of widths {p1}, {p2}")
     if lam < 0:
         raise ValueError(f"regularization must be nonnegative, got {lam}")
-    Rx = _inv_sqrt_full(Sx + lam * np.eye(p1), lam, "x")
-    Ry = _inv_sqrt_full(Sy + lam * np.eye(p2), lam, "y")
+    for side, singular, w in zip("xy", views.singular, views.gram_eigvals):
+        if singular and lam == 0.0:
+            raise SingularMatrixError(f"S_{side} is numerically singular (min eig {w[0]:.3e}); "
+                                      "set a positive regularization lam")
+    Rx, Ry = (sym_inv_sqrt(S + lam * np.eye(len(S)), floor=singular_floor(w + lam))
+              for S, w in zip((Sx, Sy), views.gram_eigvals))
     return canonical_pairs(lambda U: Rx @ U, lambda V: Ry @ V, Rx @ Sxy @ Ry, k)
 
 

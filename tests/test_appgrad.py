@@ -27,7 +27,7 @@ from ccakit.appgrad import (
     theoretical_step_size,
 )
 from ccakit.harness import SolverConfig, run_experiment
-from ccakit.linalg import DegenerateIterateError, as_matrix, gram, induced_norm
+from ccakit.linalg import DegenerateIterateError, SingularMatrixError, as_matrix, gram, induced_norm
 from ccakit.planted import PlantedParams, generate_planted
 from ccakit.metrics import moment_pair_flops, moments, step_flops, tcc
 from ccakit.reference import CcaModel, spectral_cca
@@ -244,6 +244,21 @@ class TestDefaultStep:
         monkeypatch.setattr(metrics, "gram", no_gram)  # the Grams are formed in metrics.Views
         eta = default_step(X, X, seed=4)
         assert eta.eta1 == 1.0 / (2.0 * power_iteration(X, seed=4))
+
+    @pytest.mark.parametrize("X, Y", [
+        (np.zeros((400, 12)), np.zeros((400, 15))),  # narrow: the exact norms
+        (sp.csr_matrix((400, 12)), sp.csr_matrix((400, 15))),  # sparse: power estimates
+        (np.zeros((400, 12)), np.zeros((400, 201))),  # wide: one exact norm, one estimate
+    ], ids=["narrow", "csr", "wide"])
+    def test_two_zero_views_need_a_ridge(self, X, Y):
+        with pytest.raises(SingularMatrixError, match="lam"):
+            default_step(X, Y)
+        with pytest.raises(SingularMatrixError, match="lam"):
+            run_appgrad(X, Y, 2)
+        for name in ("appgrad", "stochastic-appgrad"):
+            with pytest.raises(SingularMatrixError, match="lam"):
+                run_experiment(SolverConfig(solver=name, k=2, max_iters=5), x=X, y=Y)
+        assert default_step(X, Y, lam=0.25) == StepSizes.constant(2.0)  # 1 / (2 lam)
 
 
 class TestErrorMetric:

@@ -7,6 +7,7 @@ from dataclasses import fields
 
 import numpy as np
 import pytest
+import scipy.io
 import scipy.sparse as sp
 from scipy.linalg import cholesky, solve_triangular
 
@@ -188,6 +189,13 @@ class TestIo:
         assert back.values.nnz == M.nnz
         v = rng.standard_normal(6)
         assert np.linalg.norm(back.values @ v - dense @ v) < 1e-12
+
+    def test_matrix_market_dense_array_file(self, tmp_path):
+        dense = np.random.default_rng(2).standard_normal((7, 4))
+        path = tmp_path / "d.mtx"
+        scipy.io.mmwrite(path, dense)  # an ndarray is written in the array format
+        back = io.load_matrix_market(path)
+        assert not sp.issparse(back.values) and np.allclose(back.values, dense, rtol=1e-15, atol=0)
 
     def test_unknown_format_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="format"):
@@ -666,6 +674,32 @@ class TestViews:
         assert all(r.pcc_train <= 1.0 + 1e-12 for r in result.report.records)
         if name == "appgrad":  # a whitened iterate's top 2 are its extracted model's
             assert abs(result.report.records[-1].pcc_train - result.pcc_train) <= 1e-12
+
+    def test_a_singular_view_has_one_verdict(self, small_instance):
+        X, Y = small_instance.x.copy(), small_instance.y
+        X[:, 1] = X[:, 0]  # a duplicated column: X'X/n is singular, Y'Y/n is not
+        views = Views(X, Y)
+        assert views.narrow and views.singular == (True, False)
+        assert harness._oracle(views, 2, 0.0) is None
+        with pytest.raises(SingularMatrixError, match="lam"):
+            spectral_cca(views, None, 2)
+        assert views.evaluate.args == (views.X, views.Y)  # scored on the rows, not the pair
+
+    @pytest.mark.parametrize("n", [400, 100])  # narrow, and too few rows to be narrow
+    @pytest.mark.parametrize("name", list(harness.SOLVERS))
+    def test_a_run_forms_each_gram_spectrum_once(self, small_instance, monkeypatch, name, n):
+        spectra, eigh = [], metrics.eigh
+
+        def counted(a, *args, **kw):
+            if kw.get("eigvals_only"):
+                spectra.append(np.asarray(a).tobytes())
+            return eigh(a, *args, **kw)
+
+        monkeypatch.setattr(metrics, "eigh", counted)
+        cfg = SolverConfig(solver=name, k=1 if name == "als" else 2, max_iters=50)
+        run_experiment(cfg, x=small_instance.x[:n], y=small_instance.y[:n])
+        assert len(spectra) == len(set(spectra))
+        assert len(spectra) >= (0 if name == "kernel-appgrad" else 2)  # the oracle's views
 
     def test_rows_without_oversampling_sum_every_correlation(self, small_instance):
         X, Y, oracle = small_instance.x, small_instance.y, small_instance.empirical

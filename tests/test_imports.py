@@ -4,7 +4,8 @@ and method of the package is referenced somewhere in the package, tests, scripts
 every defaulted parameter of the package is passed by some call in them, every double-backtick
 name in a docstring or comment of the package names something that it defines or imports,
 only ``metrics`` (and the negative control) calls ``gram``, ``cross_covariance`` or ``moments``,
-and the batch and minibatch drivers share one loop."""
+singular vectors and eigendecompositions are taken in their few homes only, and the batch and
+minibatch drivers share one loop."""
 
 import ast
 import builtins
@@ -317,6 +318,32 @@ SVD_VECTOR_ALLOWLIST = [("appgrad", "procrustes_distance"), ("linalg", "randomiz
 
 def test_singular_vectors_are_taken_in_canonical_pairs_only():
     assert svd_vector_calls({p.stem: p.read_text() for p in SRC}) == SVD_VECTOR_ALLOWLIST
+
+
+def eigensolve_calls(package):
+    """Sorted (module, scope) of each ``eigh`` or ``eigvalsh`` call (see ``scoped_calls``) in
+    ``package``."""
+    return sorted({(module, scope) for module, scope, _ in
+                   scoped_calls(package, ("eigh", "eigvalsh"))})
+
+
+def test_eigensolve_checker_sees_what_it_must():
+    package = {"a": "def f(S):\n    return eigh(S)\nclass C:\n    def m(self, S):\n"
+                    "        return np.linalg.eigvalsh(S)\n"
+                    "def g(S):\n    return sym_inv_sqrt(S), S.view_eigvals(0), eigh\n",
+               "b": "w = scipy.linalg.eigh(S, eigvals_only=True)\n"}
+    assert eigensolve_calls(package) == [("a", "C.m"), ("a", "f"), ("b", "<module>")]
+
+
+# a view Gram's spectrum comes from Views.view_eigvals, a full inverse root from sym_inv_sqrt;
+# the rest decompose a k-by-k iterate Gram, a kernel, the joint moment or two bases' Grams
+EIGENSOLVE_ALLOWLIST = [("appgrad", "_whiten"), ("kernels", "check_psd"),
+                        ("linalg", "sym_inv_sqrt"), ("metrics", "Views.view_eigvals"),
+                        ("metrics", "_joint_pair"), ("metrics", "principal_angles")]
+
+
+def test_eigensolves_are_taken_in_their_homes_only():
+    assert eigensolve_calls({p.stem: p.read_text() for p in SRC}) == EIGENSOLVE_ALLOWLIST
 
 
 LOOP_CALLS = ("RunReport", "extract_model", "replace")

@@ -59,6 +59,22 @@ class TestKernelGram:
         with pytest.raises(ValueError):
             KernelSpec("polynomial", degree=2, offset=-1.0)
 
+    @pytest.mark.parametrize("text, spec", [
+        ("linear", KernelSpec("linear")),
+        ("rbf", KernelSpec("rbf")),
+        ("rbf:2.5", KernelSpec("rbf", sigma=2.5)),
+        ("polynomial", KernelSpec("polynomial")),
+        ("polynomial:3", KernelSpec("polynomial", degree=3)),
+        ("polynomial:3:0.5", KernelSpec("polynomial", degree=3, offset=0.5)),
+    ])
+    def test_parse_reads_every_kind_and_str_gives_it_back(self, text, spec):
+        assert KernelSpec.parse(text) == spec  # a missing parameter takes its default
+        assert KernelSpec.parse(str(spec)) == spec  # report headers are re-read this way
+
+    def test_parse_rejects_an_unknown_kind(self):
+        with pytest.raises(ValueError, match="unknown kernel 'sigmoid:1'"):
+            KernelSpec.parse("sigmoid:1")
+
     def test_constructed_grams_are_psd(self):
         rng = np.random.default_rng(4)
         X = rng.standard_normal((20, 5))

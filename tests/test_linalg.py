@@ -222,6 +222,14 @@ class TestRandomizedSvd:
         assert np.abs(V.T @ V - np.eye(4)).max() < 1e-8
         assert np.all(np.diff(s) <= 1e-12)
 
+    @pytest.mark.parametrize("m", [3, 10, 40])
+    def test_right_factor_is_orthonormal_past_the_rank(self, m):
+        # a rank-3 view: its right factor V is the SVD's, orthonormal at any m
+        rng = np.random.default_rng(13)
+        A = rng.standard_normal((500, 3)) @ rng.standard_normal((3, 40))
+        _, _, V = randomized_svd(A, m, seed=5)
+        assert np.abs(V.T @ V - np.eye(m)).max() <= 1e-13
+
     def test_rank_out_of_range(self):
         with pytest.raises(ValueError):
             randomized_svd(np.eye(3), 4)

@@ -56,6 +56,14 @@ class TestSpectralCca:
             spectral_cca(X, Y, 1)
         spectral_cca(X, Y, 1, lam=1e-3)  # regularized path succeeds
 
+    def test_rejects_a_rank_out_of_range_and_a_negative_ridge(self):
+        X, Y = orthogonal_views()
+        for k in (0, 4):
+            with pytest.raises(ValueError, match=f"rank k={k} out of range"):
+                spectral_cca(X, Y, k)
+        with pytest.raises(ValueError, match="nonnegative"):
+            spectral_cca(X, Y, 1, lam=-0.1)
+
 
 class TestQrCca:
     def test_self_correlation(self):
@@ -86,6 +94,14 @@ class TestQrCca:
         Y = np.random.default_rng(5).standard_normal((10, 2))
         with pytest.raises(SingularMatrixError):
             qr_cca(X, Y, 1)
+
+    def test_rejects_mismatched_rows_and_a_rank_out_of_range(self):
+        X, Y = orthogonal_views()
+        with pytest.raises(ValueError, match="same number of rows"):
+            qr_cca(X, Y[:-1], 1)
+        for k in (0, 4):
+            with pytest.raises(ValueError, match=f"rank k={k} out of range"):
+                qr_cca(X, Y, k)
 
     def test_rejects_sparse(self):
         X = sp.eye(5, format="csr")
@@ -164,6 +180,15 @@ class TestAlsCca:
         psi0 /= induced_norm(gram(Y), psi0)
         m = als_cca(X, Y, (phi0, psi0))
         assert abs(m.lam[0]) <= 1e-8
+
+    def test_rejects_a_singular_view_at_no_ridge_and_a_negative_ridge(self):
+        X, Y = np.ones((10, 3)), np.random.default_rng(8).standard_normal((10, 2))
+        init = (np.ones(3), np.ones(2))
+        with pytest.raises(SingularMatrixError, match="lam > 0"):
+            als_cca(X, Y, init)
+        with pytest.raises(ValueError, match="nonnegative"):
+            als_cca(X, Y, init, lam=-0.1)
+        assert als_cca(X, Y, init, lam=1e-3).k == 1  # the ridge makes it solvable
 
 
 class TestNaiveGradientStep:

@@ -339,6 +339,18 @@ class TestRunner:
                     (inst.empirical.phi, inst.empirical.psi))
         assert score >= 0.9
 
+    def test_an_attempt_the_stream_cannot_replace_is_not_charged(self):
+        # the 3-row tail batch is degenerate at k = 5, and the stream has no replacement for it
+        inst = generate_planted(PlantedParams(n=403, p1=12, p2=15, noise=0.3,
+                                              correlations=(0.9, 0.7, 0.5, 0.3, 0.2)), seed=1)
+        X, Y = inst.x, inst.y
+        sched = StepSchedule("constant", eta0=default_step(X, Y).eta1)
+        for every in (1, 2, 3, 10):
+            _, report = run_stochastic(X, Y, 5, MinibatchPlan(m=100, mode="sequential-stream"),
+                                       sched, max_iters=50, record_every=every)
+            last = report.records[-1]
+            assert (last.t, last.flops) == (4, 4 * metrics.step_flops(100, 12, 15, 5)), every
+
 
 class TestDriversAgree:
     """``run_stochastic`` whose every batch is all n rows, reordered, is ``run_appgrad``."""
