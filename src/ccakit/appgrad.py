@@ -17,7 +17,6 @@ pair (``metrics.Views.pair``) when both views are dense and 4 (p1+p2) <= n, so t
 
 import time
 from dataclasses import dataclass, field, replace
-from functools import partial
 
 import numpy as np
 import scipy.sparse as sp
@@ -25,7 +24,7 @@ from scipy.linalg import svd
 
 from .linalg import DegenerateIterateError, SingularMatrixError, _check_finite, as_matrix
 from .metrics import (POWER_ITERS, RunReport, Views, moment_pair_flops, projected_correlations,
-                      step_flops, tcc)
+                      step_flops)
 from .reference import canonical_pairs
 
 EIG_FLOOR_REL = 1e-10
@@ -79,15 +78,21 @@ class AppGradState:
             return Xpt, Xpt @ self.whiteners[0], Yqt, Yqt @ self.whiteners[1]
         return Xpt, np.asarray(X @ self.phi), Yqt, np.asarray(Y @ self.psi)
 
+    def step_price(self, X, Y):
+        """FLOPs of one step from this state on the rows X, Y: ``metrics.step_flops``."""
+        nnz = [A.nnz if sp.issparse(A) else None for A in (X, Y)]
+        return step_flops(X.shape[0], X.shape[1], Y.shape[1], self.k, *nnz,
+                          cached=self.cached_on(X, Y), whitened=self.whiteners is not None)
+
     def tcc(self, X, Y, k=None):
         """TCC of (X phi, Y psi), its top k (default: all), from the cache when made on X, Y."""
         return float(projected_correlations(*self.projections(X, Y)[1::2])[:k].sum())
 
 
 def _whiten(X, W, lam):
-    """(X W, X W R, R) with R = (W' S W)^(-1/2), S = X'X/n + lam I: one n-sized
-    product and one k-by-k eigendecomposition. Raises DegenerateIterateError when
-    the Gram W' S W overflowed or is numerically rank-deficient."""
+    """(X W, X W R, R, |R|) with R = (W' S W)^(-1/2), S = X'X/n + lam I, and |R| its largest
+    eigenvalue: one n-sized product and one k-by-k eigendecomposition. Raises
+    DegenerateIterateError when the Gram W' S W overflowed or is numerically rank-deficient."""
     with np.errstate(over="ignore", invalid="ignore"):  # a diverged iterate; checked below
         XW = np.asarray(X @ W)
         G = XW.T @ XW / X.shape[0] + (lam * (W.T @ W) if lam else 0)
@@ -100,9 +105,10 @@ def _whiten(X, W, lam):
         raise DegenerateIterateError(
             f"iterate Gram is numerically rank-deficient (eigs in [{w[0]:.3e}, "
             f"{w[-1]:.3e}]); restart from a new initialization")
-    R = (V * w**-0.5) @ V.T  # every eigenvalue passed the floor, so none is clamped
+    d = w**-0.5  # every eigenvalue passed the floor, so none is clamped
+    R = (V * d) @ V.T
     R = 0.5 * (R + R.T)
-    return XW, XW @ R, R
+    return XW, XW @ R, R, d[0]
 
 
 def normalize_columns(X, W, lam=0.0):
@@ -129,8 +135,10 @@ def _step(state, eta, X, Y, lam):
     steps on both tilde matrices (each against the partner's incoming
     normalized state), then k-by-k whitening, averaged over the rows given.
     It reads the state's cache when that was made on these X and Y objects,
-    else ``state.projections``. The public steps wrap this rather than each other,
-    so timing one by name (as perfbench's tracer does) counts no calls made through another."""
+    else ``state.projections``. A new tilde iterate whose k-by-k Gram has an eigenvalue below
+    1e-28 (an induced norm below 1e-14; a whitener norm above 1e14) raises DegenerateIterateError.
+    The public steps wrap this rather than each other, so timing one by name (as perfbench's
+    tracer does) counts no calls made through another."""
     key = X, Y  # the cache is keyed to the caller's objects, not to converted copies
     X, Y = as_matrix(X), as_matrix(Y)
     n = X.shape[0]
@@ -139,7 +147,10 @@ def _step(state, eta, X, Y, lam):
     gx, gy = np.asarray((Xpt - Ypsi).T @ X).T / n, np.asarray((Yqt - Xphi).T @ Y).T / n
     pt = state.phi_tilde - eta.eta1 * (gx + lam * state.phi_tilde)
     qt = state.psi_tilde - eta.eta2 * (gy + lam * state.psi_tilde)
-    (Xpt, Xphi, Rx), (Yqt, Ypsi, Ry) = _whiten(X, pt, lam), _whiten(Y, qt, lam)
+    (Xpt, Xphi, Rx, nx), (Yqt, Ypsi, Ry, ny) = _whiten(X, pt, lam), _whiten(Y, qt, lam)
+    if max(nx, ny) > 1e14:  # at k = 1, the whitener 1 / ||phi_tilde||_S
+        raise DegenerateIterateError(
+            "iterate collapsed below 1e-14 induced norm; restart from a new init")
     new = AppGradState(pt @ Rx, qt @ Ry, pt, qt, t=state.t + 1)
     new.cache, new.whiteners = (*key, (Xpt, Xphi, Yqt, Ypsi)), (Rx, Ry)
     return new
@@ -155,13 +166,7 @@ def appgrad_step_rank1(state, eta, X, Y, lam=0.0):
     the induced norm. Raises DegenerateIterateError when that norm is below 1e-14."""
     if state.k != 1:
         raise ValueError("appgrad_step_rank1 requires a rank-1 state")
-    new = _step(state, eta, X, Y, lam)
-    # the whitener of a rank-1 iterate pt is 1 / ||pt||_S
-    if max(R.item() for R in new.whiteners) > 1e14:
-        raise DegenerateIterateError(
-            "iterate collapsed below 1e-14 induced norm; restart from a new init"
-        )
-    return new
+    return _step(state, eta, X, Y, lam)
 
 
 def estimate_gram_norm(X, seed=0):
@@ -246,7 +251,7 @@ def extract_model(X, Y, state, lam=0.0):
     from the two n-sized products it rotates with, and rotate it onto canonical pairs
     (``reference.canonical_pairs``): a model of rank ``state.k``, sorted and canonical on X, Y."""
     X, Y = as_matrix(X), as_matrix(Y)
-    (_, U, Rx), (_, V, Ry) = _whiten(X, state.phi, lam), _whiten(Y, state.psi, lam)
+    (_, U, Rx, _), (_, V, Ry, _) = _whiten(X, state.phi, lam), _whiten(Y, state.psi, lam)
     phi, psi = state.phi @ Rx, state.psi @ Ry
     return canonical_pairs(lambda B: phi @ B, lambda B: psi @ B, U.T @ V / X.shape[0], state.k)
 
@@ -271,50 +276,46 @@ def _same_rows(X, Y):
         yield X, Y
 
 
-def _drive(solver, config, seed, rows, batches, eta_at, step_fn, evaluate, state, flops,
-           oracle, record_every, tol=0.0, record_first=False, holdout=None):
+def _drive(solver, config, seed, rows, batches, eta_at, step_fn, views, state, flops, oracle,
+           record_every, record_first=False, holdout=None):
     """The loop behind ``run_appgrad`` and ``run_stochastic``: from ``state``, charged ``flops``,
-    at the k, lam and max_iters of ``config``, iteration ``it`` steps at ``eta_at(it)`` on the
-    (X, Y) of ``next(batches)``; None ends the run. A ``DegenerateIterateError`` is thrown into
-    ``batches``, which raises it, gives one replacement (the attempt is then charged as a step) or
-    None (the attempt uncharged). The run stops at an RMS movement of X phi, Y psi below ``tol``,
-    tested when both states cache the step's rows.
+    at the lam, max_iters and tol (0 if absent) of ``config``, iteration ``it`` steps at
+    ``eta_at(it)`` on the (X, Y) of ``next(batches)``, charged ``AppGradState.step_price``; None
+    ends the run. A ``DegenerateIterateError`` is thrown into ``batches``, which raises it, gives
+    one replacement (the attempt is then charged too) or None (the attempt uncharged). The run
+    stops at an RMS movement of X phi, Y psi below tol, tested when both states cache the rows.
     A record scores the top ``oracle.k`` correlations from the iterate's cache when that is on
-    ``rows``, where the model is extracted, else by ``evaluate``; records fall at every
-    ``record_every``-th t, at t = 1 if ``record_first``, and at the final iterate."""
+    ``rows``, where the model is extracted, else by ``views.evaluate``, as the oracle is; records
+    fall at every ``record_every``-th t, at t = 1 if ``record_first``, and at the final iterate."""
     X, Y = rows
-    k, lam, max_iters = config["k"], config["lam"], config["max_iters"]
+    lam, max_iters, tol = config["lam"], config["max_iters"], config.get("tol", 0.0)
     report = RunReport(solver=solver, seed=seed, config=config)
-    oracle_tcc = evaluate(oracle.phi, oracle.psi) if oracle is not None else None
+    oracle_tcc = views.evaluate(oracle.phi, oracle.psi) if oracle is not None else None
     k_score = getattr(oracle, "k", None)  # an oversampled iterate is scored over its top k
     t0 = time.perf_counter()
 
     def record():
         tcc_train = (state.tcc(X, Y, k_score) if state.cached_on(X, Y)
-                     else evaluate(state.phi, state.psi, k_score))
+                     else views.evaluate(state.phi, state.psi, k_score))
         report.record(state.t, flops, tcc_train, oracle_tcc, wall_time=time.perf_counter() - t0,
                       tcc_holdout=np.nan if holdout is None
                       else holdout.evaluate(state.phi, state.psi, k_score))
 
-    def cost(X_b, Y_b, cached):  # of one step from ``state`` on these rows
-        nnz = [A.nnz if sp.issparse(A) else None for A in (X_b, Y_b)]
-        return step_flops(X_b.shape[0], X.shape[1], Y.shape[1], k, *nnz, cached=cached,
-                          whitened=state.whiteners is not None)
     converged, recorded = False, state.t  # t of the last iterate recorded
     for it in range(max_iters):
         if (batch := next(batches)) is None:
             break
-        eta, cached = eta_at(it), state.cached_on(*batch)
+        eta = eta_at(it)
         try:
             new = step_fn(state, eta, *batch, lam)
         except DegenerateIterateError as exc:
-            attempt = cost(*batch, cached)  # the discarded attempt did the work of a step
-            if (batch := batches.throw(exc)) is None:  # a replacement is never cached rows
+            attempt = state.step_price(*batch)  # the discarded attempt did the work of a step
+            if (batch := batches.throw(exc)) is None:
                 break
             flops += attempt
             new = step_fn(state, eta, *batch, lam)
-        flops += cost(*batch, cached)
-        converged = cached and new.cached_on(*batch) and bool(max(
+        flops += state.step_price(*batch)
+        converged = state.cached_on(*batch) and new.cached_on(*batch) and bool(max(
             np.linalg.norm(a - b) for a, b in zip(new.cache[2][1::2], state.cache[2][1::2]))
             / np.sqrt(batch[0].shape[0]) < tol)
         state = new
@@ -370,5 +371,4 @@ def run_appgrad(
     config = {"k": k, "eta1": eta.eta1, "eta2": eta.eta2, "lam": lam, "max_iters": max_iters,
               "tol": tol}
     return _drive("appgrad", config, seed, rows, _same_rows(*rows), lambda it: eta, step_fn,
-                  partial(tcc, *rows), state, flops, oracle, record_every, tol=tol,
-                  record_first=True)
+                  views, state, flops, oracle, record_every, record_first=True)

@@ -168,7 +168,7 @@ def run_stochastic(
               "eta0": schedule.eta0, "lam": lam, "max_iters": max_iters}
     holdout = holdout if holdout is None or isinstance(holdout, Views) else Views(*holdout)
     return _drive("stochastic-appgrad", config, seed, (views.X, views.Y), batches, schedule.at,
-                  stochastic_appgrad_step, views.evaluate, state, 0, oracle, record_every,
+                  stochastic_appgrad_step, views, state, 0, oracle, record_every,
                   holdout=holdout)
 
 

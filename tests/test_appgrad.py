@@ -174,6 +174,25 @@ class TestStepMechanics:
             else:
                 appgrad_step_rank1(state, StepSizes(0.0, 0.0), X, Y)
 
+    def test_one_collapse_bound_holds_at_rank_1(self):
+        """Views with no cross-correlation shrink a rank-1 tilde iterate geometrically: the rank-1
+        step, the rank-k step at k = 1 and a run raise the one collapse error at the same t."""
+        rng = np.random.default_rng(0)
+        X, Y = rng.standard_normal((400, 5)), rng.standard_normal((400, 5))
+        Y -= X @ np.linalg.lstsq(X, Y, rcond=None)[0]  # so X'Y is about 5e-14
+        eta, collapsed_at = default_step(X, Y), []
+        for step in (appgrad_step_rank1, appgrad_step):
+            state = random_init(X, Y, 1, seed=0)
+            with pytest.raises(DegenerateIterateError, match="1e-14 induced norm"):
+                for _ in range(1000):
+                    state = step(state, eta, X, Y)
+            collapsed_at.append(state.t + 1)
+        t = collapsed_at[0]
+        assert collapsed_at == [t, t] and 10 < t < 1000
+        run_appgrad(X, Y, 1, tol=0.0, record_every=0, max_iters=t - 1)
+        with pytest.raises(DegenerateIterateError, match="1e-14 induced norm"):
+            run_appgrad(X, Y, 1, tol=0.0, record_every=0, max_iters=t)
+
     def test_negative_step_rejected(self):
         with pytest.raises(ValueError):
             StepSizes(-0.1, 0.1)

@@ -5,7 +5,7 @@ every defaulted parameter of the package is passed by some call in them, every d
 name in a docstring or comment of the package names something that it defines or imports,
 only ``metrics`` (and the negative control) calls ``gram``, ``cross_covariance`` or ``moments``,
 singular vectors and eigendecompositions are taken in their few homes only, and the batch and
-minibatch drivers share one loop."""
+minibatch drivers share one loop, which copies no rule that has its own home in ``appgrad``."""
 
 import ast
 import builtins
@@ -379,3 +379,63 @@ def test_the_drivers_share_one_loop():
     for module, driver in (("appgrad", "run_appgrad"), ("stochastic", "run_stochastic")):
         node = next(n for n in ast.parse(sources[module]).body if getattr(n, "name", "") == driver)
         assert not [n for n in ast.walk(node) if isinstance(n, (ast.For, ast.While))], driver
+
+
+PRICE_HOME = ("appgrad", "AppGradState.step_price")
+
+
+def loop_rule_copies(package):
+    """Sorted (module, scope, finding) of each copy of a rule that ``appgrad`` keeps in one home,
+    in ``package`` ({module: source}): a call of the ``step_flops`` formula outside PRICE_HOME
+    (see ``scoped_calls``); an ``evaluate`` or ``tol`` parameter of ``_drive`` (the run's
+    ``Views`` scores, its config holds tol) or a ``.whiteners`` read in it; and, in
+    ``appgrad_step_rank1``, a count of ``_step`` calls other than one or a raise other than
+    ``ValueError`` (the collapse bound lives in ``_step``)."""
+    found = {(module, scope, "calls step_flops") for module, scope, _ in
+             scoped_calls(package, ("step_flops",)) if (module, scope) != PRICE_HOME}
+    for node in ast.parse(package.get("appgrad", "")).body:
+        if not isinstance(node, ast.FunctionDef):
+            continue
+        inner = list(ast.walk(node))
+        if node.name == "_drive":
+            found.update(("appgrad", "_drive", f"parameter {a.arg}")
+                         for a in node.args.args + node.args.kwonlyargs
+                         if a.arg in ("evaluate", "tol"))
+            if any(isinstance(n, ast.Attribute) and n.attr == "whiteners" for n in inner):
+                found.add(("appgrad", "_drive", "reads .whiteners"))
+        elif node.name == "appgrad_step_rank1":
+            steps = sum(isinstance(n, ast.Call) and getattr(n.func, "id", None) == "_step"
+                        for n in inner)
+            if steps != 1:
+                found.add(("appgrad", node.name, f"{steps} _step calls"))
+            found.update(("appgrad", node.name, f"raises {ast.unparse(n.exc)}") for n in inner
+                         if isinstance(n, ast.Raise) and not (
+                             isinstance(n.exc, ast.Call) and getattr(n.exc.func, "id", "") ==
+                             "ValueError"))
+    return sorted(found)
+
+
+def test_loop_rule_checker_sees_what_it_must():
+    package = {"appgrad": "class AppGradState:\n    def step_price(self, X, Y):\n"
+                          "        return step_flops(1, 2, 3, 4)\n"
+                          "def _drive(rows, evaluate, state, tol=0.0):\n"
+                          "    def cost(X):\n"
+                          "        return metrics.step_flops(X, state.whiteners)\n"
+                          "def appgrad_step_rank1(state):\n    if state.k != 1:\n"
+                          "        raise ValueError('rank-1')\n    new = _step(state)\n"
+                          "    if new.whiteners[0] > 1e14:\n"
+                          "        raise DegenerateIterateError()\n"
+                          "    return _step(new)\n",
+               "stochastic": "def run(X):\n    return step_flops(X), step_price(X)\n"}
+    assert loop_rule_copies(package) == [
+        ("appgrad", "_drive", "calls step_flops"), ("appgrad", "_drive", "parameter evaluate"),
+        ("appgrad", "_drive", "parameter tol"), ("appgrad", "_drive", "reads .whiteners"),
+        ("appgrad", "appgrad_step_rank1", "2 _step calls"),
+        ("appgrad", "appgrad_step_rank1", "raises DegenerateIterateError()"),
+        ("stochastic", "run", "calls step_flops")]
+    assert loop_rule_copies({"appgrad": "def appgrad_step_rank1(s):\n    return s\n"}) == [
+        ("appgrad", "appgrad_step_rank1", "0 _step calls")]
+
+
+def test_the_loop_keeps_no_copy_of_a_rule():
+    assert loop_rule_copies({p.stem: p.read_text() for p in SRC}) == []
