@@ -118,13 +118,21 @@ def normalize_columns(X, W, lam=0.0):
 
 
 def random_init(X, Y, k, seed, lam=0.0):
-    """Standard-Gaussian draw, then exact whitening of the k columns."""
+    """Standard-Gaussian draw, then exact whitening of the k columns. A view whose Gram cannot
+    whiten the draw, as one spanning fewer than k directions at lam = 0, raises
+    SingularMatrixError, since no other draw can."""
     X, Y = as_matrix(X), as_matrix(Y)
     rng = np.random.default_rng(seed)
-    Pt = rng.standard_normal((X.shape[1], k))
-    Qt = rng.standard_normal((Y.shape[1], k))
-    phi = normalize_columns(X, Pt, lam)
-    psi = normalize_columns(Y, Qt, lam)
+    draws = rng.standard_normal((X.shape[1], k)), rng.standard_normal((Y.shape[1], k))
+    whitened = []
+    for side, A, W in zip("xy", (X, Y), draws):
+        try:
+            whitened.append(normalize_columns(A, W, lam))
+        except DegenerateIterateError as exc:
+            raise SingularMatrixError(
+                f"view {side} cannot whiten a rank-{k} Gaussian draw at lam={lam}: its Gram spans "
+                f"fewer than {k} directions; lower k (or oversample) or set a larger lam") from exc
+    phi, psi = whitened
     state = AppGradState(phi, psi, phi.copy(), psi.copy(), t=0)
     state.whiteners = (np.eye(k), np.eye(k))
     return state

@@ -1,13 +1,15 @@
 """Approximate-whitening heuristics used as comparison points.
 
 All three skip the full whitening step in different ways: NW ignores it,
-DW whitens only the diagonal, PCA-CCA whitens inside a principal subspace.
+DW whitens only the diagonal, PCA-CCA whitens inside a principal subspace,
+less the principal directions its view does not span.
 NW and DW read the cross moment X'Y/n of a ``metrics.Views``.
 """
 
 import numpy as np
 
-from .linalg import as_matrix, gram_diagonal, randomized_svd
+from .linalg import (SingularMatrixError, as_matrix, gram_diagonal, randomized_svd,
+                     singular_floor)
 from .metrics import Views
 from .reference import CcaModel, fix_signs, spectral_cca
 
@@ -43,21 +45,27 @@ def dw_cca(X, Y, k, lam=0.0, seed=0):
 
 def pca_cca(X, Y, k, m, lam=0.0, seed=0):
     """Whiten only the leading m principal directions of each view: project,
-    solve the exact m-dimensional CCA, and compose the maps back. With m = p
-    this reduces to the exact spectral solver."""
+    solve the exact CCA in them, and compose the maps back. A view keeps the leading directions
+    whose ridge-shifted variance s^2/n + lam passes ``singular_floor`` of that spectrum, the rule
+    ``spectral_cca`` whitens by, so at lam = 0 it drops the directions it does not span; fewer
+    than k left raises SingularMatrixError. With m = p this reduces to the exact spectral solver."""
     X, Y = as_matrix(X), as_matrix(Y)
     n, p1 = X.shape
     p2 = Y.shape[1]
     if not (k <= m <= min(p1, p2, n)):
         raise ValueError(f"need k <= m <= min(p1, p2, n), got k={k}, m={m}")
-    # right singular vectors of the data = principal directions, orthonormal at any rank
     oversample = 0 if m == min(p1, p2) else OVERSAMPLE
-    _, _, Vx = randomized_svd(X, m, oversample=oversample, power_iters=POWER_ITERS, seed=seed)
-    _, _, Vy = randomized_svd(Y, m, oversample=oversample, power_iters=POWER_ITERS, seed=seed + 1)
-    Ux = np.asarray(X @ Vx)
-    Uy = np.asarray(Y @ Vy)
-    inner = spectral_cca(Ux, Uy, k, lam=lam)
-    Phi = Vx @ inner.phi
-    Psi = Vy @ inner.psi
-    Phi, Psi = fix_signs(Phi, Psi)
+    bases = []
+    for side, A, s_seed in (("x", X, seed), ("y", Y, seed + 1)):
+        # right singular vectors of the data = principal directions, orthonormal at any rank
+        _, s, V = randomized_svd(A, m, oversample=oversample, power_iters=POWER_ITERS, seed=s_seed)
+        w = s**2 / n + lam  # nonincreasing
+        r = int(np.count_nonzero(w >= singular_floor(w[::-1])))
+        if r < k:
+            raise SingularMatrixError(f"view {side} spans {r} principal directions at lam={lam}, "
+                                      f"fewer than k={k}; lower k or set a positive lam")
+        bases.append(V[:, :r])  # a prefix: a view that spans all m keeps V as it is
+    Vx, Vy = bases
+    inner = spectral_cca(np.asarray(X @ Vx), np.asarray(Y @ Vy), k, lam=lam)
+    Phi, Psi = fix_signs(Vx @ inner.phi, Vy @ inner.psi)
     return CcaModel(Phi, Psi, inner.lam)

@@ -1,6 +1,7 @@
 import os
 import tracemalloc
 
+import numpy as np
 import pytest
 
 from ccakit.planted import PlantedParams, generate_planted
@@ -30,6 +31,14 @@ def rank1_instance():
     """Rank-1-focused instance with lam1=0.9, lam2=0.3."""
     params = PlantedParams(n=500, p1=8, p2=8, correlations=(0.9, 0.3))
     return generate_planted(params, seed=11)
+
+
+@pytest.fixture
+def rank3_pair():
+    """A rank-3 500x20 X and a Gaussian 500x20 Y: at lam = 0, X's Gram spans 3 directions."""
+    rng = np.random.default_rng(0)
+    X = rng.standard_normal((500, 3)) @ rng.standard_normal((3, 20))
+    return X, rng.standard_normal((500, 20))
 
 
 def random_orthogonal(k, rng):

@@ -156,6 +156,20 @@ class TestStepMechanics:
         with pytest.raises(DegenerateIterateError):
             normalize_columns(X, W)
 
+    def test_a_draw_the_view_cannot_whiten_is_a_typed_error(self, rank3_pair):
+        """At k = 4 and lam = 0 a rank-3 view cannot whiten any Gaussian draw, so no restart can
+        help: the run raises SingularMatrixError naming the view, the run's rank and lam."""
+        X, Y = rank3_pair
+        for solver in ("appgrad", "stochastic-appgrad"):
+            with pytest.raises(SingularMatrixError, match=r"view x .*rank-4 .*lam=0\.0"):
+                run_experiment(SolverConfig(solver=solver, k=4, max_iters=5), x=X, y=Y)
+            run_experiment(SolverConfig(solver=solver, k=4, lam=0.1, max_iters=5), x=X, y=Y)
+        with pytest.raises(SingularMatrixError, match="rank-4"):  # the run's rank: k + oversample
+            run_experiment(SolverConfig(solver="appgrad", k=2, oversample=2, max_iters=5),
+                           x=X, y=Y)
+        with pytest.raises(SingularMatrixError, match="rank-4"):
+            cross_validate_step(X, Y, 4, [0.01, 0.1])
+
     def test_rank1_step_rejects_wide_state(self, small_instance):
         state = random_init(small_instance.x, small_instance.y, 2, seed=1)
         with pytest.raises(ValueError):

@@ -6,10 +6,11 @@ import pytest
 
 from ccakit import linalg
 from ccakit.appgrad import run_appgrad
-from ccakit.baselines import dw_cca, nw_cca, pca_cca
-from ccakit.metrics import pcc, principal_angles, tcc
+from ccakit.baselines import OVERSAMPLE, POWER_ITERS, dw_cca, nw_cca, pca_cca
+from ccakit.harness import SolverConfig, run_experiment
+from ccakit.metrics import moments, pcc, principal_angles, tcc
 from ccakit.planted import PlantedParams, generate_planted
-from ccakit.reference import spectral_cca
+from ccakit.reference import fix_signs, spectral_cca
 from conftest import peak_bytes
 
 
@@ -141,6 +142,31 @@ class TestPcaCca:
         low = pca_cca(X, Y, 3, m=3)
         high = pca_cca(X, Y, 3, m=p)
         assert tcc(X, Y, high.phi, high.psi) >= tcc(X, Y, low.phi, low.psi) - 1e-10
+
+    def test_drops_the_directions_a_view_does_not_span(self, rank3_pair):
+        X, Y = rank3_pair
+        Sx, Sy, Sxy = moments(X, Y)
+        for model in (pca_cca(X, Y, 2, m=8),
+                      run_experiment(SolverConfig(solver="pca-cca", k=2), x=X, y=Y).model):
+            for G, target in ((model.phi.T @ Sx @ model.phi, np.eye(2)),
+                              (model.psi.T @ Sy @ model.psi, np.eye(2)),
+                              (model.phi.T @ Sxy @ model.psi, np.diag(model.lam))):
+                assert np.abs(G - target).max() <= 1e-10
+        for run in (lambda: pca_cca(X, Y, 4, m=16),
+                    lambda: run_experiment(SolverConfig(solver="pca-cca", k=4), x=X, y=Y)):
+            with pytest.raises(linalg.SingularMatrixError, match="view x spans 3 .*k=4"):
+                run()
+        assert pca_cca(X, Y, 4, m=16, lam=0.1).k == 4  # a ridge drops nothing
+
+    @pytest.mark.parametrize("lam", [0.0, 0.1])
+    def test_a_full_rank_view_keeps_all_m_directions_bit_for_bit(self, small_instance, lam):
+        X, Y = small_instance.x, small_instance.y
+        Vx, Vy = (linalg.randomized_svd(A, 8, oversample=OVERSAMPLE, power_iters=POWER_ITERS,
+                                        seed=seed)[2] for A, seed in ((X, 0), (Y, 1)))
+        inner = spectral_cca(X @ Vx, Y @ Vy, 3, lam=lam)
+        est = pca_cca(X, Y, 3, m=8, lam=lam)
+        for got, want in zip((est.phi, est.psi), fix_signs(Vx @ inner.phi, Vy @ inner.psi)):
+            assert np.array_equal(got, want)
 
     def test_m_out_of_range(self, small_instance):
         with pytest.raises(ValueError):
