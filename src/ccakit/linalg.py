@@ -3,12 +3,16 @@
 Dense matrices are plain ``numpy.ndarray``; sparse matrices are scipy CSR/CSC.
 Solvers consume data only through the products ``X @ V`` and ``X.T @ W`` so
 sparse inputs are never densified, except where a small Gram matrix is
-explicitly requested.
+explicitly requested. Every QR of an n-row matrix is ``householder_qr``: LAPACK's compact-WY
+``dgeqrt`` with a recursive level-3 panel (Elmroth & Gustavson 2000), Q applied by ``dgemqrt``.
 """
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg import qr, svd
+from scipy.linalg import svd
+from scipy.linalg.lapack import dgemqrt, dgeqrt
+
+_QR_BLOCK = 128  # geqrt's block (capped at the width); block 32 loses to geqrf on wide shapes
 
 
 class SingularMatrixError(RuntimeError):
@@ -143,6 +147,34 @@ def sym_inv_sqrt(M, floor=1e-12):
     return 0.5 * (R + R.T)
 
 
+def householder_qr(A, overwrite_a=False):
+    """QR factor (H, T) of a finite m x p matrix A, m >= p: R is the upper triangle of H[:p], the
+    reflectors of Q lie below it, T holds their compact-WY blocks. A is copied unless
+    ``overwrite_a`` hands over a float64 Fortran array, which then holds H."""
+    A = (np.asarray if overwrite_a else np.array)(A, dtype=float, order="F")
+    H, T, info = dgeqrt(min(_QR_BLOCK, A.shape[1]), A, overwrite_a=True)
+    if info:
+        raise ValueError(f"dgeqrt rejected argument {-info}")
+    if not np.all(np.isfinite(H)):  # a non-finite entry of A spreads into H, never out of it
+        raise ValueError("matrix contains non-finite entries")
+    return H, T
+
+
+def apply_q(H, T, C, trans=False):
+    """Q C, or Q' C if ``trans``, for the factor (H, T); C is overwritten if float64 Fortran."""
+    C, info = dgemqrt(H, T, C, trans="T" if trans else "N", overwrite_c=True)
+    if info:
+        raise ValueError(f"dgemqrt rejected argument {-info}")
+    return C
+
+
+def thin_q(H, T):
+    """The orthonormal m x p factor Q[:, :p] of A = QR, from its factor (H, T)."""
+    Q = np.zeros(H.shape, order="F")
+    np.fill_diagonal(Q, 1.0)
+    return apply_q(H, T, Q)
+
+
 def randomized_svd(A, k, oversample=10, power_iters=2, seed=0):
     """Rank-k truncated SVD by random range finding with power iterations.
 
@@ -158,10 +190,10 @@ def randomized_svd(A, k, oversample=10, power_iters=2, seed=0):
     rng = np.random.default_rng(seed)
     r = min(k + oversample, min(p1, p2))
     G = rng.standard_normal((p2, r))
-    Q = qr(np.asarray(A @ G), mode="economic")[0]
+    Q = thin_q(*householder_qr(A @ G, overwrite_a=True))
     for _ in range(power_iters):
-        Z = qr(np.asarray(A.T @ Q), mode="economic")[0]
-        Q = qr(np.asarray(A @ Z), mode="economic")[0]
+        Z = thin_q(*householder_qr(A.T @ Q, overwrite_a=True))
+        Q = thin_q(*householder_qr(A @ Z, overwrite_a=True))
     B = np.asarray(A.T @ Q).T
     Ub, s, Vt = svd(B, full_matrices=False)
     U = Q @ Ub

@@ -12,9 +12,10 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg import cho_factor, cho_solve, qr, solve_triangular, svd
+from scipy.linalg import cho_factor, cho_solve, solve_triangular, svd
 
-from .linalg import SingularMatrixError, as_matrix, gram, induced_norm, singular_floor, sym_inv_sqrt
+from .linalg import (SingularMatrixError, apply_q, as_matrix, gram, householder_qr, induced_norm,
+                     singular_floor, sym_inv_sqrt, thin_q)
 from .metrics import Views
 
 
@@ -86,8 +87,9 @@ def qr_cca(X, Y, k, lam=0.0):
 
     Dense inputs only (QR cannot exploit sparsity). Regularization is applied
     by augmenting each view with sqrt(n*lam) * I rows, which reproduces the
-    lam-regularized Gram matrices exactly. The working memory is one (augmented)
-    copy per view, which LAPACK overwrites with that view's Q in place.
+    lam-regularized Gram matrices exactly. ``linalg.householder_qr`` factors a private
+    (augmented) copy of each view in place, Y's first; Qx'Qy is the top p1 rows of Hx'Qy, Qx's
+    reflectors applied to Qy, so at most two view-sized arrays are ever live.
     """
     X, Y = as_matrix(X), as_matrix(Y)
     if sp.issparse(X) or sp.issparse(Y):
@@ -98,15 +100,23 @@ def qr_cca(X, Y, k, lam=0.0):
     p2 = Y.shape[1]
     if k < 1 or k > min(p1, p2):
         raise ValueError(f"rank k={k} out of range for views of widths {p1}, {p2}")
-    factors = []
-    for A, top in ((X, 0), (Y, p1)):
+    if lam == 0 and n < max(p1, p2):  # a view wider than it is tall
+        raise SingularMatrixError(f"view {'x' if n < p1 else 'y'} is numerically rank-deficient; "
+                                  "set lam > 0")
+
+    def factor(A, top):
         # a private Fortran copy; lam > 0 adds sqrt(n*lam)*I rows, zero blocks keep X'Y untouched
         B = np.zeros((n + (p1 + p2 if lam > 0 else 0), A.shape[1]), order="F")
         B[:n] = A
         if lam > 0:
             np.fill_diagonal(B[n + top:], np.sqrt(n * lam))
-        factors.append(qr(B, mode="economic", overwrite_a=True))
-    (Qx, Rx_), (Qy, Ry_) = factors
+        return householder_qr(B, overwrite_a=True)
+
+    Hy, Ty = factor(Y, p1)
+    Ry_, Qy = np.triu(Hy[:p2]), thin_q(Hy, Ty)
+    del Hy  # Qy takes the place of Y's factor before X's copy is made
+    Hx, Tx = factor(X, 0)
+    Rx_ = np.triu(Hx[:p1])
     for R, side in ((Rx_, "x"), (Ry_, "y")):
         d = np.abs(np.diag(R))
         if d.min() <= 1e-12 * d.max():
@@ -114,7 +124,8 @@ def qr_cca(X, Y, k, lam=0.0):
                 f"view {side} is numerically rank-deficient; set lam > 0"
             )
     return canonical_pairs(lambda U: np.sqrt(n) * solve_triangular(Rx_, U),
-                           lambda V: np.sqrt(n) * solve_triangular(Ry_, V), Qx.T @ Qy, k)
+                           lambda V: np.sqrt(n) * solve_triangular(Ry_, V),
+                           apply_q(Hx, Tx, Qy, trans=True)[:p1], k)
 
 
 def als_cca(X, Y, init, max_iters=1000, tol=1e-8, lam=0.0):

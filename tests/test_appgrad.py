@@ -170,6 +170,15 @@ class TestStepMechanics:
         with pytest.raises(SingularMatrixError, match="rank-4"):
             cross_validate_step(X, Y, 4, [0.01, 0.1])
 
+    def test_a_zero_view_at_rank_1_is_named_and_advised_a_positive_lam(self):
+        """At k = 1 only a zero view cannot whiten the draw, so no lower rank can help."""
+        Y = np.random.default_rng(4).standard_normal((200, 4))
+        for solver in ("als", "appgrad", "stochastic-appgrad"):
+            with pytest.raises(SingularMatrixError, match=r"view x .*rank-1 .*lam=0\.0: it is "
+                                                          r"numerically zero; set a positive lam$"):
+                run_experiment(SolverConfig(solver=solver, k=1, max_iters=5),
+                               x=np.zeros((200, 5)), y=Y)
+
     def test_rank1_step_rejects_wide_state(self, small_instance):
         state = random_init(small_instance.x, small_instance.y, 2, seed=1)
         with pytest.raises(ValueError):

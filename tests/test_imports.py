@@ -346,6 +346,32 @@ def test_eigensolves_are_taken_in_their_homes_only():
     assert eigensolve_calls({p.stem: p.read_text() for p in SRC}) == EIGENSOLVE_ALLOWLIST
 
 
+QR_CALLS = ("qr", "geqrt", "dgeqrt", "gemqrt", "dgemqrt", "geqrf", "dgeqrf")
+
+
+def qr_calls(package):
+    """Sorted (module, scope) of each QR_CALLS call (see ``scoped_calls``) in ``package``."""
+    return sorted({(module, scope) for module, scope, _ in scoped_calls(package, QR_CALLS)})
+
+
+def test_qr_checker_sees_what_it_must():
+    package = {"a": "def f(A):\n    return qr(A, mode='economic')\nclass C:\n    def m(self, A):\n"
+                    "        return lapack.dgeqrt(128, A)\n"
+                    "def g(A):\n    return qr_cca(A, A, 1), householder_qr(A), thin_q(A), qr\n",
+               "b": "H, info = dgemqrt(V, T, C)\n",
+               "c": "def h(A):\n    return np.linalg.qr(A), dgeqrf(A)\n"}
+    assert qr_calls(package) == [("a", "C.m"), ("a", "f"), ("b", "<module>"), ("c", "h")]
+
+
+# every n-row QR is linalg's compact-WY home; planted._mixing keeps scipy's qr, which defines
+# its p-by-p rotations bit for bit
+QR_ALLOWLIST = [("linalg", "apply_q"), ("linalg", "householder_qr"), ("planted", "_mixing")]
+
+
+def test_qrs_are_taken_in_their_home_only():
+    assert qr_calls({p.stem: p.read_text() for p in SRC}) == QR_ALLOWLIST
+
+
 LOOP_CALLS = ("RunReport", "extract_model", "replace")
 
 

@@ -7,14 +7,18 @@ from scipy.linalg import eigh, qr, svd
 
 from ccakit.linalg import (
     DataMatrix,
+    apply_q,
     cross_covariance,
     gram,
     gram_diagonal,
+    householder_qr,
     induced_norm,
     randomized_svd,
     singular_floor,
     sym_inv_sqrt,
+    thin_q,
 )
+from ccakit.reference import qr_cca
 
 
 def gram_loop(X, lam):
@@ -189,6 +193,77 @@ class TestSymInvSqrt:
         R = sym_inv_sqrt(M)
         assert np.abs(R - R.T).max() < 1e-10
         assert np.abs(R @ M - M @ R).max() < 1e-8
+
+
+def qr_inputs(m, p):
+    """An m x p matrix in each layout and dtype the QR home accepts, by name."""
+    rng = np.random.default_rng(m * 1000 + p)
+    A = rng.standard_normal((m, p))
+    wide = np.asfortranarray(rng.standard_normal((m, p + 3)))  # one buffer, a column slice of it
+    wide[:, 1:p + 1] = A
+    return {"c-order": A, "fortran": np.asfortranarray(A), "column-slice": wide[:, 1:p + 1],
+            "integer": rng.integers(-9, 10, size=(m, p)), "float32": A.astype(np.float32)}
+
+
+class TestHouseholderQr:
+    @pytest.mark.parametrize("layout", ["c-order", "fortran", "column-slice", "integer", "float32"])
+    @pytest.mark.parametrize("shape", [(30, 30), (50, 1), (400, 200), (200, 9)])
+    def test_factors_every_layout_and_leaves_it_untouched(self, layout, shape):
+        A = qr_inputs(*shape)[layout]
+        before = A.copy()
+        H, T = householder_qr(A)
+        assert np.array_equal(A, before) and A.dtype == before.dtype
+        p = shape[1]
+        Q, R = thin_q(H, T), np.triu(H[:p])  # R is the upper triangle of H's top p rows alone
+        A64 = before.astype(float)
+        assert np.linalg.norm(Q @ R - A64) <= 1e-13 * np.linalg.norm(A64)
+        assert np.abs(Q.T @ Q - np.eye(p)).max() <= 1e-13
+        R_scipy = qr(A64, mode="economic")[1]
+        signs = np.sign(np.diag(R)) * np.sign(np.diag(R_scipy))
+        assert np.abs(signs[:, None] * R - R_scipy).max() <= 1e-13 * np.abs(R_scipy).max()
+
+    def test_applies_q_and_its_transpose(self):
+        A = qr_inputs(400, 200)["fortran"]
+        H, T = householder_qr(A)
+        Q = thin_q(H, T)
+        C = np.asfortranarray(np.random.default_rng(1).standard_normal((400, 7)))
+        QtC = apply_q(H, T, C.copy(order="F"), trans=True)
+        assert np.abs(QtC[:200] - Q.T @ C).max() <= 1e-13 * np.abs(C).max()
+        assert np.abs(apply_q(H, T, QtC) - C).max() <= 1e-13 * np.abs(C).max()
+
+    @pytest.mark.parametrize("layout", ["c-order", "fortran", "column-slice", "integer", "float32"])
+    def test_overwrites_only_a_handed_over_float64_fortran_array(self, layout):
+        A = qr_inputs(60, 5)[layout]
+        before = A.copy()
+        H, _ = householder_qr(A, overwrite_a=True)
+        in_place = A.dtype == np.float64 and A.flags.f_contiguous  # a Fortran column slice too
+        assert np.shares_memory(H, A) is in_place
+        assert np.array_equal(A, before) is not in_place
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_a_non_finite_entry_anywhere_raises(self, bad):
+        base = np.random.default_rng(2).standard_normal((12, 3))
+        base[:, 0] = np.eye(12)[0]  # an identity first reflector leaves later columns untouched
+        for i, j in np.ndindex(*base.shape):
+            A = base.copy()
+            A[i, j] = bad
+            with pytest.raises(ValueError, match="non-finite"):
+                householder_qr(A)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_a_non_finite_view_raises_from_its_callers(self, bad):
+        rng = np.random.default_rng(3)
+        X, Y = rng.standard_normal((80, 4)), rng.standard_normal((80, 3))
+        X[17, 2] = bad
+        for lam in (0.0, 0.1):
+            with pytest.raises(ValueError, match="non-finite"):
+                qr_cca(X, Y, 2, lam=lam)
+            with pytest.raises(ValueError, match="non-finite"):
+                qr_cca(Y, X, 2, lam=lam)
+        with np.errstate(invalid="ignore"):  # inf - inf in the sketch product is the NaN it raises on
+            for A in (X, X.T):
+                with pytest.raises(ValueError, match="non-finite"):
+                    randomized_svd(A, 2)
 
 
 class TestRandomizedSvd:

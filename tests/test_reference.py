@@ -4,7 +4,8 @@ import scipy.sparse as sp
 from scipy.linalg import qr, solve_triangular, svd
 
 from ccakit import reference
-from ccakit.linalg import SingularMatrixError, cross_covariance, gram, induced_norm
+from ccakit.linalg import (SingularMatrixError, apply_q, cross_covariance, gram, householder_qr,
+                           induced_norm, thin_q)
 from ccakit.harness import SolverConfig, run_experiment
 from ccakit.metrics import principal_angles
 from ccakit.planted import PlantedParams, generate_planted
@@ -95,6 +96,20 @@ class TestQrCca:
         with pytest.raises(SingularMatrixError):
             qr_cca(X, Y, 1)
 
+    def test_a_view_wider_than_it_is_tall_is_rank_deficient_before_any_factorization(
+            self, monkeypatch):
+        rng = np.random.default_rng(9)
+        X, Y = rng.standard_normal((10, 20)), rng.standard_normal((10, 3))
+        monkeypatch.setattr(reference, "householder_qr", None)  # any factorization would fail
+        for x, y, side in ((X, Y, "x"), (Y, X, "y")):
+            with pytest.raises(SingularMatrixError, match=f"view {side} is numerically rank-def"):
+                qr_cca(x, y, 1)
+        with pytest.raises(SingularMatrixError, match="view x is numerically rank-deficient"):
+            run_experiment(SolverConfig(solver="qr", k=1), x=X, y=Y)
+        monkeypatch.undo()
+        got, want = qr_cca(X, Y, 1, lam=0.1), spectral_cca(X, Y, 1, lam=0.1)
+        assert 0 < got.lam[0] < 1 and np.abs(got.lam - want.lam).max() <= 1e-10
+
     def test_rejects_mismatched_rows_and_a_rank_out_of_range(self):
         X, Y = orthogonal_views()
         with pytest.raises(ValueError, match="same number of rows"):
@@ -114,13 +129,20 @@ class TestQrCca:
         before = A.copy()
         got = qr_cca(X, Y, 3)
         assert np.array_equal(A, before)
-        Qx, Rx = qr(before[:, :4], mode="economic")
-        Qy, Ry = qr(before[:, 4:], mode="economic")
-        U, s, Vt = svd(Qx.T @ Qy, full_matrices=False)
-        Phi, Psi = fix_signs(np.sqrt(200) * solve_triangular(Rx, U[:, :3]),
-                             np.sqrt(200) * solve_triangular(Ry, Vt[:3].T))
-        assert np.array_equal(got.phi, Phi) and np.array_equal(got.psi, Psi)
-        assert np.array_equal(got.lam, s[:3])
+
+        def pairs(Rx, Ry, C):
+            U, s, Vt = svd(C, full_matrices=False)
+            return (*fix_signs(np.sqrt(200) * solve_triangular(Rx, U[:, :3]),
+                               np.sqrt(200) * solve_triangular(Ry, Vt[:3].T)), s[:3])
+
+        (Hx, Tx), (Hy, Ty) = householder_qr(before[:, :4]), householder_qr(before[:, 4:])
+        home = pairs(np.triu(Hx[:4]), np.triu(Hy[:5]),
+                     apply_q(Hx, Tx, thin_q(Hy, Ty), trans=True)[:4])
+        (Qx, Rx), (Qy, Ry) = (qr(V, mode="economic") for V in (before[:, :4], before[:, 4:]))
+        plain = pairs(Rx, Ry, Qx.T @ Qy)
+        for a, b, c in zip((got.phi, got.psi, got.lam), home, plain, strict=True):
+            assert np.array_equal(a, b)
+            assert np.abs(a - c).max() <= 1e-12 * np.abs(c).max()
 
     def test_peak_memory_is_one_copy_per_view(self):
         X, Y = np.random.default_rng(7).standard_normal((2, 4000, 20))
@@ -139,13 +161,13 @@ class TestQrCca:
 
         def spy(A, *args, **kwargs):
             factored.append(A.copy(order="K"))
-            return qr(A, *args, **kwargs)
+            return householder_qr(A, *args, **kwargs)
 
-        monkeypatch.setattr(reference, "qr", spy)
+        monkeypatch.setattr(reference, "householder_qr", spy)
         qr_cca(X, Y, 2, lam=0.1)
         r = np.sqrt(60 * 0.1)
-        stacked = (np.vstack([X, r * np.eye(4), np.zeros((3, 4))]),
-                   np.vstack([Y, np.zeros((4, 3)), r * np.eye(3)]))
+        stacked = (np.vstack([Y, np.zeros((4, 3)), r * np.eye(3)]),  # Y is factored first
+                   np.vstack([X, r * np.eye(4), np.zeros((3, 4))]))
         for got, want in zip(factored, stacked, strict=True):
             assert got.flags.f_contiguous and np.array_equal(got, want)
 
