@@ -147,11 +147,11 @@ def sym_inv_sqrt(M, floor=1e-12):
     return 0.5 * (R + R.T)
 
 
-def householder_qr(A, overwrite_a=False):
+def householder_qr(A):
     """QR factor (H, T) of a finite m x p matrix A, m >= p: R is the upper triangle of H[:p], the
-    reflectors of Q lie below it, T holds their compact-WY blocks. A is copied unless
-    ``overwrite_a`` hands over a float64 Fortran array, which then holds H."""
-    A = (np.asarray if overwrite_a else np.array)(A, dtype=float, order="F")
+    reflectors of Q lie below it, T holds their compact-WY blocks. A float64 Fortran A is factored
+    in place and then holds H; any other A is copied first."""
+    A = np.asarray(A, dtype=float, order="F")
     H, T, info = dgeqrt(min(_QR_BLOCK, A.shape[1]), A, overwrite_a=True)
     if info:
         raise ValueError(f"dgeqrt rejected argument {-info}")
@@ -190,10 +190,10 @@ def randomized_svd(A, k, oversample=10, power_iters=2, seed=0):
     rng = np.random.default_rng(seed)
     r = min(k + oversample, min(p1, p2))
     G = rng.standard_normal((p2, r))
-    Q = thin_q(*householder_qr(A @ G, overwrite_a=True))
+    Q = thin_q(*householder_qr(A @ G))
     for _ in range(power_iters):
-        Z = thin_q(*householder_qr(A.T @ Q, overwrite_a=True))
-        Q = thin_q(*householder_qr(A @ Z, overwrite_a=True))
+        Z = thin_q(*householder_qr(A.T @ Q))
+        Q = thin_q(*householder_qr(A @ Z))
     B = np.asarray(A.T @ Q).T
     Ub, s, Vt = svd(B, full_matrices=False)
     U = Q @ Ub

@@ -100,6 +100,8 @@ def qr_cca(X, Y, k, lam=0.0):
     p2 = Y.shape[1]
     if k < 1 or k > min(p1, p2):
         raise ValueError(f"rank k={k} out of range for views of widths {p1}, {p2}")
+    if lam < 0:
+        raise ValueError(f"regularization must be nonnegative, got {lam}")
     if lam == 0 and n < max(p1, p2):  # a view wider than it is tall
         raise SingularMatrixError(f"view {'x' if n < p1 else 'y'} is numerically rank-deficient; "
                                   "set lam > 0")
@@ -110,7 +112,7 @@ def qr_cca(X, Y, k, lam=0.0):
         B[:n] = A
         if lam > 0:
             np.fill_diagonal(B[n + top:], np.sqrt(n * lam))
-        return householder_qr(B, overwrite_a=True)
+        return householder_qr(B)
 
     Hy, Ty = factor(Y, p1)
     Ry_, Qy = np.triu(Hy[:p2]), thin_q(Hy, Ty)

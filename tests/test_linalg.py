@@ -208,11 +208,10 @@ def qr_inputs(m, p):
 class TestHouseholderQr:
     @pytest.mark.parametrize("layout", ["c-order", "fortran", "column-slice", "integer", "float32"])
     @pytest.mark.parametrize("shape", [(30, 30), (50, 1), (400, 200), (200, 9)])
-    def test_factors_every_layout_and_leaves_it_untouched(self, layout, shape):
+    def test_factors_every_layout(self, layout, shape):
         A = qr_inputs(*shape)[layout]
         before = A.copy()
         H, T = householder_qr(A)
-        assert np.array_equal(A, before) and A.dtype == before.dtype
         p = shape[1]
         Q, R = thin_q(H, T), np.triu(H[:p])  # R is the upper triangle of H's top p rows alone
         A64 = before.astype(float)
@@ -232,10 +231,10 @@ class TestHouseholderQr:
         assert np.abs(apply_q(H, T, QtC) - C).max() <= 1e-13 * np.abs(C).max()
 
     @pytest.mark.parametrize("layout", ["c-order", "fortran", "column-slice", "integer", "float32"])
-    def test_overwrites_only_a_handed_over_float64_fortran_array(self, layout):
+    def test_consumes_a_float64_fortran_array_and_copies_any_other(self, layout):
         A = qr_inputs(60, 5)[layout]
         before = A.copy()
-        H, _ = householder_qr(A, overwrite_a=True)
+        H, _ = householder_qr(A)
         in_place = A.dtype == np.float64 and A.flags.f_contiguous  # a Fortran column slice too
         assert np.shares_memory(H, A) is in_place
         assert np.array_equal(A, before) is not in_place

@@ -104,6 +104,8 @@ class TestQrCca:
         for x, y, side in ((X, Y, "x"), (Y, X, "y")):
             with pytest.raises(SingularMatrixError, match=f"view {side} is numerically rank-def"):
                 qr_cca(x, y, 1)
+            with pytest.raises(ValueError, match="regularization must be nonnegative"):
+                qr_cca(x, y, 1, lam=-0.1)
         with pytest.raises(SingularMatrixError, match="view x is numerically rank-deficient"):
             run_experiment(SolverConfig(solver="qr", k=1), x=X, y=Y)
         monkeypatch.undo()
@@ -159,9 +161,9 @@ class TestQrCca:
         X, Y = rng.standard_normal((60, 4)), rng.standard_normal((60, 3))
         factored = []
 
-        def spy(A, *args, **kwargs):
+        def spy(A):
             factored.append(A.copy(order="K"))
-            return householder_qr(A, *args, **kwargs)
+            return householder_qr(A)
 
         monkeypatch.setattr(reference, "householder_qr", spy)
         qr_cca(X, Y, 2, lam=0.1)
