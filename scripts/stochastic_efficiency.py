@@ -10,6 +10,7 @@ import argparse
 import numpy as np
 
 from ccakit.appgrad import default_step, run_appgrad
+from ccakit.metrics import Views
 from ccakit.planted import PlantedParams, generate_planted
 from ccakit.stochastic import MinibatchPlan, StepSchedule, run_stochastic
 
@@ -39,16 +40,16 @@ def main():
     ratios = []
     for seed in range(args.seeds):
         inst = generate_planted(params, seed=seed)
-        X, Y, o = inst.x, inst.y, inst.empirical
+        views, o = Views(inst.x, inst.y), inst.empirical  # its moments serve all three calls
 
-        _, brep = run_appgrad(X, Y, 5, seed=seed, max_iters=200,
+        _, brep = run_appgrad(views, None, 5, seed=seed, max_iters=200,
                               record_every=5, oracle=o)
         bt, bf = first_crossing(brep.records, args.target)
 
-        eta0 = default_step(X, Y, seed=seed).eta1
+        eta0 = default_step(views, None, seed=seed).eta1
         plan = MinibatchPlan(m=args.m, seed=seed)
         _, srep = run_stochastic(
-            X, Y, 5, plan, StepSchedule("constant", eta0=eta0),
+            views, None, 5, plan, StepSchedule("constant", eta0=eta0),
             max_iters=600, seed=seed, oracle=o, record_every=10,
         )
         st, sf = first_crossing(srep.records, args.target)

@@ -17,6 +17,7 @@ pair (``metrics.Views.pair``) when both views are dense and 4 (p1+p2) <= n, so t
 
 import time
 from dataclasses import dataclass, field, replace
+from itertools import repeat
 
 import numpy as np
 import scipy.sparse as sp
@@ -38,7 +39,7 @@ class StepSizes:
     eta2: float
 
     def __post_init__(self):
-        if self.eta1 < 0 or self.eta2 < 0:
+        if not (self.eta1 >= 0 and self.eta2 >= 0):  # also rejects NaN
             raise ValueError("step sizes must be nonnegative")
 
     @classmethod
@@ -278,21 +279,15 @@ def _check_run(views, k, record_every):
         raise ValueError("record_every must be >= 0")
 
 
-def _same_rows(X, Y):
-    """The batch row source: the same X and Y objects on every iteration, so the step cache
-    hits. A degenerate step's error thrown into it propagates: a batch run does not resample."""
-    while True:
-        yield X, Y
-
-
 def _drive(solver, config, seed, rows, batches, eta_at, step_fn, views, state, flops, oracle,
            record_every, record_first=False, holdout=None):
     """The loop behind ``run_appgrad`` and ``run_stochastic``: from ``state``, charged ``flops``,
     at the lam, max_iters and tol (0 if absent) of ``config``, iteration ``it`` steps at
-    ``eta_at(it)`` on the (X, Y) of ``next(batches)``, charged ``AppGradState.step_price``; None
-    ends the run. A ``DegenerateIterateError`` is thrown into ``batches``, which raises it, gives
-    one replacement (the attempt is then charged too) or None (the attempt uncharged). The run
-    stops at an RMS movement of X phi, Y psi below tol, tested when both states cache the rows.
+    ``eta_at(it)`` on the next (X, Y) of the iterator ``batches``, whose end ends the run,
+    charged ``AppGradState.step_price``. After a ``DegenerateIterateError`` the loop takes one
+    more (X, Y): the same object (a batch source) re-raises, an ended source ends the run
+    uncharged, and another replaces the attempt, charged too; its failure raises. The run stops
+    at an RMS movement of X phi, Y psi below tol, tested when both states cache the rows.
     A record scores the top ``oracle.k`` correlations from the iterate's cache when that is on
     ``rows``, where the model is extracted, else by ``views.evaluate``, as the oracle is; records
     fall at every ``record_every``-th t, at t = 1 if ``record_first``, and at the final iterate."""
@@ -311,17 +306,17 @@ def _drive(solver, config, seed, rows, batches, eta_at, step_fn, views, state, f
                       else holdout.evaluate(state.phi, state.psi, k_score))
 
     converged, recorded = False, state.t  # t of the last iterate recorded
-    for it in range(max_iters):
-        if (batch := next(batches)) is None:
-            break
+    for it, batch in zip(range(max_iters), batches):
         eta = eta_at(it)
         try:
             new = step_fn(state, eta, *batch, lam)
-        except DegenerateIterateError as exc:
-            attempt = state.step_price(*batch)  # the discarded attempt did the work of a step
-            if (batch := batches.throw(exc)) is None:
+        except DegenerateIterateError:
+            if (again := next(batches, None)) is batch:
+                raise
+            if again is None:
                 break
-            flops += attempt
+            flops += state.step_price(*batch)  # the discarded attempt did the work of a step
+            batch = again
             new = step_fn(state, eta, *batch, lam)
         flops += state.step_price(*batch)
         converged = state.cached_on(*batch) and new.cached_on(*batch) and bool(max(
@@ -379,5 +374,5 @@ def run_appgrad(
     state = init if init is not None else random_init(*rows, k, seed, lam)
     config = {"k": k, "eta1": eta.eta1, "eta2": eta.eta2, "lam": lam, "max_iters": max_iters,
               "tol": tol}
-    return _drive("appgrad", config, seed, rows, _same_rows(*rows), lambda it: eta, step_fn,
+    return _drive("appgrad", config, seed, rows, repeat(rows), lambda it: eta, step_fn,
                   views, state, flops, oracle, record_every, record_first=True)

@@ -2,6 +2,7 @@
 evaluation, and report/model emission."""
 
 from dataclasses import asdict, dataclass, replace
+from math import inf, isfinite
 
 from . import io
 from .appgrad import default_step, random_init, run_appgrad
@@ -102,8 +103,10 @@ class SolverConfig:
             raise ValueError("k must be >= 1")
         if self.solver == "als" and self.k != 1:
             raise ValueError("als solves the leading pair only; set k=1")
-        if self.oversample < 0 or self.lam < 0:
-            raise ValueError("oversample and lam must be nonnegative")
+        if self.oversample < 0:
+            raise ValueError("oversample must be nonnegative")
+        if not 0 <= self.lam < inf:  # the comparison also rejects NaN
+            raise ValueError("lam must be nonnegative and finite")
         if not (0.0 <= self.holdout <= 0.5):
             raise ValueError("holdout fraction must be in [0, 0.5]")
         if self.record_every is not None and self.record_every < 1:
@@ -112,8 +115,10 @@ class SolverConfig:
             raise ValueError("max_iters must be >= 1")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
-        if self.eta is not None and self.eta <= 0:  # a zero step never moves the initialization
-            raise ValueError("eta must be positive")
+        if self.eta is not None and not 0 < self.eta < inf:  # a zero step never moves the init
+            raise ValueError("eta must be positive and finite")
+        if not isfinite(self.tol):
+            raise ValueError("tol must be finite")
 
     def snapshot(self):
         """The set fields, the kernel as the text ``KernelSpec.parse`` reads."""

@@ -23,9 +23,9 @@ class KernelSpec:
     def __post_init__(self):
         if self.kind not in ("linear", "rbf", "polynomial"):
             raise ValueError(f"unknown kernel kind {self.kind!r}")
-        if self.kind == "rbf" and self.sigma <= 0:
+        if self.kind == "rbf" and not self.sigma > 0:  # also rejects NaN
             raise ValueError("rbf bandwidth must be positive")
-        if self.kind == "polynomial" and (self.degree < 1 or self.offset < 0):
+        if self.kind == "polynomial" and (self.degree < 1 or not self.offset >= 0):
             raise ValueError("polynomial kernel needs degree >= 1 and offset >= 0")
 
     @classmethod

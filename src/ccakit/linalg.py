@@ -190,10 +190,11 @@ def randomized_svd(A, k, oversample=10, power_iters=2, seed=0):
     rng = np.random.default_rng(seed)
     r = min(k + oversample, min(p1, p2))
     G = rng.standard_normal((p2, r))
-    Q = thin_q(*householder_qr(A @ G))
-    for _ in range(power_iters):
-        Z = thin_q(*householder_qr(A.T @ Q))
-        Q = thin_q(*householder_qr(A @ Z))
+    with np.errstate(invalid="ignore"):  # inf - inf in a sketch is a NaN householder_qr raises on
+        Q = thin_q(*householder_qr(A @ G))
+        for _ in range(power_iters):
+            Z = thin_q(*householder_qr(A.T @ Q))
+            Q = thin_q(*householder_qr(A @ Z))
     B = np.asarray(A.T @ Q).T
     Ub, s, Vt = svd(B, full_matrices=False)
     U = Q @ Ub

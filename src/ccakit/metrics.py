@@ -16,8 +16,9 @@ products per view:
 A run on a moment pair pays 2*n*(p1^2 + p1*p2 + p2^2) for the moments and 4*(p1+p2)^3 (syevd)
 for the pair built from them, once (also when its ``Views`` already held them), then m = p1+p2.
 What a step costs is charged by the state that takes it, ``appgrad.AppGradState.step_price``,
-the one caller of ``step_flops``. A minibatch attempt that fails as degenerate and is resampled
-is charged that price on its own rows, besides the step that replaces it.
+the one caller of ``step_flops``. An attempt that fails as degenerate and gets a replacement
+from its row source (a minibatch) is charged that price on its own rows, besides the step that
+replaces it; an attempt at the end of a stream is not charged.
 
 Evaluation: a rank-k TCC on m rows costs 2*m*(p1+p2)*k. ``Views`` holds the one route rule: a
 narrow pair (dense views, 4*(p1+p2) <= n) is solved on its moment pair, p1+p2 rows built from

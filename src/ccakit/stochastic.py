@@ -74,17 +74,10 @@ class _Sampler:
         return out
 
     def batches(self, X, Y):
-        """The minibatch row source of ``appgrad._drive``: the rows of X and Y at each next batch,
-        None at the end of a stream, and one replacement batch when a degenerate step's error
-        is thrown in (the loop lets a failed replacement raise)."""
-        def rows(idx):  # np.take gathers dense rows faster than X[idx]
-            return None if idx.size == 0 else [
-                A[idx] if sp.issparse(A) else np.take(A, idx, axis=0) for A in (X, Y)]
-        while True:
-            try:
-                yield rows(self.next_batch())
-            except DegenerateIterateError:
-                yield rows(self.next_batch())
+        """The minibatch row source of ``appgrad._drive``: a plain iterator of the rows of X and
+        Y at each next batch, a new object each time, which ends with the stream."""
+        while (idx := self.next_batch()).size:  # np.take gathers dense rows faster than X[idx]
+            yield [A[idx] if sp.issparse(A) else np.take(A, idx, axis=0) for A in (X, Y)]
 
 
 def sample_minibatch(plan, t, n):
@@ -113,7 +106,7 @@ class StepSchedule:
     def __post_init__(self):
         if self.kind not in self.KINDS:
             raise ValueError(f"unknown schedule kind {self.kind!r}")
-        if self.eta0 <= 0 or self.t0 <= 0:
+        if not (self.eta0 > 0 and self.t0 > 0):  # also rejects NaN
             raise ValueError("eta0 and t0 must be positive")
 
     def at(self, t):
@@ -148,8 +141,9 @@ def run_stochastic(
     holdout=None,
 ):
     """Run minibatch iterations on (X, Y), or on the ``Views`` X (Y then None), for
-    ``max_iters`` steps (or one pass of the data in sequential-stream mode). Degenerate batches
-    are resampled once, then the run fails.
+    ``max_iters`` steps, or until the sampler's batches end (one pass of the data in
+    sequential-stream mode). A degenerate batch is replaced by the next one, once, and charged;
+    a failed replacement raises, and a degenerate last batch of a stream ends the run.
 
     ``record_every`` defaults to once per epoch-equivalent, ceil(n/m); 0 records nothing.
     ``holdout`` is an optional (X_h, Y_h) pair or ``Views`` for out-of-sample TCC. Records are

@@ -26,6 +26,7 @@ from ccakit.linalg import DegenerateIterateError, SingularMatrixError
 from ccakit.metrics import RunReport, Views, moment_pair_flops, step_flops, tcc
 from ccakit.planted import PlantedParams, _mixing, generate_planted
 from ccakit.reference import spectral_cca
+from ccakit.stochastic import StepSchedule
 from conftest import peak_bytes
 
 
@@ -231,6 +232,21 @@ class TestConfig:
             SolverConfig(lam=-1.0).validate()
         with pytest.raises(ValueError, match="record_every"):  # 0 would divide the cadence
             SolverConfig(solver="stochastic-appgrad", record_every=0).validate()
+
+    @pytest.mark.parametrize("key", ["lam", "eta", "tol"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_values_rejected(self, key, value):
+        with pytest.raises(ValueError, match=f"^{key} must be"):
+            SolverConfig(**{key: value}).validate()
+
+    @pytest.mark.parametrize("build", [
+        lambda: appgrad.StepSizes(np.nan, 0.1), lambda: appgrad.StepSizes(0.1, np.nan),
+        lambda: StepSchedule(eta0=np.nan), lambda: StepSchedule(t0=np.nan),
+        lambda: KernelSpec("rbf", sigma=np.nan), lambda: KernelSpec("polynomial", offset=np.nan),
+    ])
+    def test_nan_parameters_rejected_by_their_constructors(self, build):
+        with pytest.raises(ValueError):
+            build()
 
     @pytest.mark.parametrize("max_iters", [0, -5])
     def test_a_run_without_iterations_rejected(self, small_instance, max_iters):
@@ -877,6 +893,22 @@ class TestCli:
         assert exc.value.code == 2
         err = capsys.readouterr().err
         assert f"cca-bench {command}: error: " in err and message in err
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--solver", "appgrad", "--eta", "nan"], "eta must be positive and finite"),
+        (["--solver", "stochastic-appgrad", "--eta", "inf"], "eta must be positive and finite"),
+        (["--solver", "spectral", "--lambda", "nan"], "lam must be nonnegative and finite"),
+        (["--solver", "spectral", "--lambda", "inf"], "lam must be nonnegative and finite"),
+        (["--tol", "nan"], "tol must be finite"),
+        (["--solver", "kernel-appgrad", "--kernel", "rbf:nan"], "argument --kernel"),
+    ])
+    def test_non_finite_value_is_a_usage_error(self, monkeypatch, capsys, flags, message):
+        monkeypatch.setattr(io, "load_dataset", lambda *a: pytest.fail("data loaded"))
+        with pytest.raises(SystemExit) as exc:
+            main(["run", *flags, "--x", "x.csv", "--y", "y.csv"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "cca-bench run: error: " in err and message in err
 
     @pytest.mark.parametrize("flags, message", [
         (["--cond", "0.5"], "conditioning >= 1 required"),

@@ -5,7 +5,8 @@ every defaulted parameter of the package is passed by some call in them, every d
 name in a docstring or comment of the package names something that it defines or imports,
 only ``metrics`` (and the negative control) calls ``gram``, ``cross_covariance`` or ``moments``,
 singular vectors and eigendecompositions are taken in their few homes only, and the batch and
-minibatch drivers share one loop, which copies no rule that has its own home in ``appgrad``."""
+minibatch drivers share one loop, which copies no rule that has its own home in ``appgrad`` and
+throws nothing into a row source."""
 
 import ast
 import builtins
@@ -465,3 +466,22 @@ def test_loop_rule_checker_sees_what_it_must():
 
 def test_the_loop_keeps_no_copy_of_a_rule():
     assert loop_rule_copies({p.stem: p.read_text() for p in SRC}) == []
+
+
+def throw_calls(package):
+    """Sorted (module, scope) of each call of a ``.throw`` attribute (see ``scoped_calls``) in
+    ``package``: a row source is a plain iterator, and the loop alone handles a degenerate step."""
+    return sorted({(module, scope) for module, scope, call in scoped_calls(package, ("throw",))
+                   if isinstance(call.func, ast.Attribute)})
+
+
+def test_throw_checker_sees_what_it_must():
+    package = {"a": "def f(batches, exc):\n    return batches.throw(exc)\nclass C:\n"
+                    "    def m(self):\n        self.gen.throw(ValueError)\n"
+                    "def g(throw, gen):\n    return throw(1), gen.throw, next(gen)\n",
+               "b": "rows = source.throw(err)\n"}
+    assert throw_calls(package) == [("a", "C.m"), ("a", "f"), ("b", "<module>")]
+
+
+def test_no_row_source_is_thrown_into():
+    assert throw_calls({p.stem: p.read_text() for p in SRC}) == []

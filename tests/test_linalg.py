@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import eigh, qr, svd
 
+from ccakit.baselines import pca_cca
 from ccakit.linalg import (
     DataMatrix,
     apply_q,
@@ -259,10 +260,12 @@ class TestHouseholderQr:
                 qr_cca(X, Y, 2, lam=lam)
             with pytest.raises(ValueError, match="non-finite"):
                 qr_cca(Y, X, 2, lam=lam)
-        with np.errstate(invalid="ignore"):  # inf - inf in the sketch product is the NaN it raises on
-            for A in (X, X.T):
-                with pytest.raises(ValueError, match="non-finite"):
-                    randomized_svd(A, 2)
+        for A in (X, X.T):
+            with pytest.raises(ValueError, match="non-finite"):
+                randomized_svd(A, 2)
+        for lam in (0.0, 0.1):
+            with pytest.raises(ValueError, match="non-finite"):
+                pca_cca(X, Y, 2, m=3, lam=lam)
 
 
 class TestRandomizedSvd:

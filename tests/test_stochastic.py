@@ -282,6 +282,46 @@ class TestRunner:
         assert len(calls) == 5
         assert [r.flops for r in report.records] == [r.flops + attempt for r in clean.records]
 
+    @staticmethod
+    def _degenerate_at(real, fail_at, calls):
+        def step(*args):
+            calls.append(1)
+            if len(calls) in fail_at:
+                raise DegenerateIterateError("degenerate batch")
+            return real(*args)
+        return step
+
+    def test_a_stream_whose_last_batch_degenerates_ends_uncharged(self, small_instance,
+                                                                  monkeypatch):
+        X, Y = small_instance.x, small_instance.y  # n=400: 8 batches of 50
+        plan, schedule = MinibatchPlan(m=50, mode="sequential-stream"), StepSchedule(eta0=0.1)
+        _, clean = run_stochastic(X, Y, 2, plan, schedule, max_iters=20, record_every=1)
+        calls = []
+        monkeypatch.setattr(stochastic, "stochastic_appgrad_step", self._degenerate_at(
+            stochastic.stochastic_appgrad_step, {8}, calls))
+        _, report = run_stochastic(X, Y, 2, plan, schedule, max_iters=20, record_every=3)
+        assert len(calls) == 8 and clean.final_state.t == 8
+        assert [r.t for r in report.records] == [3, 6, 7]  # t = 7 is recorded as the final iterate
+        assert report.to_lines()[-1] == clean.to_lines()[-2]  # so the attempt is uncharged
+
+    def test_a_failed_replacement_raises(self, small_instance, monkeypatch):
+        X, Y = small_instance.x, small_instance.y
+        calls = []
+        monkeypatch.setattr(stochastic, "stochastic_appgrad_step", self._degenerate_at(
+            stochastic.stochastic_appgrad_step, {3, 4}, calls))
+        with pytest.raises(DegenerateIterateError, match="degenerate batch"):
+            run_stochastic(X, Y, 2, MinibatchPlan(m=50, seed=0), StepSchedule(eta0=0.1),
+                           max_iters=10)
+        assert len(calls) == 4
+
+    def test_a_batch_run_does_not_retry_its_rows(self, small_instance):
+        X, Y = small_instance.x, small_instance.y
+        calls = []
+        with pytest.raises(DegenerateIterateError, match="degenerate batch"):
+            appgrad.run_appgrad(X, Y, 2, max_iters=10,
+                                step_fn=self._degenerate_at(appgrad_step, {3}, calls))
+        assert len(calls) == 3
+
     def test_oracle_capturing_nothing_raises(self, small_instance):
         X, Y = small_instance.x, small_instance.y
         oracle = CcaModel(np.zeros((X.shape[1], 2)), np.zeros((Y.shape[1], 2)), np.zeros(2))
