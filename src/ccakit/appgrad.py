@@ -24,8 +24,8 @@ import scipy.sparse as sp
 from scipy.linalg import svd
 
 from .linalg import DegenerateIterateError, SingularMatrixError, _check_finite, as_matrix
-from .metrics import (POWER_ITERS, RunReport, Views, moment_pair_flops, projected_correlations,
-                      step_flops)
+from .metrics import (POWER_ITERS, RIDGE_SCALE, RunReport, Views, moment_pair_flops,
+                      projected_correlations, step_flops)
 from .reference import canonical_pairs
 
 EIG_FLOOR_REL = 1e-10
@@ -50,8 +50,9 @@ class StepSizes:
 @dataclass
 class AppGradState:
     """Solver state: normalized (phi, psi) and unnormalized (phi_tilde, psi_tilde). ``cache`` is
-    None or (X, Y, (X phi_tilde, X phi, Y psi_tilde, Y psi)); ``whiteners`` None (hand-built) or
-    (R_x, R_y) with phi = phi_tilde R_x, psi = psi_tilde R_y. ``replace`` drops both."""
+    None or (X, Y, (X phi_tilde, X phi, Y psi_tilde, Y psi), lam), lam the ridge that whitened
+    X phi and Y psi; ``whiteners`` None (hand-built) or (R_x, R_y) with phi = phi_tilde R_x,
+    psi = psi_tilde R_y. ``replace`` drops both."""
 
     phi: np.ndarray
     psi: np.ndarray
@@ -86,36 +87,51 @@ class AppGradState:
                           cached=self.cached_on(X, Y), whitened=self.whiteners is not None)
 
     def tcc(self, X, Y, k=None):
-        """TCC of (X phi, Y psi), its top k (default: all), from the cache when made on X, Y."""
+        """TCC of (X phi, Y psi), its top k (default: all), from the cache when made on X, Y. A
+        cache whitened at lam = 0 holds X phi, Y psi with identity Grams (to the whitening's
+        rounding), so their correlations are the singular values of (X phi)'(Y psi)/m, scaled
+        and clipped as ``metrics.projected_correlations`` scores an exactly whitened pair: one
+        k-by-k SVD. Any other state goes through ``metrics.projected_correlations``."""
+        if self.cached_on(X, Y) and self.cache[3] == 0:
+            U, V = self.cache[2][1::2]
+            s = np.linalg.svd(U.T @ V / U.shape[0], compute_uv=False) / (1.0 + RIDGE_SCALE)
+            return float(np.minimum(s, 1.0 + 1e-9)[:k].sum())
         return float(projected_correlations(*self.projections(X, Y)[1::2])[:k].sum())
 
 
-def _whiten(X, W, lam):
-    """(X W, X W R, R, |R|) with R = (W' S W)^(-1/2), S = X'X/n + lam I, and |R| its largest
-    eigenvalue: one n-sized product and one k-by-k eigendecomposition. Raises
-    DegenerateIterateError when the Gram W' S W overflowed or is numerically rank-deficient."""
+def _whiten(views, Ws, lam):
+    """Per view A with iterate W, in order: (A W, A W R, R, |R|) with R = (W' S W)^(-1/2),
+    S = A'A/n + lam I, and |R| its largest eigenvalue. One n-sized product per view and one
+    eigendecomposition of the stacked k-by-k Grams, whose members equal the per-view calls bit
+    for bit. The first view, in order, whose Gram W' S W overflowed or is numerically
+    rank-deficient raises DegenerateIterateError (non-finite data raises ValueError)."""
     with np.errstate(over="ignore", invalid="ignore"):  # a diverged iterate; checked below
-        XW = np.asarray(X @ W)
-        G = XW.T @ XW / X.shape[0] + (lam * (W.T @ W) if lam else 0)
-    if not np.all(np.isfinite(G)):
-        _check_finite(X)  # non-finite data, not a diverged iterate, raises ValueError
-        raise DegenerateIterateError(
-            "iterate overflowed (non-finite Gram); the step size is too large")
+        XWs = [np.asarray(A @ W) for A, W in zip(views, Ws)]
+        G = np.array([XW.T @ XW / A.shape[0] + (lam * (W.T @ W) if lam else 0)
+                      for A, W, XW in zip(views, Ws, XWs)])  # the stack, one Gram per view
+    finite = np.isfinite(G).all(axis=(1, 2))
+    if not finite.all():
+        G[~finite] = 0.0  # such a member raises below, once the views before it are judged
     w, V = np.linalg.eigh(G)
-    if w[-1] <= 0.0 or w[0] < max(EIG_FLOOR_REL * w[-1], 1e-300):
-        raise DegenerateIterateError(
-            f"iterate Gram is numerically rank-deficient (eigs in [{w[0]:.3e}, "
-            f"{w[-1]:.3e}]); restart from a new initialization")
+    for A, ok, wi in zip(views, finite, w):
+        if not ok:
+            _check_finite(A)  # non-finite data, not a diverged iterate, raises ValueError
+            raise DegenerateIterateError(
+                "iterate overflowed (non-finite Gram); the step size is too large")
+        if wi[-1] <= 0.0 or wi[0] < max(EIG_FLOOR_REL * wi[-1], 1e-300):
+            raise DegenerateIterateError(
+                f"iterate Gram is numerically rank-deficient (eigs in [{wi[0]:.3e}, "
+                f"{wi[-1]:.3e}]); restart from a new initialization")
     d = w**-0.5  # every eigenvalue passed the floor, so none is clamped
-    R = (V * d) @ V.T
-    R = 0.5 * (R + R.T)
-    return XW, XW @ R, R, d[0]
+    R = (V * d[:, None, :]) @ np.swapaxes(V, 1, 2)
+    R = 0.5 * (R + np.swapaxes(R, 1, 2))
+    return [(XW, XW @ Ri, Ri, di[0]) for XW, Ri, di in zip(XWs, R, d)]
 
 
 def normalize_columns(X, W, lam=0.0):
     """Whiten W against the (possibly regularized) view Gram: returns W R with
     R = (W' S W)^(-1/2). Raises DegenerateIterateError on collapse."""
-    return W @ _whiten(as_matrix(X), W, lam)[2]
+    return W @ _whiten([as_matrix(X)], [W], lam)[0][2]
 
 
 def random_init(X, Y, k, seed, lam=0.0):
@@ -157,12 +173,12 @@ def _step(state, eta, X, Y, lam):
     gx, gy = np.asarray((Xpt - Ypsi).T @ X).T / n, np.asarray((Yqt - Xphi).T @ Y).T / n
     pt = state.phi_tilde - eta.eta1 * (gx + lam * state.phi_tilde)
     qt = state.psi_tilde - eta.eta2 * (gy + lam * state.psi_tilde)
-    (Xpt, Xphi, Rx, nx), (Yqt, Ypsi, Ry, ny) = _whiten(X, pt, lam), _whiten(Y, qt, lam)
+    (Xpt, Xphi, Rx, nx), (Yqt, Ypsi, Ry, ny) = _whiten((X, Y), (pt, qt), lam)
     if max(nx, ny) > 1e14:  # at k = 1, the whitener 1 / ||phi_tilde||_S
         raise DegenerateIterateError(
             "iterate collapsed below 1e-14 induced norm; restart from a new init")
     new = AppGradState(pt @ Rx, qt @ Ry, pt, qt, t=state.t + 1)
-    new.cache, new.whiteners = (*key, (Xpt, Xphi, Yqt, Ypsi)), (Rx, Ry)
+    new.cache, new.whiteners = (*key, (Xpt, Xphi, Yqt, Ypsi), lam), (Rx, Ry)
     return new
 
 
@@ -261,7 +277,7 @@ def extract_model(X, Y, state, lam=0.0):
     from the two n-sized products it rotates with, and rotate it onto canonical pairs
     (``reference.canonical_pairs``): a model of rank ``state.k``, sorted and canonical on X, Y."""
     X, Y = as_matrix(X), as_matrix(Y)
-    (_, U, Rx, _), (_, V, Ry, _) = _whiten(X, state.phi, lam), _whiten(Y, state.psi, lam)
+    (_, U, Rx, _), (_, V, Ry, _) = _whiten((X, Y), (state.phi, state.psi), lam)
     phi, psi = state.phi @ Rx, state.psi @ Ry
     return canonical_pairs(lambda B: phi @ B, lambda B: psi @ B, U.T @ V / X.shape[0], state.k)
 

@@ -78,10 +78,11 @@ def kernel_gram(X, spec, center=False):
         np.maximum(d2, 0.0, out=d2)
         K = np.exp(-d2 / (2.0 * spec.sigma**2))
     K = 0.5 * (K + K.T)
-    if center:
-        n = K.shape[0]
-        H = np.eye(n) - np.ones((n, n)) / n
-        K = H @ K @ H
+    if center:  # H K H with H = I - 11'/n, by its row, column and grand means: O(n^2)
+        means = K.mean(axis=0)
+        K -= means
+        K -= means[:, None]
+        K += means.mean()
         K = 0.5 * (K + K.T)
     return KernelGram(K, spec)
 

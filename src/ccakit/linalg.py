@@ -129,22 +129,26 @@ def singular_floor(w):
 
 
 def sym_inv_sqrt(M, floor=1e-12):
-    """Inverse square root  U max(D, floor)^(-1/2) U'  of a small symmetric PSD matrix.
+    """Inverse square root  U max(D, floor)^(-1/2) U'  of a small symmetric PSD matrix, or of each
+    member of a (..., k, k) stack by one eigendecomposition call, ``floor`` then a scalar or one
+    per member. A stack's members equal the 2-d calls on them bit for bit.
 
     Eigenvalues below ``floor`` are clamped, which keeps nearly rank-deficient
     inputs finite at the price of exactness on those directions.
     """
     M = np.asarray(M, dtype=float)
-    if floor <= 0:
+    floor = np.broadcast_to(floor, M.shape[:-2])
+    if np.any(floor <= 0):
         raise ValueError("floor must be positive")
     _check_finite(M)
-    scale = max(1.0, float(np.abs(M).max()))
-    if np.abs(M - M.T).max() > 1e-10 * scale:
+    Mt = np.swapaxes(M, -1, -2)
+    scale = np.maximum(1.0, np.abs(M).max(axis=(-2, -1)))  # per member
+    if np.any(np.abs(M - Mt).max(axis=(-2, -1)) > 1e-10 * scale):
         raise ValueError("matrix is not symmetric within tolerance")
-    w, V = np.linalg.eigh(0.5 * (M + M.T))
-    w = np.maximum(w, floor)
-    R = (V / np.sqrt(w)) @ V.T
-    return 0.5 * (R + R.T)
+    w, V = np.linalg.eigh(0.5 * (M + Mt))
+    w = np.maximum(w, floor[..., None])
+    R = (V / np.sqrt(w)[..., None, :]) @ np.swapaxes(V, -1, -2)
+    return 0.5 * (R + np.swapaxes(R, -1, -2))
 
 
 def householder_qr(A):

@@ -56,16 +56,21 @@ def moment_pair_flops(n, p1, p2):
 
 
 def projected_correlations(U, V):
-    """Canonical correlations of two n-by-k matrices, nonincreasing (ridge: see RIDGE_SCALE)."""
+    """Canonical correlations of two n-by-k matrices, nonincreasing: the singular values of
+    Ru (U'V/n) Rv, clipped at 1 + 1e-9, with Ru, Rv the inverse roots of the two k-by-k Grams
+    ridged by RIDGE_SCALE times their mean eigenvalue, from one stacked ``sym_inv_sqrt`` call.
+    An exactly whitened pair (U'U/n = V'V/n = I) thus gives those of U'V/n / (1 + RIDGE_SCALE),
+    which ``appgrad.AppGradState.tcc`` takes without an inverse root."""
     U, V = np.asarray(U, dtype=float), np.asarray(V, dtype=float)
     if U.shape[0] != V.shape[0]:
         raise ValueError("projected views must have the same number of rows")
-    n = U.shape[0]
-    Su, Sv = U.T @ U / n, V.T @ V / n
-    lam_u = RIDGE_SCALE * max(np.trace(Su) / max(Su.shape[0], 1), 1e-300)
-    lam_v = RIDGE_SCALE * max(np.trace(Sv) / max(Sv.shape[0], 1), 1e-300)
-    Ru = sym_inv_sqrt(Su + lam_u * np.eye(Su.shape[0]), floor=lam_u * 1e-6)
-    Rv = sym_inv_sqrt(Sv + lam_v * np.eye(Sv.shape[0]), floor=lam_v * 1e-6)
+    if U.shape[1] != V.shape[1]:
+        raise ValueError("projected views must have the same number of columns")
+    n, k = U.shape
+    grams = U.T @ U / n, V.T @ V / n
+    ridges = np.array([RIDGE_SCALE * max(np.trace(S) / max(k, 1), 1e-300) for S in grams])
+    Ru, Rv = sym_inv_sqrt(np.array([S + r * np.eye(k) for S, r in zip(grams, ridges)]),
+                          floor=ridges * 1e-6)
     s = svd(Ru @ (U.T @ V / n) @ Rv, compute_uv=False)
     return np.minimum(s, 1.0 + 1e-9)
 
@@ -199,22 +204,21 @@ def split_holdout(X, Y, fraction, seed):
 
 def principal_angles(A, B, S=None):
     """Cosines of principal angles between span(A) and span(B) under the S
-    inner product (identity if S is None), nonincreasing in [0, 1]."""
+    inner product (the plain one if S is None), nonincreasing in [0, 1]: the singular values of
+    Ra (A' S B) Rb, Ra and Rb the inverse roots of the bases' k-by-k Grams, so that without an S
+    nothing larger than A or B is formed."""
     A = np.asarray(A, dtype=float)
     B = np.asarray(B, dtype=float)
     if A.shape[1] != B.shape[1]:
         raise ValueError("A and B must have the same number of columns")
-    if S is None:
-        S = np.eye(A.shape[0])
-    Ga = A.T @ S @ A
-    Gb = B.T @ S @ B
+    SA, SB = (A, B) if S is None else (S @ A, S @ B)
+    Ga, Gb = A.T @ SA, B.T @ SB
     for G, name in ((Ga, "A"), (Gb, "B")):
         w = eigh(0.5 * (G + G.T), eigvals_only=True)
         if w[0] < singular_floor(w):
             raise ValueError(f"columns of {name} are rank-deficient under S")
-    Qa = A @ sym_inv_sqrt(Ga, floor=1e-300)
-    Qb = B @ sym_inv_sqrt(Gb, floor=1e-300)
-    s = svd(Qa.T @ S @ Qb, compute_uv=False)
+    Ra, Rb = sym_inv_sqrt(np.array([Ga, Gb]), floor=1e-300)
+    s = svd(Ra @ (A.T @ SB) @ Rb, compute_uv=False)
     return np.minimum(s, 1.0)
 
 

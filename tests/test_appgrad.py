@@ -29,7 +29,7 @@ from ccakit.appgrad import (
 from ccakit.harness import SolverConfig, run_experiment
 from ccakit.linalg import DegenerateIterateError, SingularMatrixError, as_matrix, gram, induced_norm
 from ccakit.planted import PlantedParams, generate_planted
-from ccakit.metrics import moment_pair_flops, moments, step_flops, tcc
+from ccakit.metrics import moment_pair_flops, moments, projected_correlations, step_flops, tcc
 from ccakit.reference import CcaModel, spectral_cca
 from ccakit.stochastic import (MinibatchPlan, StepSchedule, cross_validate_step, run_stochastic,
                                stochastic_appgrad_step)
@@ -954,3 +954,119 @@ class TestMomentPair:
         # X'X, X'Y and Y'Y, once; the 4 (p1 + p2)^3 rest of the charge is the decomposition's
         assert counted == [2 * n * (p1 * p1 + p1 * p2 + p2 * p2)] * 2
         assert counted[0] == moment_pair_flops(n, p1, p2) - 4 * (p1 + p2)**3
+
+
+def run_keeping_states(X, Y, k, oracle, lam=0.0):
+    """A ``run_appgrad`` that keeps each state its steps made, by t; returns (report, states)."""
+    states = {}
+
+    def step(state, eta, X, Y, lam):
+        states[state.t + 1] = appgrad_step(state, eta, X, Y, lam)
+        return states[state.t + 1]
+
+    _, report = run_appgrad(X, Y, k, lam=lam, seed=2, max_iters=40, tol=0.0, record_every=3,
+                            oracle=oracle, step_fn=step)
+    return report, states
+
+
+class TestRecords:
+    """A record on the rows the iterate's cache was made on, whitened at lam = 0, is the SVD of
+    the cached (X phi)'(Y psi)/m; every other record goes through ``projected_correlations``."""
+
+    ROUTES = {
+        "moment-pair": lambda inst: (inst.x, inst.y),
+        "rows": lambda inst: (inst.x[:100], inst.y[:100]),  # 100 < 4 (p1 + p2)
+        "csr": lambda inst: (sp.csr_matrix(inst.x), sp.csr_matrix(inst.y)),
+    }
+
+    @pytest.mark.parametrize("k", [3, 5])  # at k = 5, oversampled and scored over oracle.k = 3
+    @pytest.mark.parametrize("route", sorted(ROUTES))
+    def test_a_lam0_record_scores_the_cached_pair(self, route, k, monkeypatch):
+        params = PlantedParams(n=400, p1=12, p2=15, correlations=(0.9, 0.7, 0.5, 0.4, 0.3))
+        X, Y = self.ROUTES[route](generate_planted(params, seed=7))
+        oracle = spectral_cca(X, Y, 3)
+        scored = []  # the projections appgrad hands to projected_correlations
+        monkeypatch.setattr(appgrad, "projected_correlations",
+                            lambda U, V: scored.append(U) or projected_correlations(U, V))
+        report, states = run_keeping_states(X, Y, k, oracle)
+        assert [r.t for r in report.records] == [1, *range(3, 40, 3), 40]
+        assert scored == []
+        for r in report.records:
+            U, V = states[r.t].cache[2][1::2]
+            assert r.tcc_train == pytest.approx(projected_correlations(U, V)[:3].sum(), rel=1e-12)
+
+    @pytest.mark.parametrize("route", sorted(ROUTES))
+    def test_a_ridged_record_is_projected_correlations(self, small_instance, route):
+        X, Y = self.ROUTES[route](small_instance)
+        report, states = run_keeping_states(X, Y, 3, spectral_cca(X, Y, 3, lam=0.1), lam=0.1)
+        for r in report.records:
+            U, V = states[r.t].cache[2][1::2]
+            assert r.tcc_train == float(projected_correlations(U, V).sum())
+
+    def test_a_state_off_its_cache_rows_is_scored_by_projected_correlations(self, small_instance):
+        X, Y = small_instance.x, small_instance.y
+        state = appgrad_step(random_init(X, Y, 3, seed=0), default_step(X, Y), X, Y)
+        Xc, Yc = X.copy(), Y.copy()  # equal values, other objects
+        want = float(projected_correlations(Xc @ state.phi, Yc @ state.psi).sum())
+        assert state.tcc(Xc, Yc) == want
+        assert state.tcc(X, Y) == pytest.approx(want, rel=1e-12)
+
+
+class TestStackedWhitening:
+    """A step whitens both views with one eigendecomposition of their stacked k-by-k Grams,
+    bit for bit as one per view, and raises the error of the first view that fails."""
+
+    def test_a_step_takes_one_eigendecomposition(self, small_instance, monkeypatch):
+        X, Y = small_instance.x, small_instance.y
+        state, eta = random_init(X, Y, 3, seed=0), default_step(X, Y)
+        eigh, shapes = np.linalg.eigh, []
+        monkeypatch.setattr(np.linalg, "eigh", lambda G: shapes.append(G.shape) or eigh(G))
+        for _ in range(3):  # the first step misses the cache, the rest hit it
+            shapes.clear()
+            state = appgrad_step(state, eta, X, Y)
+            assert shapes == [(2, 3, 3)]
+        shapes.clear()
+        extract_model(X, Y, state)
+        assert shapes == [(2, 3, 3)]
+
+    @pytest.mark.parametrize("lam", [0.0, 0.1])
+    def test_the_stack_equals_one_call_per_view(self, small_instance, lam):
+        X, Y = small_instance.x, sp.csr_matrix(small_instance.y)
+        rng = np.random.default_rng(5)
+        for k in (1, 3, 7):
+            P, Q = rng.standard_normal((12, k)), rng.standard_normal((15, k))
+            both = appgrad._whiten((X, Y), (P, Q), lam)
+            for got, want in zip(both, (appgrad._whiten([X], [P], lam)[0],
+                                        appgrad._whiten([Y], [Q], lam)[0])):
+                assert all(np.array_equal(a, b) for a, b in zip(got, want))
+
+    def test_the_first_failing_view_raises_its_own_error(self, small_instance):
+        X, Y = small_instance.x, small_instance.y
+        base = random_init(X, Y, 2, seed=0)
+        px, qy = base.phi_tilde, base.psi_tilde
+        flat = {"x": np.hstack([px[:, :1]] * 2), "y": 3 * np.hstack([qy[:, :1]] * 2)}  # rank 1
+        huge = {"x": 1e200 * px, "y": 1e200 * qy}  # a Gram that overflows
+
+        def raised(fn, *args):
+            with pytest.raises((DegenerateIterateError, ValueError)) as info:
+                fn(*args)
+            return type(info.value), str(info.value)
+
+        def step(pt, qt, X=X):  # eta = 0 keeps the tilde iterates, so the step whitens pt, qt
+            return raised(appgrad_step, AppGradState(base.phi, base.psi, pt, qt),
+                          StepSizes(0.0, 0.0), X, Y)
+
+        bad = {"flat": flat, "huge": huge}
+        alone = {(side, kind): raised(normalize_columns, A, bad[kind][side])
+                 for side, A in (("x", X), ("y", Y)) for kind in bad}
+        assert alone["x", "flat"] != alone["y", "flat"]
+        assert "overflowed" in alone["x", "huge"][1]
+        assert step(flat["x"], qy) == alone["x", "flat"]  # only x fails
+        assert step(px, flat["y"]) == alone["y", "flat"]  # only y fails
+        assert step(px, huge["y"]) == alone["y", "huge"]
+        for x_kind in bad:  # both fail: x's error
+            for y_kind in bad:
+                assert step(bad[x_kind]["x"], bad[y_kind]["y"]) == alone["x", x_kind]
+        X_bad = X.copy()
+        X_bad[4, 1] = np.nan  # bad data in x is x's error, whatever y's Gram
+        assert step(px, huge["y"], X_bad) == (ValueError, "matrix contains non-finite entries")

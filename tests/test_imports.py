@@ -6,7 +6,7 @@ name in a docstring or comment of the package names something that it defines or
 only ``metrics`` (and the negative control) calls ``gram``, ``cross_covariance`` or ``moments``,
 singular vectors and eigendecompositions are taken in their few homes only, and the batch and
 minibatch drivers share one loop, which copies no rule that has its own home in ``appgrad`` and
-throws nothing into a row source."""
+throws nothing into a row source, and a record's ridge is read in its two homes only."""
 
 import ast
 import builtins
@@ -250,11 +250,10 @@ def test_no_stale_doc_names():
 MOMENT_FORMERS = ("gram", "cross_covariance", "moments")
 
 
-def scoped_calls(package, names):
-    """(module, scope, call) of each call of a ``names`` name, as ``f(...)`` or ``obj.f(...)``, in
-    ``package`` ({module: source}). The scope is the module-level function, the class method
-    (``C.m``), the rest of a class (``C``) or the rest of the module (``<module>``) that holds the
-    call."""
+def scoped_nodes(package):
+    """(module, scope, node) of each AST node in ``package`` ({module: source}). The scope is the
+    module-level function, the class method (``C.m``), the rest of a class (``C``) or the rest of
+    the module (``<module>``) that holds the node."""
     for module, source in package.items():
         scopes = []
         for node in ast.parse(source).body:
@@ -265,10 +264,15 @@ def scoped_calls(package, names):
                             else node.name, f) for f in node.body]
             else:
                 scopes.append(("<module>", node))
-        yield from ((module, scope, call) for scope, node in scopes for call in ast.walk(node)
-                    if isinstance(call, ast.Call) and (getattr(call.func, "id", None)
-                                                       or getattr(call.func, "attr", None))
-                    in names)
+        yield from ((module, scope, inner) for scope, node in scopes for inner in ast.walk(node))
+
+
+def scoped_calls(package, names):
+    """(module, scope, call) of each call of a ``names`` name, as ``f(...)`` or ``obj.f(...)``, in
+    ``package`` ({module: source}), scoped as in ``scoped_nodes``."""
+    yield from ((module, scope, call) for module, scope, call in scoped_nodes(package)
+                if isinstance(call, ast.Call) and (getattr(call.func, "id", None)
+                                                   or getattr(call.func, "attr", None)) in names)
 
 
 def moment_calls(package):
@@ -409,17 +413,25 @@ def test_the_drivers_share_one_loop():
 
 
 PRICE_HOME = ("appgrad", "AppGradState.step_price")
+# the ridge of a record: projected_correlations applies it, a record on a whitened cache divides
+# by it, so the two must agree
+RIDGE_READERS = (("appgrad", "AppGradState.tcc"), ("metrics", "projected_correlations"))
 
 
 def loop_rule_copies(package):
     """Sorted (module, scope, finding) of each copy of a rule that ``appgrad`` keeps in one home,
     in ``package`` ({module: source}): a call of the ``step_flops`` formula outside PRICE_HOME
-    (see ``scoped_calls``); an ``evaluate`` or ``tol`` parameter of ``_drive`` (the run's
-    ``Views`` scores, its config holds tol) or a ``.whiteners`` read in it; and, in
-    ``appgrad_step_rank1``, a count of ``_step`` calls other than one or a raise other than
-    ``ValueError`` (the collapse bound lives in ``_step``)."""
+    (see ``scoped_calls``); a read of ``RIDGE_SCALE`` outside RIDGE_READERS; an ``evaluate`` or
+    ``tol`` parameter of ``_drive`` (the run's ``Views`` scores, its config holds tol), a
+    ``.whiteners`` read in it or a ``projected_correlations`` call in it (a record is scored by
+    ``AppGradState.tcc`` or ``Views.evaluate``); and, in ``appgrad_step_rank1``, a count of
+    ``_step`` calls other than one or a raise other than ``ValueError`` (the collapse bound lives
+    in ``_step``)."""
     found = {(module, scope, "calls step_flops") for module, scope, _ in
              scoped_calls(package, ("step_flops",)) if (module, scope) != PRICE_HOME}
+    found.update((module, scope, "reads RIDGE_SCALE") for module, scope, n in scoped_nodes(package)
+                 if (getattr(n, "id", None) or getattr(n, "attr", None)) == "RIDGE_SCALE"
+                 and isinstance(n.ctx, ast.Load) and (module, scope) not in RIDGE_READERS)
     for node in ast.parse(package.get("appgrad", "")).body:
         if not isinstance(node, ast.FunctionDef):
             continue
@@ -430,6 +442,9 @@ def loop_rule_copies(package):
                          if a.arg in ("evaluate", "tol"))
             if any(isinstance(n, ast.Attribute) and n.attr == "whiteners" for n in inner):
                 found.add(("appgrad", "_drive", "reads .whiteners"))
+            if any(isinstance(n, ast.Call) and (getattr(n.func, "id", None) or getattr(
+                    n.func, "attr", None)) == "projected_correlations" for n in inner):
+                found.add(("appgrad", "_drive", "calls projected_correlations"))
         elif node.name == "appgrad_step_rank1":
             steps = sum(isinstance(n, ast.Call) and getattr(n.func, "id", None) == "_step"
                         for n in inner)
@@ -443,23 +458,33 @@ def loop_rule_copies(package):
 
 
 def test_loop_rule_checker_sees_what_it_must():
-    package = {"appgrad": "class AppGradState:\n    def step_price(self, X, Y):\n"
+    package = {"appgrad": "from .metrics import RIDGE_SCALE\n"
+                          "class AppGradState:\n    def step_price(self, X, Y):\n"
                           "        return step_flops(1, 2, 3, 4)\n"
+                          "    def tcc(self, U, V):\n        return svd(U.T @ V) / RIDGE_SCALE\n"
                           "def _drive(rows, evaluate, state, tol=0.0):\n"
                           "    def cost(X):\n"
                           "        return metrics.step_flops(X, state.whiteners)\n"
+                          "    def record():\n"
+                          "        return metrics.projected_correlations(*rows)\n"
                           "def appgrad_step_rank1(state):\n    if state.k != 1:\n"
                           "        raise ValueError('rank-1')\n    new = _step(state)\n"
                           "    if new.whiteners[0] > 1e14:\n"
                           "        raise DegenerateIterateError()\n"
                           "    return _step(new)\n",
-               "stochastic": "def run(X):\n    return step_flops(X), step_price(X)\n"}
+               "metrics": "RIDGE_SCALE = 1e-10\n"
+                          "def projected_correlations(U, V):\n    return RIDGE_SCALE * U\n"
+                          "class Views:\n    ridge = 2 * RIDGE_SCALE\n",
+               "stochastic": "def run(X):\n"
+                             "    return step_flops(X), step_price(X), metrics.RIDGE_SCALE\n"}
     assert loop_rule_copies(package) == [
+        ("appgrad", "_drive", "calls projected_correlations"),
         ("appgrad", "_drive", "calls step_flops"), ("appgrad", "_drive", "parameter evaluate"),
         ("appgrad", "_drive", "parameter tol"), ("appgrad", "_drive", "reads .whiteners"),
         ("appgrad", "appgrad_step_rank1", "2 _step calls"),
         ("appgrad", "appgrad_step_rank1", "raises DegenerateIterateError()"),
-        ("stochastic", "run", "calls step_flops")]
+        ("metrics", "Views", "reads RIDGE_SCALE"),
+        ("stochastic", "run", "calls step_flops"), ("stochastic", "run", "reads RIDGE_SCALE")]
     assert loop_rule_copies({"appgrad": "def appgrad_step_rank1(s):\n    return s\n"}) == [
         ("appgrad", "appgrad_step_rank1", "0 _step calls")]
 

@@ -49,6 +49,24 @@ class TestKernelGram:
         K = kernel_gram(X, KernelSpec("linear"), center=True)
         assert np.allclose(K.values.sum(axis=0), 0.0, atol=1e-10)
 
+    @pytest.mark.parametrize("spec", [KernelSpec("linear"), KernelSpec("rbf", sigma=2.0),
+                                      KernelSpec("polynomial", degree=3, offset=0.5)])
+    def test_centering_is_h_k_h(self, spec):
+        """Centring subtracts row, column and grand means, as H K H with H = I - 11'/n does,
+        and leaves the uncentred Gram untouched."""
+        X = np.random.default_rng(4).standard_normal((120, 6)) + 3.0
+        K = kernel_gram(X, spec).values
+        dots = X @ X.T
+        raw = {"linear": dots, "polynomial": (dots + 0.5) ** 3,
+               "rbf": np.exp(-np.maximum((X * X).sum(axis=1)[:, None]
+                                         + (X * X).sum(axis=1)[None, :] - 2.0 * dots, 0.0) / 8.0)}
+        assert np.array_equal(K, 0.5 * (raw[spec.kind] + raw[spec.kind].T))
+        H = np.eye(120) - np.ones((120, 120)) / 120
+        want = H @ K @ H
+        got = kernel_gram(X, spec, center=True).values
+        assert np.array_equal(got, got.T)
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(K).max()
+
     def test_invalid_specs_rejected(self):
         with pytest.raises(ValueError):
             KernelSpec("sigmoid")

@@ -195,6 +195,50 @@ class TestSymInvSqrt:
         assert np.abs(R - R.T).max() < 1e-10
         assert np.abs(R @ M - M @ R).max() < 1e-8
 
+    @pytest.mark.parametrize("k", [1, 2, 5, 13])
+    def test_a_stack_equals_its_members_bit_for_bit(self, k):
+        rng = np.random.default_rng(k)
+        for _ in range(20):
+            members = []
+            for _ in range(3):
+                A = rng.standard_normal((4 * k, k)) * rng.uniform(1e-3, 1e3, size=k)
+                members.append(A.T @ A / (4 * k))
+            floors = rng.uniform(1e-14, 1e-6, size=3)
+            stacked = sym_inv_sqrt(np.array(members), floor=floors)
+            assert stacked.shape == (3, k, k)
+            for M, floor, R in zip(members, floors, stacked):
+                assert np.array_equal(R, sym_inv_sqrt(M, floor=floor))
+            shared = sym_inv_sqrt(np.array(members), floor=1e-9)  # one floor for every member
+            assert all(np.array_equal(R, sym_inv_sqrt(M, floor=1e-9))
+                       for M, R in zip(members, shared))
+
+    def test_a_bad_member_raises_as_the_2d_call(self):
+        good, asym = np.eye(2), np.array([[1.0, 0.5], [0.0, 1.0]])
+        for bad, match in ((np.array([[1.0, np.inf], [np.inf, 1.0]]), "finite"),
+                           (np.array([[np.nan, 0.0], [0.0, 1.0]]), "finite"),
+                           (asym, "symmetric")):
+            with pytest.raises(ValueError) as two_d:
+                sym_inv_sqrt(bad)
+            for stack in ([good, bad], [bad, good]):
+                with pytest.raises(ValueError, match=match) as stacked:
+                    sym_inv_sqrt(np.array(stack))
+                assert str(stacked.value) == str(two_d.value)
+        for floor in (0.0, -1.0, [1e-12, 0.0]):
+            with pytest.raises(ValueError, match="floor must be positive"):
+                sym_inv_sqrt(np.array([good, good]), floor=floor)
+        with pytest.raises(ValueError, match="floor must be positive"):
+            sym_inv_sqrt(good, floor=0.0)
+
+    def test_symmetry_is_judged_against_each_members_own_scale(self):
+        """A member's asymmetry is measured against its own largest entry, as a 2-d call would,
+        not against a larger member's."""
+        small = np.array([[1.0, 1e-9], [0.0, 1.0]])  # asymmetric at scale 1
+        big = 1e6 * np.eye(2)
+        with pytest.raises(ValueError, match="symmetric"):
+            sym_inv_sqrt(small)
+        with pytest.raises(ValueError, match="symmetric"):
+            sym_inv_sqrt(np.array([big, small]))
+
 
 def qr_inputs(m, p):
     """An m x p matrix in each layout and dtype the QR home accepts, by name."""

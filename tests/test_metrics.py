@@ -4,11 +4,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import svd
 
+from ccakit import metrics
 from ccakit.appgrad import normalize_columns
-from ccakit.linalg import gram
+from ccakit.linalg import gram, sym_inv_sqrt
 from ccakit.metrics import (
     RECORD_FIELDS,
+    RIDGE_SCALE,
     IterationRecord,
     RunReport,
     moment_tcc,
@@ -22,7 +25,7 @@ from ccakit.metrics import (
 from ccakit.planted import PlantedParams, generate_planted
 from ccakit.reference import spectral_cca
 
-from conftest import random_orthogonal
+from conftest import peak_bytes, random_orthogonal
 
 
 class TestTcc:
@@ -59,6 +62,35 @@ class TestTcc:
     def test_row_count_mismatch(self):
         with pytest.raises(ValueError):
             projected_correlations(np.ones((4, 2)), np.ones((5, 2)))
+
+    def test_column_count_mismatch(self):
+        with pytest.raises(ValueError, match="same number of columns"):
+            projected_correlations(np.ones((4, 2)), np.ones((4, 3)))
+
+    def test_one_stacked_inverse_root_matches_two(self, monkeypatch):
+        """Both Grams are whitened by one ``sym_inv_sqrt`` call on their stack, whose result is
+        bit for bit what one call per Gram gives."""
+        def per_gram(U, V):  # one inverse root per Gram
+            n = U.shape[0]
+            Su, Sv = U.T @ U / n, V.T @ V / n
+            lam_u = RIDGE_SCALE * max(np.trace(Su) / max(Su.shape[0], 1), 1e-300)
+            lam_v = RIDGE_SCALE * max(np.trace(Sv) / max(Sv.shape[0], 1), 1e-300)
+            Ru = sym_inv_sqrt(Su + lam_u * np.eye(Su.shape[0]), floor=lam_u * 1e-6)
+            Rv = sym_inv_sqrt(Sv + lam_v * np.eye(Sv.shape[0]), floor=lam_v * 1e-6)
+            return np.minimum(svd(Ru @ (U.T @ V / n) @ Rv, compute_uv=False), 1.0 + 1e-9)
+
+        rng = np.random.default_rng(8)
+        calls = []
+        monkeypatch.setattr(metrics, "sym_inv_sqrt",
+                            lambda M, floor: calls.append(np.shape(M)) or sym_inv_sqrt(M, floor))
+        for k in (1, 3, 8):
+            for scale in (1e-8, 1.0, 1e8):
+                U = scale * rng.standard_normal((60, k)) @ rng.standard_normal((k, k))
+                V = U @ rng.standard_normal((k, k)) + rng.standard_normal((60, k))
+                calls.clear()
+                got = projected_correlations(U, V)
+                assert calls == [(2, k, k)]
+                assert np.array_equal(got, per_gram(U, V))
 
     @given(k=st.integers(1, 5), log_scale=st.floats(-6, 6), log_cond=st.floats(0, 3),
            duplicate=st.booleans(), seed=st.integers(0, 2**16))
@@ -153,6 +185,24 @@ class TestPrincipalAngles:
         A = np.ones((8, 2))  # duplicate columns
         with pytest.raises(ValueError, match="rank"):
             principal_angles(A, A)
+
+    def test_plain_inner_product_forms_nothing_p_by_p(self):
+        """Without an S, two 3000 x 5 bases are compared in O(p k) memory, not through a p x p
+        identity (72 MB), and the cosines are those of the identity inner product."""
+        rng = np.random.default_rng(9)
+        p, k = 3000, 5
+        A = rng.standard_normal((p, k))
+        B = A @ rng.standard_normal((k, k)) + 0.5 * rng.standard_normal((p, k))
+        cos, peak = peak_bytes(lambda: principal_angles(A, B))
+        assert peak < 2 * (A.nbytes + B.nbytes)
+        small_a, small_b = A[:300], B[:300]
+        for S in (None, np.eye(300)):
+            got = principal_angles(small_a, small_b, S)
+            Ga, Gb = small_a.T @ small_a, small_b.T @ small_b  # the cosines by an explicit basis
+            Qa, Qb = small_a @ sym_inv_sqrt(Ga, 1e-300), small_b @ sym_inv_sqrt(Gb, 1e-300)
+            want = np.minimum(svd(Qa.T @ Qb, compute_uv=False), 1.0)
+            assert np.abs(got - want).max() < 1e-14
+        assert np.all(np.diff(cos) <= 0) and 0.0 < cos[-1] and cos[0] <= 1.0
 
 
 class TestFlopModel:
