@@ -23,7 +23,8 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.linalg import svd
 
-from .linalg import DegenerateIterateError, SingularMatrixError, _check_finite, as_matrix
+from .linalg import (DegenerateIterateError, SingularMatrixError, _check_finite, as_matrix,
+                     check_rank, check_ridge)
 from .metrics import (POWER_ITERS, RIDGE_SCALE, RunReport, Views, moment_pair_flops,
                       projected_correlations, step_flops)
 from .reference import canonical_pairs
@@ -135,10 +136,13 @@ def normalize_columns(X, W, lam=0.0):
 
 
 def random_init(X, Y, k, seed, lam=0.0):
-    """Standard-Gaussian draw, then exact whitening of the k columns. A view whose Gram cannot
-    whiten the draw, as one spanning fewer than k directions at lam = 0 (at k = 1, a zero view),
-    raises SingularMatrixError, since no other draw can."""
-    X, Y = as_matrix(X), as_matrix(Y)
+    """Standard-Gaussian draw on (X, Y) or the ``Views`` X (Y then None), then exact whitening
+    of the k columns. A view whose Gram cannot whiten the draw, as one spanning fewer than k
+    directions at lam = 0 (at k = 1, a zero view), raises SingularMatrixError."""
+    views = Views.of(X, Y)
+    X, Y = views.X, views.Y
+    check_rank(k, X.shape[1], Y.shape[1])
+    check_ridge(lam)
     rng = np.random.default_rng(seed)
     draws = rng.standard_normal((X.shape[1], k)), rng.standard_normal((Y.shape[1], k))
     whitened = []
@@ -218,6 +222,7 @@ def default_step(X, Y, lam=0.0, seed=0):
     (Y then None): exact where ``Views.gram_norm`` has it, else ``estimate_gram_norm``. Two zero
     views at lam = 0 give no step: SingularMatrixError."""
     views = Views.of(X, Y)
+    check_ridge(lam)
     L1 = max(estimate_gram_norm(A, seed=seed) if L is None else L
              for L, A in zip(views.gram_norm, (views.X, views.Y)))
     if L1 + lam <= 0.0:
@@ -287,10 +292,11 @@ def moment_pair(X, Y):
     return Views(X, Y).pair
 
 
-def _check_run(views, k, record_every):
-    """Reject a rank outside [1, min(p1, p2)] and a negative ``record_every``, before any work."""
-    if k < 1 or k > min(views.X.shape[1], views.Y.shape[1]):
-        raise ValueError(f"rank k={k} out of range")
+def _check_run(views, k, lam, record_every):
+    """Reject a rank ``check_rank`` rejects, a ridge ``check_ridge`` rejects and a negative
+    ``record_every``, before any work."""
+    check_rank(k, views.X.shape[1], views.Y.shape[1])
+    check_ridge(lam)
     if record_every < 0:
         raise ValueError("record_every must be >= 0")
 
@@ -353,20 +359,8 @@ def _drive(solver, config, seed, rows, batches, eta_at, step_fn, views, state, f
     return model, report
 
 
-def run_appgrad(
-    X,
-    Y,
-    k,
-    eta=None,
-    lam=0.0,
-    max_iters=2000,
-    tol=1e-7,
-    seed=0,
-    init=None,
-    oracle=None,
-    record_every=1,
-    step_fn=appgrad_step,
-):
+def run_appgrad(X, Y, k, eta=None, lam=0.0, max_iters=2000, tol=1e-7, seed=0, init=None,
+                oracle=None, record_every=1, step_fn=appgrad_step):
     """Iterate rank-k updates on (X, Y), or on the ``Views`` X (Y then None), until the RMS
     movement of X phi and Y psi over the solver's m rows is below ``tol``, or ``max_iters``:
     the unit-free movement ``als_cca`` stops on, tested when both states cache X phi, Y psi.
@@ -374,10 +368,11 @@ def run_appgrad(
     Returns (CcaModel, RunReport). The report records in-sample total correlation and, when an
     oracle model is given, its captured-correlation ratio over the iterate's top ``oracle.k``
     correlations, at the first, every ``record_every``-th and the last iteration (none for 0).
+    A pair, rank or ridge that ``linalg`` rejects raises ValueError before any n-sized product.
     """
     views = Views.of(X, Y)
     (n, p1), p2 = views.X.shape, views.Y.shape[1]
-    _check_run(views, k, record_every)
+    _check_run(views, k, lam, record_every)
     rows, flops = (views.X, views.Y), 0
     if views.narrow:  # the first record pays the pair's build
         rows, flops = views.pair, moment_pair_flops(n, p1, p2)

@@ -8,7 +8,7 @@ NW and DW read the cross moment X'Y/n of a ``metrics.Views``.
 
 import numpy as np
 
-from .linalg import (SingularMatrixError, as_matrix, gram_diagonal, randomized_svd,
+from .linalg import (SingularMatrixError, check_rank, check_ridge, gram_diagonal, randomized_svd,
                      singular_floor)
 from .metrics import Views
 from .reference import CcaModel, fix_signs, spectral_cca
@@ -24,7 +24,9 @@ def _top_pairs(S, k, seed):
 def nw_cca(X, Y, k, seed=0):
     """No whitening: truncated SVD of the raw cross-covariance X'Y/n of (X, Y), or of the
     ``Views`` X (Y then None). Returned directions are not S-orthonormal (``whitened`` is False)."""
-    U, s, V = _top_pairs(Views.of(X, Y).cross, k, seed)
+    views = Views.of(X, Y)
+    check_rank(k, views.X.shape[1], views.Y.shape[1])  # before the cross moment is formed
+    U, s, V = _top_pairs(views.cross, k, seed)
     return CcaModel(*fix_signs(U, V), s.copy(), whitened=False)
 
 
@@ -33,6 +35,7 @@ def dw_cca(X, Y, k, lam=0.0, seed=0):
     diag(sx) X'Y/n diag(sy), sx and sy the inverse root column variances, with the directions
     mapped back by the same scales."""
     views = Views.of(X, Y)
+    check_rank(k, views.X.shape[1], views.Y.shape[1])
     dx, dy = gram_diagonal(views.X, lam), gram_diagonal(views.Y, lam)
     if dx.min() <= 0 or dy.min() <= 0:
         raise ValueError("zero-variance column; set lam > 0")
@@ -44,14 +47,17 @@ def dw_cca(X, Y, k, lam=0.0, seed=0):
 
 
 def pca_cca(X, Y, k, m, lam=0.0, seed=0):
-    """Whiten only the leading m principal directions of each view: project,
-    solve the exact CCA in them, and compose the maps back. A view keeps the leading directions
-    whose ridge-shifted variance s^2/n + lam passes ``singular_floor`` of that spectrum, the rule
-    ``spectral_cca`` whitens by, so at lam = 0 it drops the directions it does not span; fewer
-    than k left raises SingularMatrixError. With m = p this reduces to the exact spectral solver."""
-    X, Y = as_matrix(X), as_matrix(Y)
-    n, p1 = X.shape
-    p2 = Y.shape[1]
+    """Whiten only the leading m principal directions of each view of (X, Y), or of the ``Views``
+    X (Y then None): project, solve the exact CCA in them, and compose the maps back. A view
+    keeps the leading directions whose ridge-shifted variance s^2/n + lam passes
+    ``singular_floor`` of that spectrum, the rule ``spectral_cca`` whitens by, so at lam = 0 it
+    drops the directions it does not span; fewer than k left raises SingularMatrixError. With
+    m = p this reduces to the exact spectral solver."""
+    views = Views.of(X, Y)
+    X, Y = views.X, views.Y
+    (n, p1), p2 = X.shape, Y.shape[1]
+    check_rank(k, p1, p2)
+    check_ridge(lam)
     if not (k <= m <= min(p1, p2, n)):
         raise ValueError(f"need k <= m <= min(p1, p2, n), got k={k}, m={m}")
     oversample = 0 if m == min(p1, p2) else OVERSAMPLE

@@ -8,6 +8,7 @@ from . import io
 from .appgrad import default_step, random_init, run_appgrad
 from .baselines import dw_cca, nw_cca, pca_cca
 from .kernels import KernelSpec, kernel_gram, kernel_ridge
+from .linalg import check_rank, check_ridge
 from .metrics import RunReport, Views, pcc_of
 from .planted import generate_planted
 from .reference import CcaModel, als_cca, qr_cca, spectral_cca
@@ -27,7 +28,7 @@ class Solver:
 
 
 def _als(c, v, k_run, **_):
-    init = random_init(v.X, v.Y, 1, c.seed, c.lam)
+    init = random_init(v, None, 1, c.seed, c.lam)
     return als_cca(v, None, (init.phi[:, 0], init.psi[:, 0]),
                    max_iters=c.max_iters, tol=c.tol, lam=c.lam)
 
@@ -49,7 +50,7 @@ def _stochastic(c, v, k_run, oracle, holdout, **_):
 
 def _pca_cca(c, v, k_run, **_):
     m = min(4 * c.k, *v.X.shape, v.Y.shape[1])
-    return pca_cca(v.X, v.Y, k_run, m=max(m, k_run), lam=c.lam, seed=c.seed)
+    return pca_cca(v, None, k_run, m=max(m, k_run), lam=c.lam, seed=c.seed)
 
 
 def _grams(c, X, Y):
@@ -65,7 +66,7 @@ def _kernel_appgrad(c, v, k_run, **_):
 
 SOLVERS = {
     "spectral": Solver(lambda c, v, k_run, **_: spectral_cca(v, None, k_run, c.lam)),
-    "qr": Solver(lambda c, v, k_run, **_: qr_cca(v.X, v.Y, k_run, lam=c.lam)),
+    "qr": Solver(lambda c, v, k_run, **_: qr_cca(v, None, k_run, lam=c.lam)),
     "als": Solver(_als),
     "appgrad": Solver(_appgrad, traced=True),
     "stochastic-appgrad": Solver(_stochastic, traced=True),
@@ -99,14 +100,12 @@ class SolverConfig:
             raise ValueError(f"unknown solver {self.solver!r}; choose from {', '.join(SOLVERS)}")
         if self.schedule not in StepSchedule.KINDS:
             raise ValueError(f"unknown schedule {self.schedule!r}")
-        if self.k < 1:
-            raise ValueError("k must be >= 1")
+        check_rank(self.k, inf)  # the data's widths bound it once they are known
         if self.solver == "als" and self.k != 1:
             raise ValueError("als solves the leading pair only; set k=1")
         if self.oversample < 0:
             raise ValueError("oversample must be nonnegative")
-        if not 0 <= self.lam < inf:  # the comparison also rejects NaN
-            raise ValueError("lam must be nonnegative and finite")
+        check_ridge(self.lam)
         if not (0.0 <= self.holdout <= 0.5):
             raise ValueError("holdout fraction must be in [0, 0.5]")
         if self.record_every is not None and self.record_every < 1:
@@ -173,9 +172,8 @@ def run_experiment(config, x=None, y=None, planted=None,
     if solver.grams:
         views = Views(*solver.grams(config, views.X, views.Y))
     X, Y, k = views.X, views.Y, config.k
+    check_rank(k, X.shape[1], Y.shape[1])
     k_run = min(k + config.oversample, X.shape[1], Y.shape[1])
-    if k_run < k:
-        raise ValueError(f"k={k} exceeds the view widths {X.shape[1]}, {Y.shape[1]}")
     # the exact oracle is affordable at desk scale; it does not apply to a Gram pair
     oracle = None if solver.grams else _oracle(views, k, config.lam)
     oracle_tcc = None if oracle is None else views.evaluate(oracle.phi, oracle.psi)

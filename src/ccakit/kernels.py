@@ -98,10 +98,8 @@ def kernel_cca(Kx, Ky, k, lam=None, eta=None, max_iters=2000, tol=1e-7, seed=0):
     Gram pair. Returns (Wx, Wy, lam_hat): dual coefficient matrices with
     Wx' (Kx Kx / n + lam I) Wx = I_k and the captured correlations.
 
-    One ridge ``lam`` applies to both views; it defaults to ``kernel_ridge``, the larger
-    of the two views' 1e-6 * trace(K)/n."""
-    if Kx.n != Ky.n:
-        raise ValueError("Gram matrices must cover the same samples")
+    One ridge ``lam`` applies to both views, ``kernel_ridge`` by default; ``run_appgrad`` checks
+    it, the rank and that both Grams cover the same samples."""
     lam = kernel_ridge(Kx.values, Ky.values) if lam is None else lam
     model, _ = run_appgrad(Kx.values, Ky.values, k, eta=eta, lam=lam, max_iters=max_iters,
                            tol=tol, seed=seed)

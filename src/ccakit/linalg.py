@@ -29,6 +29,26 @@ def _check_finite(*arrays):
         raise ValueError("matrix contains non-finite entries")
 
 
+def check_ridge(lam):
+    """The ridge rule of every entry that takes a lam: finite and >= 0, else ValueError."""
+    if not 0 <= lam < np.inf:  # the comparison also rejects NaN
+        raise ValueError(f"lam must be nonnegative and finite, got {lam} "
+                         "(regularization must be nonnegative)")
+
+
+def check_rank(k, *widths):
+    """The rank rule of every entry that takes a rank k: 1 <= k <= min(widths), else ValueError."""
+    if not 1 <= k <= min(widths):
+        raise ValueError(f"rank k={k} out of range [1, {min(widths)}]")
+
+
+def check_rows(X, Y):
+    """The row rule of every pair (X, Y), applied by ``metrics.Views``: one n, else ValueError."""
+    if X.shape[0] != Y.shape[0]:
+        raise ValueError(f"row-count mismatch: X has {X.shape[0]} rows, Y has {Y.shape[0]}; "
+                         "views must have the same number of rows")
+
+
 def as_matrix(X):
     """Coerce input to a 2-d ndarray or scipy sparse matrix, unwrapping DataMatrix."""
     if isinstance(X, DataMatrix):
@@ -72,8 +92,7 @@ class DataMatrix:
 def gram(X, lam=0.0):
     """Empirical second-moment matrix  X'X/n + lam*I,  symmetrized (a sparse X accumulates over
     its stored entries only). X is scanned for non-finite entries only if X'X is non-finite."""
-    if lam < 0:
-        raise ValueError(f"regularization must be nonnegative, got {lam}")
+    check_ridge(lam)
     X = as_matrix(X)
     n, p = X.shape
     S = X.T @ X
@@ -88,8 +107,7 @@ def gram(X, lam=0.0):
 
 def gram_diagonal(X, lam=0.0):
     """diag(gram(X, lam)) in O(nnz); X is scanned for non-finite entries only if the result is."""
-    if lam < 0:
-        raise ValueError(f"regularization must be nonnegative, got {lam}")
+    check_ridge(lam)
     X = as_matrix(X)
     sq = np.asarray(X.multiply(X).sum(axis=0) if sp.issparse(X) else np.einsum("ij,ij->j", X, X))
     if not np.all(np.isfinite(sq)):
@@ -100,10 +118,7 @@ def gram_diagonal(X, lam=0.0):
 def cross_covariance(X, Y):
     """Cross second-moment matrix  X'Y/n; the views are scanned for non-finite entries if it is."""
     X, Y = as_matrix(X), as_matrix(Y)
-    if X.shape[0] != Y.shape[0]:
-        raise ValueError(
-            f"row-count mismatch: X has {X.shape[0]} rows, Y has {Y.shape[0]}"
-        )
+    check_rows(X, Y)
     S = X.T @ Y
     S = np.asarray(S.todense() if sp.issparse(S) else S) / X.shape[0]
     if not np.all(np.isfinite(S)):
@@ -131,15 +146,15 @@ def singular_floor(w):
 def sym_inv_sqrt(M, floor=1e-12):
     """Inverse square root  U max(D, floor)^(-1/2) U'  of a small symmetric PSD matrix, or of each
     member of a (..., k, k) stack by one eigendecomposition call, ``floor`` then a scalar or one
-    per member. A stack's members equal the 2-d calls on them bit for bit.
+    per member, positive and finite. A stack's members equal the 2-d calls on them bit for bit.
 
     Eigenvalues below ``floor`` are clamped, which keeps nearly rank-deficient
     inputs finite at the price of exactness on those directions.
     """
     M = np.asarray(M, dtype=float)
     floor = np.broadcast_to(floor, M.shape[:-2])
-    if np.any(floor <= 0):
-        raise ValueError("floor must be positive")
+    if not np.all((floor > 0) & (floor < np.inf)):  # also rejects NaN
+        raise ValueError("floor must be positive and finite")
     _check_finite(M)
     Mt = np.swapaxes(M, -1, -2)
     scale = np.maximum(1.0, np.abs(M).max(axis=(-2, -1)))  # per member
@@ -187,8 +202,7 @@ def randomized_svd(A, k, oversample=10, power_iters=2, seed=0):
     """
     A = as_matrix(A)
     p1, p2 = A.shape
-    if k < 1 or k > min(p1, p2):
-        raise ValueError(f"rank k={k} out of range for a {p1}x{p2} matrix")
+    check_rank(k, p1, p2)
     if oversample < 0:
         raise ValueError("oversample must be nonnegative")
     rng = np.random.default_rng(seed)

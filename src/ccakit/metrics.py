@@ -35,7 +35,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.linalg import eigh, svd
 
-from .linalg import as_matrix, cross_covariance, gram, singular_floor, sym_inv_sqrt
+from .linalg import as_matrix, check_rows, cross_covariance, gram, singular_floor, sym_inv_sqrt
 
 RIDGE_SCALE = 1e-10  # of each k-by-k Gram in ``projected_correlations``, relative to its trace
 POWER_ITERS = 50  # of ``appgrad.estimate_gram_norm``
@@ -62,8 +62,7 @@ def projected_correlations(U, V):
     An exactly whitened pair (U'U/n = V'V/n = I) thus gives those of U'V/n / (1 + RIDGE_SCALE),
     which ``appgrad.AppGradState.tcc`` takes without an inverse root."""
     U, V = np.asarray(U, dtype=float), np.asarray(V, dtype=float)
-    if U.shape[0] != V.shape[0]:
-        raise ValueError("projected views must have the same number of rows")
+    check_rows(U, V)
     if U.shape[1] != V.shape[1]:
         raise ValueError("projected views must have the same number of columns")
     n, k = U.shape
@@ -109,10 +108,12 @@ def moment_tcc(M, A, B):
 class Views:
     """A view pair (X, Y) and what runs derive from it, each built once, on first use: the view
     Grams, the cross moment, the moment pair, the Gram eigenvalues, the TCC evaluator and the
-    (train, held-out) splits (see the module doc). Every moment reader takes one."""
+    (train, held-out) splits (see the module doc). Every moment reader takes one. A pair with
+    two row counts raises ``linalg.check_rows``'s ValueError at once."""
 
     def __init__(self, X, Y):
         self.X, self.Y = as_matrix(X), as_matrix(Y)
+        check_rows(self.X, self.Y)
         (n, p1), p2 = self.X.shape, self.Y.shape[1]
         self.narrow = not (sp.issparse(self.X) or sp.issparse(self.Y)) and 4 * (p1 + p2) <= n
         self._grams, self._eigvals, self._splits = [None, None], [None, None], {}
@@ -192,7 +193,9 @@ def pcc(X, Y, est, oracle):
 
 def split_holdout(X, Y, fraction, seed):
     """((X_train, Y_train), (X_hold, Y_hold)): round(fraction * n) rows drawn by a seeded
-    permutation are held out; a fraction that leaves no held-out row raises ValueError."""
+    permutation are held out; a fraction that leaves no held-out row, or a pair that
+    ``linalg.check_rows`` rejects, raises ValueError."""
+    check_rows(X, Y)
     n = X.shape[0]
     n_hold = int(round(fraction * n))
     if n_hold == 0:

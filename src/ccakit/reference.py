@@ -5,7 +5,7 @@ the spectral solver (whiten, then SVD), the QR-whitening variant, alternating
 least squares for the leading pair, and the naive projected-gradient update
 kept only as a negative control. The spectral solver and ALS read the moments
 of a ``metrics.Views``, the spectral solver also its view spectra and singularity verdict
-(``Views.singular``); only the negative control forms its own Grams.
+(``Views.singular``).
 """
 
 from dataclasses import dataclass
@@ -14,8 +14,8 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.linalg import cho_factor, cho_solve, solve_triangular, svd
 
-from .linalg import (SingularMatrixError, apply_q, as_matrix, gram, householder_qr, induced_norm,
-                     singular_floor, sym_inv_sqrt, thin_q)
+from .linalg import (SingularMatrixError, apply_q, check_rank, check_ridge, householder_qr,
+                     induced_norm, singular_floor, sym_inv_sqrt, thin_q)
 from .metrics import Views
 
 
@@ -67,12 +67,9 @@ def spectral_cca(X, Y, k, lam=0.0):
     in p1, p2 -- intended as the exact oracle at desk scale, not a scalable solver. At lam = 0,
     a view that ``Views.singular`` judges singular raises SingularMatrixError."""
     views = Views.of(X, Y)
+    check_rank(k, views.X.shape[1], views.Y.shape[1])
+    check_ridge(lam)
     Sx, Sy, Sxy = views.moments
-    p1, p2 = Sxy.shape
-    if k < 1 or k > min(p1, p2):
-        raise ValueError(f"rank k={k} out of range for views of widths {p1}, {p2}")
-    if lam < 0:
-        raise ValueError(f"regularization must be nonnegative, got {lam}")
     for side, singular, w in zip("xy", views.singular, views.gram_eigvals):
         if singular and lam == 0.0:
             raise SingularMatrixError(f"S_{side} is numerically singular (min eig {w[0]:.3e}); "
@@ -83,7 +80,8 @@ def spectral_cca(X, Y, k, lam=0.0):
 
 
 def qr_cca(X, Y, k, lam=0.0):
-    """QR-whitening CCA: QR-factor each view, SVD of Qx'Qy.
+    """QR-whitening CCA of (X, Y), or of the ``Views`` X (Y then None): QR-factor each view, SVD
+    of Qx'Qy.
 
     Dense inputs only (QR cannot exploit sparsity). Regularization is applied
     by augmenting each view with sqrt(n*lam) * I rows, which reproduces the
@@ -91,17 +89,13 @@ def qr_cca(X, Y, k, lam=0.0):
     (augmented) copy of each view in place, Y's first; Qx'Qy is the top p1 rows of Hx'Qy, Qx's
     reflectors applied to Qy, so at most two view-sized arrays are ever live.
     """
-    X, Y = as_matrix(X), as_matrix(Y)
+    views = Views.of(X, Y)
+    X, Y = views.X, views.Y
     if sp.issparse(X) or sp.issparse(Y):
         raise ValueError("qr_cca supports dense inputs only")
-    if X.shape[0] != Y.shape[0]:
-        raise ValueError("X and Y must have the same number of rows")
-    n, p1 = X.shape
-    p2 = Y.shape[1]
-    if k < 1 or k > min(p1, p2):
-        raise ValueError(f"rank k={k} out of range for views of widths {p1}, {p2}")
-    if lam < 0:
-        raise ValueError(f"regularization must be nonnegative, got {lam}")
+    (n, p1), p2 = X.shape, Y.shape[1]
+    check_rank(k, p1, p2)
+    check_ridge(lam)
     if lam == 0 and n < max(p1, p2):  # a view wider than it is tall
         raise SingularMatrixError(f"view {'x' if n < p1 else 'y'} is numerically rank-deficient; "
                                   "set lam > 0")
@@ -138,9 +132,8 @@ def als_cca(X, Y, init, max_iters=1000, tol=1e-8, lam=0.0):
     partner's previous iterate and renormalizes in the induced norms. Stops
     when both iterates move by less than ``tol`` in induced norm.
     """
+    check_ridge(lam)
     Sx, Sy, Sxy = Views.of(X, Y).moments
-    if lam < 0:
-        raise ValueError(f"regularization must be nonnegative, got {lam}")
     Sx, Sy = Sx + lam * np.eye(len(Sx)), Sy + lam * np.eye(len(Sy))
     try:
         cx = cho_factor(Sx)
@@ -173,13 +166,14 @@ def als_cca(X, Y, init, max_iters=1000, tol=1e-8, lam=0.0):
 def naive_gradient_step(phi, psi, eta1, eta2, X, Y):
     """One step of the broken projected-gradient scheme (negative control).
 
-    Updates the normalized pair directly and renormalizes; the true canonical
-    pair is generically not a fixed point of this map.
+    Updates the normalized pair directly and renormalizes each new vector by the norm
+    ||X phi||/sqrt(n) of the rows it multiplies; the true canonical pair is generically not a
+    fixed point of this map.
     """
     if eta1 < 0 or eta2 < 0:
         raise ValueError("step sizes must be nonnegative")
-    X, Y = as_matrix(X), as_matrix(Y)
-    n = X.shape[0]
+    views = Views.of(X, Y)
+    X, Y, n = views.X, views.Y, views.X.shape[0]
     phi = np.asarray(phi, dtype=float)
     psi = np.asarray(psi, dtype=float)
     if phi.shape[0] != X.shape[1] or psi.shape[0] != Y.shape[1]:
@@ -190,6 +184,6 @@ def naive_gradient_step(phi, psi, eta1, eta2, X, Y):
     g2 = np.asarray(Y.T @ (Yq - Xp)) / n
     phi_new = phi - eta1 * g1
     psi_new = psi - eta2 * g2
-    phi_new /= induced_norm(gram(X), phi_new)
-    psi_new /= induced_norm(gram(Y), psi_new)
+    phi_new /= np.linalg.norm(np.asarray(X @ phi_new)) / np.sqrt(n)
+    psi_new /= np.linalg.norm(np.asarray(Y @ psi_new)) / np.sqrt(n)
     return phi_new, psi_new

@@ -19,8 +19,8 @@ from .appgrad import (  # noqa: F401  normalize_columns is looked up here by per
     random_init,
     run_appgrad,
 )
-from .linalg import DegenerateIterateError, as_matrix
-from .metrics import Views, split_holdout, tcc
+from .linalg import DegenerateIterateError
+from .metrics import Views, tcc
 
 
 @dataclass
@@ -126,20 +126,8 @@ def stochastic_appgrad_step(state, eta, X_I, Y_I, lam=0.0):
     return _step(state, eta, X_I, Y_I, lam)
 
 
-def run_stochastic(
-    X,
-    Y,
-    k,
-    plan,
-    schedule,
-    lam=0.0,
-    max_iters=2000,
-    seed=0,
-    init=None,
-    oracle=None,
-    record_every=None,
-    holdout=None,
-):
+def run_stochastic(X, Y, k, plan, schedule, lam=0.0, max_iters=2000, seed=0, init=None,
+                   oracle=None, record_every=None, holdout=None):
     """Run minibatch iterations on (X, Y), or on the ``Views`` X (Y then None), for
     ``max_iters`` steps, or until the sampler's batches end (one pass of the data in
     sequential-stream mode). A degenerate batch is replaced by the next one, once, and charged;
@@ -149,15 +137,16 @@ def run_stochastic(
     ``holdout`` is an optional (X_h, Y_h) pair or ``Views`` for out-of-sample TCC. Records are
     scored by ``Views.evaluate`` over the iterate's top ``oracle.k`` correlations.
     Returns (CcaModel, RunReport); the model's ``converged`` is False, since
-    the run has no stopping test.
+    the run has no stopping test. A pair, rank or ridge that ``linalg`` rejects raises ValueError
+    before any n-sized product.
     """
     views = Views.of(X, Y)
     n = views.X.shape[0]
     if record_every is None:
         record_every = max(1, int(np.ceil(n / plan.m)))
-    _check_run(views, k, record_every)
+    _check_run(views, k, lam, record_every)
     batches = plan.make_sampler(n).batches(views.X, views.Y)
-    state = init if init is not None else random_init(views.X, views.Y, k, seed, lam)
+    state = init if init is not None else random_init(views, None, k, seed, lam)
     config = {"k": k, "m": plan.m, "mode": plan.mode, "schedule": schedule.kind,
               "eta0": schedule.eta0, "lam": lam, "max_iters": max_iters}
     holdout = holdout if holdout is None or isinstance(holdout, Views) else Views(*holdout)
@@ -166,31 +155,22 @@ def run_stochastic(
                   holdout=holdout)
 
 
-def cross_validate_step(
-    X,
-    Y,
-    k,
-    grid,
-    holdout_fraction=0.1,
-    budget=100,
-    seed=0,
-):
+def cross_validate_step(X, Y, k, grid, holdout_fraction=0.1, budget=100, seed=0):
     """Pick the constant step size from ``grid`` that maximizes holdout TCC after a
-    ``budget``-step ``run_appgrad`` at lam = 0 on the rows ``split_holdout`` keeps for
-    training; ties break toward the smaller step. Candidates whose runs diverge or
-    degenerate are discarded; all-degenerate grids error."""
+    ``budget``-step ``run_appgrad`` at lam = 0 on the training rows of ``Views.split`` of (X, Y),
+    or of the ``Views`` X (Y then None); ties break toward the smaller step. Candidates whose
+    runs diverge or degenerate are discarded; all-degenerate grids error."""
     if not grid:
         raise ValueError("candidate grid is empty")
     if not (0.0 < holdout_fraction <= 0.5):
         raise ValueError("holdout fraction must be in (0, 0.5]")
-    train, (X_h, Y_h) = split_holdout(as_matrix(X), as_matrix(Y), holdout_fraction, seed)
-    train = Views(*train)  # one moment pair serves every candidate
+    train, hold = Views.of(X, Y).split(holdout_fraction, seed)  # one moment pair serves all
     best_eta, best_score = None, -np.inf
     for eta in sorted(grid):
         try:
             model, _ = run_appgrad(train, None, k, eta=float(eta), max_iters=budget, tol=0.0,
                                    seed=seed, record_every=0)
-            score = tcc(X_h, Y_h, model.phi, model.psi)
+            score = tcc(hold.X, hold.Y, model.phi, model.psi)
         except DegenerateIterateError:
             continue
         if np.isfinite(score) and score > best_score:

@@ -62,3 +62,17 @@ def peak_bytes(fn):
     finally:
         tracemalloc.stop()
     return out, peak - before
+
+
+class CountingArray(np.ndarray):
+    """Dense view that counts the n-sized products taken with it, either side."""
+
+    products = 0
+
+    def __matmul__(self, other):
+        CountingArray.products += 1
+        return np.asarray(self) @ other
+
+    def __rmatmul__(self, other):
+        CountingArray.products += 1
+        return other @ np.asarray(self)

@@ -34,7 +34,7 @@ from ccakit.reference import CcaModel, spectral_cca
 from ccakit.stochastic import (MinibatchPlan, StepSchedule, cross_validate_step, run_stochastic,
                                stochastic_appgrad_step)
 
-from conftest import peak_bytes, random_orthogonal
+from conftest import CountingArray, peak_bytes, random_orthogonal
 
 
 def rank1_state(phi, psi, lam):
@@ -515,20 +515,6 @@ class CountingCSR(sp.csr_matrix):
     def __rmatmul__(self, other):
         CountingCSR.products += 1
         return super().__rmatmul__(other)
-
-
-class CountingArray(np.ndarray):
-    """Dense view that counts the n-sized products taken with it, either side."""
-
-    products = 0
-
-    def __matmul__(self, other):
-        CountingArray.products += 1
-        return np.asarray(self) @ other
-
-    def __rmatmul__(self, other):
-        CountingArray.products += 1
-        return other @ np.asarray(self)
 
 
 def cached_and_uncached_runs(X, Y, oracle):

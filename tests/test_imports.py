@@ -3,10 +3,11 @@ every private module-level helper of the package is used somewhere in it, every 
 and method of the package is referenced somewhere in the package, tests, scripts or benchmark,
 every defaulted parameter of the package is passed by some call in them, every double-backtick
 name in a docstring or comment of the package names something that it defines or imports,
-only ``metrics`` (and the negative control) calls ``gram``, ``cross_covariance`` or ``moments``,
-singular vectors and eigendecompositions are taken in their few homes only, and the batch and
-minibatch drivers share one loop, which copies no rule that has its own home in ``appgrad`` and
-throws nothing into a row source, and a record's ridge is read in its two homes only."""
+only ``metrics`` calls ``gram``, ``cross_covariance`` or ``moments``, singular vectors and
+eigendecompositions are taken in their few homes only, the batch and minibatch drivers share one
+loop, which copies no rule that has its own home in ``appgrad`` and throws nothing into a row
+source, a record's ridge is read in its two homes only, and the ridge, rank and row-count input
+rules raise in their one home each."""
 
 import ast
 import builtins
@@ -291,12 +292,8 @@ def test_moment_call_checker_sees_what_it_must():
     assert moment_calls(package) == [("a", "C"), ("a", "C.m"), ("a", "f"), ("b", "<module>")]
 
 
-# the negative control forms its own Grams; every other reader takes a metrics.Views
-MOMENT_CALL_ALLOWLIST = [("reference", "naive_gradient_step")]
-
-
 def test_moments_are_formed_in_metrics_only():
-    assert moment_calls({p.stem: p.read_text() for p in SRC}) == MOMENT_CALL_ALLOWLIST
+    assert moment_calls({p.stem: p.read_text() for p in SRC}) == []
 
 
 def svd_vector_calls(package):
@@ -510,3 +507,47 @@ def test_throw_checker_sees_what_it_must():
 
 def test_no_row_source_is_thrown_into():
     assert throw_calls({p.stem: p.read_text() for p in SRC}) == []
+
+
+# each input rule's home in linalg, and the text by which a raise of that rule is known
+RULE_HOMES = {"ridge": ("linalg", "check_ridge"), "rank": ("linalg", "check_rank"),
+              "rows": ("linalg", "check_rows")}
+RULE_TEXTS = {"ridge": r"\b(lam|ridge|regularization)\b.*\b(nonnegative|negative|finite)",
+              "rank": r"\brank\b.*\bout of range|\bk=.*\bwidths?\b",
+              "rows": r"\b(same|number of|row-count)\b.*\b(rows|samples)\b|row-count mismatch"}
+
+
+def rule_raises(package):
+    """Sorted (module, scope, rule) of each ``raise`` in ``package`` ({module: source}), scoped as
+    in ``scoped_nodes``, whose exception message text (the literal parts of its string or f-string
+    arguments) matches a rule of RULE_TEXTS, outside that rule's home in RULE_HOMES."""
+    found = set()
+    for module, scope, node in scoped_nodes(package):
+        if not isinstance(node, ast.Raise) or not isinstance(node.exc, ast.Call):
+            continue
+        text = " ".join(n.value for a in node.exc.args for n in ast.walk(a)
+                        if isinstance(n, ast.Constant) and isinstance(n.value, str))
+        found.update((module, scope, rule) for rule, pattern in RULE_TEXTS.items()
+                     if re.search(pattern, text) and (module, scope) != RULE_HOMES[rule])
+    return sorted(found)
+
+
+def test_rule_raise_checker_sees_what_it_must():
+    package = {"linalg": "def check_ridge(lam):\n    if lam < 0:\n"
+                         "        raise ValueError(f'lam must be nonnegative, got {lam}')\n"
+                         "def check_rows(X, Y):\n    raise ValueError('same number of rows')\n"
+                         "def check_rank(k, p):\n    raise ValueError(f'rank k={k} out of range')\n"
+                         "def gram(X, lam):\n    if lam < 0:\n"
+                         "        raise ValueError(f'regularization must be nonnegative: {lam}')\n",
+               "a": "class C:\n    def m(self, k, p):\n        if k > p:\n"
+                    "            raise ValueError(f'k={k} exceeds the view widths {p}')\n"
+                    "def f(K, L):\n    raise ValueError('Grams must cover the same samples')\n"
+                    "def g(eta, exc):\n    if eta < 0:\n"
+                    "        raise ValueError('step sizes must be nonnegative')\n    raise exc\n",
+               "b": "raise ValueError('X and Y must have the same number of rows')\n"}
+    assert rule_raises(package) == [("a", "C.m", "rank"), ("a", "f", "rows"),
+                                    ("b", "<module>", "rows"), ("linalg", "gram", "ridge")]
+
+
+def test_each_input_rule_raises_in_its_home_only():
+    assert rule_raises({p.stem: p.read_text() for p in SRC}) == []

@@ -229,6 +229,14 @@ class TestSymInvSqrt:
         with pytest.raises(ValueError, match="floor must be positive"):
             sym_inv_sqrt(good, floor=0.0)
 
+    def test_a_non_finite_floor_raises(self):
+        good = np.eye(2)
+        for floor in (np.nan, np.inf):
+            with pytest.raises(ValueError, match="floor must be positive and finite"):
+                sym_inv_sqrt(good, floor=floor)
+            with pytest.raises(ValueError, match="floor must be positive and finite"):
+                sym_inv_sqrt(np.array([good, good]), floor=[1e-12, floor])
+
     def test_symmetry_is_judged_against_each_members_own_scale(self):
         """A member's asymmetry is measured against its own largest entry, as a 2-d call would,
         not against a larger member's."""

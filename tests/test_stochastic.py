@@ -473,7 +473,7 @@ class TestEvaluation:
         plan = MinibatchPlan(m=50, seed=0)
         sched = StepSchedule("constant", eta0=default_step(X, Y).eta1)
         original = linalg.as_matrix
-        for module in (appgrad, linalg, metrics, stochastic):
+        for module in (appgrad, linalg, metrics):
             monkeypatch.setattr(module, "as_matrix", lambda A: original(A).view(SizedArray))
         SizedArray.sizes = []
         _, report = run_stochastic(X, Y, 3, plan, sched, max_iters=600, seed=0,
